@@ -3,15 +3,15 @@
 The package is organised as a small numpy library:
 
 - ``patch_ops``: image <-> patch-sequence views and batch-shared shuffles
-- ``mixing``: the patch-mix plan (group routing, targets, weights) and its
-  vectorised / naive executions
+- ``mixing``: the patch-mix plan (source map, targets, weights), its
+  one-gather execution and the loop-literal oracle
 - ``autodiff``: a minimal reverse-mode tape over numpy arrays
 - ``encoder``: a from-scratch ViT backbone with projection/prediction heads
   and a momentum twin
 - ``augment``: two-view augmentation pipeline
 - ``objectives``: the three contrastive losses over cosine similarities
 - ``trainer``: schedules, AdamW, the pretraining loop and checkpoints
-- ``evaluation``: kNN / linear probes, similarity scores, attention maps
+- ``evaluation``: kNN / linear probes, attention maps
 - ``datasets``: CIFAR binary loading and synthetic blob generation
 - ``cli``: command-line entry points
 

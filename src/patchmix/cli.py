@@ -238,24 +238,13 @@ def _train_config(cfg: dict, seed: int, vit):
     )
 
 
-def _params_from_checkpoint(cfg: dict):
-    from . import encoder as enc
+def _encoder_from_checkpoint(cfg: dict):
+    from . import trainer as tr
 
     path = cfg["eval.checkpoint"]
     if not path:
         raise ValueError("eval.checkpoint is required for this command")
-    vit, blobs, _meta = enc.read_checkpoint(path)
-    params = {
-        k[len("theta."):]: v for k, v in blobs.items() if k.startswith("theta.")
-    }
-    buffers = {
-        k[len("theta_buf."):]: v
-        for k, v in blobs.items()
-        if k.startswith("theta_buf.")
-    }
-    if not params:
-        raise ValueError(f"{path}: checkpoint holds no encoder parameters")
-    return enc.EncoderParams(vit, params, buffers)
+    return tr.encoder_from_checkpoint(path)
 
 
 def _require_out(out: str | None) -> Path:
@@ -285,7 +274,7 @@ def cmd_pretrain(cfg: dict, seed: int, out: str | None) -> int:
 def _banks(cfg: dict, seed: int):
     from . import evaluation as ev
 
-    params = _params_from_checkpoint(cfg)
+    params = _encoder_from_checkpoint(cfg)
     train = _dataset(cfg, "train", seed)
     val = _dataset(cfg, "val", seed)
     return params, ev.build_bank(params, train), ev.build_bank(params, val), val
@@ -359,15 +348,9 @@ def cmd_mix_demo(cfg: dict, seed: int, out: str | None) -> int:
     plan = mx.plan_mix(mx.MixConfig(images=n, groups=m, tokens=pb.tokens), perm)
     mixed = mx.apply_mix(pb, plan)
 
-    # intermediates, mirroring apply_mix step by step
-    shuffled = pb.with_patches(pb.patches[:, plan.perm.forward, :])
-    source_image = (plan.group_gather // m).reshape(n, m)
-    sizes = np.diff(plan.group_bounds)
-    group_of = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    src = source_image[:, group_of]
-    smix = pb.with_patches(
-        shuffled.patches[src, np.arange(pb.tokens)[None, :], :]
-    )
+    # the mix before and after its routing step, in shuffled order
+    shuffled = po.shuffle(pb, plan.perm)
+    smix = po.shuffle(mixed.patches, plan.perm)
 
     written = []
     for stem, batch in (
@@ -576,7 +559,7 @@ def cmd_attn_dump(cfg: dict, seed: int, out: str | None) -> int:
     from . import imgio
 
     out_dir = _require_out(out)
-    params = _params_from_checkpoint(cfg)
+    params = _encoder_from_checkpoint(cfg)
     val = _dataset(cfg, "val", seed)
     index = cfg["eval.index"]
     if not 0 <= index < val.count:

@@ -2,10 +2,8 @@
 
 A ``FeatureBank`` holds L2-normalised class-token representations with
 labels. On top of it sit a weighted kNN classifier (cosine top-k, votes
-exp(sim / tau)), the normalised inter-instance similarity score, a linear
-probe trained with softmax cross-entropy on frozen features (optionally
-with the backbone unfrozen, which is the finetune preset, not a separate
-code path), and attention-map extraction from the last block.
+exp(sim / tau)), a linear probe trained with softmax cross-entropy on
+frozen features, and attention-map extraction from the last block.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ __all__ = [
     "FeatureBank",
     "extract_features",
     "knn_classify",
-    "similarity_scores",
     "linear_probe",
-    "finetune_probe",
     "attention_maps",
 ]
 
@@ -130,21 +126,6 @@ def knn_classify(
     return preds, accuracy
 
 
-def similarity_scores(
-    query: np.ndarray, keys: np.ndarray, tau: float = 0.07
-) -> np.ndarray:
-    """Normalised similarity exp(sim / tau) / exp(1 / tau), in (0, 1].
-
-    Monotone in cosine similarity and exactly 1 only for sim = 1.
-    """
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    kk = np.atleast_2d(np.asarray(keys, dtype=np.float64))
-    q = q / np.linalg.norm(q)
-    kk = kk / np.linalg.norm(kk, axis=1, keepdims=True)
-    sims = kk @ q
-    return np.exp((sims - 1.0) / tau)
-
-
 def linear_probe(
     train_bank: FeatureBank,
     val_bank: FeatureBank,
@@ -178,54 +159,6 @@ def linear_probe(
     val_logits = val_bank.features @ w + b
     preds = val_logits.argmax(axis=1)
     return float((preds == val_bank.labels).mean())
-
-
-def finetune_probe(
-    params: enc.EncoderParams,
-    train_data,
-    val_data,
-    epochs: int = 5,
-    lr: float = 1e-3,
-    batch_size: int = 64,
-    seed: int = 0,
-) -> float:
-    """Linear probe with the backbone unfrozen (the finetune preset).
-
-    Jointly updates backbone and classifier by plain gradient descent on
-    softmax cross-entropy; intended for toy-scale checks only. The passed
-    parameters are not modified; returns validation accuracy.
-    """
-    cfg = params.config
-    work = {k: v.copy() for k, v in params.params.items()}
-    classes = train_data.num_classes
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 0.01, size=(cfg.dim, classes))
-    b = np.zeros(classes)
-
-    n = train_data.count
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n - batch_size + 1, batch_size):
-            idx = order[lo : lo + batch_size]
-            pb = po.patchify(po.ImageBatch(train_data.images[idx]), cfg.patch_side)
-            onehot = np.eye(classes)[train_data.labels[idx]]
-            tape = Tape()
-            tv = {k: tape.var(v) for k, v in work.items()}
-            tw, tb = tape.var(w), tape.var(b)
-            rep = enc.forward_backbone(cfg, tv, pb)
-            logits = ad.add(ad.matmul(rep, tw), tb)
-            logp = ad.log_softmax(logits, axis=1)
-            loss = ad.neg(ad.mean(ad.asum(ad.mul(logp, onehot), axis=1)))
-            tape.backward(loss)
-            for k, t in tv.items():
-                work[k] = work[k] - lr * tape.grad(t)
-            w = w - lr * tape.grad(tw)
-            b = b - lr * tape.grad(tb)
-
-    tuned = enc.EncoderParams(cfg, work, dict(params.buffers))
-    feats = extract_features(tuned, val_data.images)
-    preds = (feats @ w + b).argmax(axis=1)
-    return float((preds == val_data.labels).mean())
 
 
 def attention_maps(params: enc.EncoderParams, image: np.ndarray) -> np.ndarray:

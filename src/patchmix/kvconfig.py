@@ -66,9 +66,3 @@ def get_float(raw: str, key: str) -> float:
     except ValueError as err:
         raise ValueError(f"{key}: expected a number, got {raw!r}") from err
 
-
-def get_pair(raw: str, key: str) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"{key}: expected two comma-separated numbers, got {raw!r}")
-    return get_float(parts[0], key), get_float(parts[1], key)

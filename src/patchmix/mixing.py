@@ -1,7 +1,7 @@
 """Multi-image patch mixing: plan construction and execution.
 
-A mix over a batch of N patch sequences proceeds in four steps, all driven
-by one shared random permutation:
+A mix over a batch of N patch sequences is defined by four steps, all
+driven by one shared random permutation:
 
 1. shuffle every image's T patches by the shared permutation;
 2. divide the shuffled sequence into M contiguous groups (when M does not
@@ -10,15 +10,22 @@ by one shared random permutation:
    taken from input (i + m) mod N;
 4. unshuffle with the inverse permutation, restoring grid positions.
 
-Step 3 is realised as a single gather over the flattened (image, group)
-index l = i * M + m using
+Because routing happens at whole-group granularity in the shuffled order
+and is undone by the inverse permutation, every mixed patch sits at the
+same grid position it occupied in its source image; only its source image
+changes. ``plan_mix`` therefore folds all four steps into ``source_map``,
+the [N, T] source image of every mixed patch in grid order, and
+``apply_mix`` executes the mix as the single gather
 
-    group_gather[l] = (l + (l mod M) * M) mod (N * M),
+    mixed[i, j] = patches[source_map[i, j], j].
+
+``flat_group_gather`` is the paper's closed-form routing of step 3: over
+the flattened (image, group) index l = i * M + m, its entry l is
+
+    (l + (l mod M) * M) mod (N * M),
 
 which routes slot l to source (i + m) mod N while keeping the group slot m
-fixed. Because routing happens at whole-group granularity in the shuffled
-order and is undone by the inverse permutation, every mixed patch sits at
-the same grid position it occupied in its source image.
+fixed. Acceptance criterion 02 checks it; execution does not read it.
 
 ``plan_mix`` also derives the supervision targets: for output i, group slot
 m originates from image (i + m) mod N (the mix-to-origin targets), and two
@@ -82,7 +89,6 @@ class MixPlan:
         config: the (N, M, T) shape the plan was built for.
         perm: shared patch permutation with its inverse.
         group_bounds: M+1 offsets delimiting groups in the shuffled order.
-        group_gather: length N*M gather over flattened (image, group) slots.
         source_map: [N, T] source image of every mixed patch, in grid order.
         origin_targets: [N, M] source image of each group slot.
         mixed_targets: [N, 2M-1] indices of mixed outputs sharing sources
@@ -94,7 +100,6 @@ class MixPlan:
     config: MixConfig
     perm: Permutation
     group_bounds: np.ndarray
-    group_gather: np.ndarray
     source_map: np.ndarray
     origin_targets: np.ndarray
     mixed_targets: np.ndarray
@@ -174,8 +179,6 @@ def plan_mix(config: MixConfig, perm: Permutation) -> MixPlan:
     # group index of every position in the shuffled order
     group_of = np.repeat(np.arange(m, dtype=np.int64), sizes)
 
-    group_gather = flat_group_gather(n, m)
-
     i = np.arange(n, dtype=np.int64)[:, None]
     origin_targets = (i + np.arange(m, dtype=np.int64)[None, :]) % n
 
@@ -191,7 +194,6 @@ def plan_mix(config: MixConfig, perm: Permutation) -> MixPlan:
         config=config,
         perm=perm,
         group_bounds=group_bounds,
-        group_gather=group_gather,
         source_map=source_map,
         origin_targets=origin_targets,
         mixed_targets=mixed_targets,
@@ -200,11 +202,10 @@ def plan_mix(config: MixConfig, perm: Permutation) -> MixPlan:
 
 
 def apply_mix(pb: PatchBatch, plan: MixPlan) -> MixedBatch:
-    """Execute a plan: shuffle, gather whole groups by slot, unshuffle.
+    """Execute a plan as one gather over ``plan.source_map``.
 
-    Vectorised equivalent of the group-granular gather: for every shuffled
-    position the source image is read off ``group_gather`` for the position's
-    group slot, then the inverse permutation restores grid order.
+    Patch j of mixed output i is patch j of input image source_map[i, j],
+    so every patch keeps its grid position.
     """
     cfg = plan.config
     if pb.count != cfg.images or pb.tokens != cfg.tokens:
@@ -212,26 +213,14 @@ def apply_mix(pb: PatchBatch, plan: MixPlan) -> MixedBatch:
             f"patch batch shape (N={pb.count}, T={pb.tokens}) does not match "
             f"plan (N={cfg.images}, T={cfg.tokens})"
         )
-    n, m = cfg.images, cfg.groups
-
-    shuffled = pb.patches[:, plan.perm.forward, :]
-
-    # source image for flattened slot l, recovered from the gather itself
-    source_image = (plan.group_gather // m).reshape(n, m)
-    sizes = np.diff(plan.group_bounds)
-    group_of = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    # per (image, shuffled position) source row, then a single fancy gather
-    src = source_image[:, group_of]  # [N, T]
-    mixed_shuffled = shuffled[src, np.arange(cfg.tokens)[None, :], :]
-
-    mixed = mixed_shuffled[:, plan.perm.inverse, :]
+    mixed = pb.patches[plan.source_map, np.arange(cfg.tokens)[None, :], :]
     return MixedBatch(patches=pb.with_patches(mixed), plan=plan)
 
 
 def naive_mix_oracle(
     pb: PatchBatch, config: MixConfig, perm: Permutation
 ) -> np.ndarray:
-    """Reference mix by explicit loops; deliberately ignores ``group_gather``.
+    """Reference mix by explicit loops; deliberately ignores the plan.
 
     Builds each mixed output patch-by-patch straight from the definition:
     shuffle, walk the M groups, copy group m of image (i + m) mod N, then
@@ -284,7 +273,6 @@ def plan_to_text(plan: MixPlan) -> str:
     _write_row(out, "perm_forward", plan.perm.forward)
     _write_row(out, "perm_inverse", plan.perm.inverse)
     _write_row(out, "group_bounds", plan.group_bounds)
-    _write_row(out, "group_gather", plan.group_gather)
     _write_row(out, "source_map", plan.source_map)
     _write_row(out, "origin_targets", plan.origin_targets)
     _write_row(out, "mixed_targets", plan.mixed_targets)
@@ -326,7 +314,6 @@ def plan_from_text(text: str) -> MixPlan:
         config=config,
         perm=perm,
         group_bounds=ints("group_bounds", (m + 1,)),
-        group_gather=ints("group_gather", (n * m,)),
         source_map=ints("source_map", (n, t)),
         origin_targets=ints("origin_targets", (n, m)),
         mixed_targets=ints("mixed_targets", (n, 2 * m - 1)),

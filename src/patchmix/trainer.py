@@ -41,6 +41,7 @@ __all__ = [
     "train_step",
     "pretrain",
     "state_from_checkpoint",
+    "encoder_from_checkpoint",
     "save_state",
     "CSV_COLUMNS",
 ]
@@ -406,6 +407,11 @@ def save_state(state: TrainState, path) -> None:
     enc.write_checkpoint(path, state.config.vit, _state_blobs(state), meta)
 
 
+def _strip(blobs: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The blobs written under ``prefix`` by ``_state_blobs``, prefix removed."""
+    return {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
+
+
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state``.
 
@@ -418,26 +424,33 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint backbone {vit_cfg} does not match the "
             f"configured backbone {cfg.vit}"
         )
-
-    def strip(prefix: str) -> dict[str, np.ndarray]:
-        return {
-            k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)
-        }
-
-    encoder = enc.EncoderParams(vit_cfg, strip("theta."), strip("theta_buf."))
-    momentum = enc.MomentumParams(vit_cfg, strip("xi."), strip("xi_buf."))
+    encoder = enc.EncoderParams(
+        vit_cfg, _strip(blobs, "theta."), _strip(blobs, "theta_buf.")
+    )
+    momentum = enc.MomentumParams(
+        vit_cfg, _strip(blobs, "xi."), _strip(blobs, "xi_buf.")
+    )
     return TrainState(
         config=cfg,
         step=int(meta["step"]),
         epoch=int(meta["epoch"]),
         encoder=encoder,
         momentum=momentum,
-        opt_m=strip("adam_m."),
-        opt_v=strip("adam_v."),
+        opt_m=_strip(blobs, "adam_m."),
+        opt_v=_strip(blobs, "adam_v."),
         total_steps=int(meta["total_steps"]),
         warmup_steps=int(meta["warmup_steps"]),
         loss_history=[tuple(row) for row in meta.get("loss_history", [])],
     )
+
+
+def encoder_from_checkpoint(path) -> enc.EncoderParams:
+    """The trained encoder of a checkpoint, with the backbone stored in it."""
+    vit_cfg, blobs, _meta = enc.read_checkpoint(path)
+    params = _strip(blobs, "theta.")
+    if not params:
+        raise ValueError(f"{path}: checkpoint holds no encoder parameters")
+    return enc.EncoderParams(vit_cfg, params, _strip(blobs, "theta_buf."))
 
 
 def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:
@@ -451,6 +464,19 @@ def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:
             )
 
 
+def _truncate_csv(path: Path, step: int) -> None:
+    """Keep the header and the rows of steps before ``step``.
+
+    Rows are matched by their step value, not counted, because aborted
+    steps write no row.
+    """
+    with open(path, newline="") as f:
+        lines = f.read().splitlines(keepends=True)
+    kept = lines[:1] + [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < step]
+    with open(path, "w", newline="") as f:
+        f.writelines(kept)
+
+
 def pretrain(
     cfg: TrainConfig,
     data,
@@ -462,7 +488,8 @@ def pretrain(
     Each epoch visits floor(dataset / batch) full batches of a fresh
     without-replacement shuffle. The CSV log and periodic checkpoints land
     in ``out_dir``; resuming from a checkpoint replays the remaining epochs
-    exactly as the uninterrupted run would have.
+    exactly as the uninterrupted run would have, and an existing log in
+    ``out_dir`` is first cut back to the checkpoint's step.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -476,8 +503,10 @@ def pretrain(
 
     steps_per_epoch = n_total // cfg.batch_size
     csv_path = out_dir / "train_log.csv"
-    if resume_from is None and csv_path.exists():
-        csv_path.unlink()
+    if resume_from is None:
+        csv_path.unlink(missing_ok=True)
+    elif csv_path.exists():
+        _truncate_csv(csv_path, state.step)
 
     for epoch in range(state.epoch, cfg.epochs):
         order = _derive_rng(cfg.seed, _RNG_ORDER, epoch).permutation(n_total)

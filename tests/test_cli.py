@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 
@@ -155,12 +156,15 @@ class TestOracleCheck:
         assert "correctly rejected" in out
 
     def test_detects_planted_routing_fault(self, monkeypatch, capsys):
-        real = mx.flat_group_gather
+        real = mx.plan_mix
 
-        def skewed(images: int, groups: int):
-            return np.roll(real(images, groups), 1)
+        def skewed(config, perm):
+            plan = real(config, perm)
+            return dataclasses.replace(
+                plan, source_map=np.roll(plan.source_map, 1, axis=0)
+            )
 
-        monkeypatch.setattr(mx, "flat_group_gather", skewed)
+        monkeypatch.setattr(mx, "plan_mix", skewed)
         assert cli.main(["oracle-check"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -110,34 +108,6 @@ class TestKnn:
         assert acc is None
 
 
-class TestSimilarityScores:
-    def test_identical_direction_scores_one(self):
-        # exact when normalisation is exact, else within rounding
-        e0 = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(
-            ev.similarity_scores(e0, np.stack([e0, 2.0 * e0])), [1.0, 1.0]
-        )
-        q = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(
-            ev.similarity_scores(q, np.stack([q, 2.0 * q])), 1.0, atol=1e-13
-        )
-
-    def test_orthogonal_and_antipodal_closed_forms(self):
-        q = np.array([1.0, 0.0])
-        keys = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = ev.similarity_scores(q, keys, tau=0.07)
-        assert abs(out[0] - math.exp(-1.0 / 0.07)) <= 1e-15
-        assert abs(out[1] - math.exp(-2.0 / 0.07)) <= 1e-18
-
-    def test_monotone_in_cosine(self):
-        q = np.array([1.0, 0.0])
-        angles = np.linspace(0.0, math.pi, 9)
-        keys = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        out = ev.similarity_scores(q, keys)
-        assert all(b < a for a, b in zip(out, out[1:]))
-        assert np.all(out > 0.0) and np.all(out <= 1.0)
-
-
 class TestLinearProbe:
     def test_separable_features_reach_high_accuracy(self):
         rng = np.random.default_rng(2)
@@ -190,15 +160,6 @@ class TestFeatureExtraction:
         assert bank.count == tiny_data.count
         np.testing.assert_array_equal(bank.labels, tiny_data.labels)
         assert bank.num_classes == 2
-
-    def test_finetune_probe_leaves_params_untouched(self, micro_params, tiny_data):
-        before = {k: v.copy() for k, v in micro_params.params.items()}
-        acc = ev.finetune_probe(
-            micro_params, tiny_data, tiny_data, epochs=1, batch_size=8
-        )
-        assert isinstance(acc, float) and 0.0 <= acc <= 1.0
-        for k, v in micro_params.params.items():
-            np.testing.assert_array_equal(v, before[k])
 
 
 class TestAttentionMaps:

@@ -199,6 +199,15 @@ class TestPlanText:
             back.mixed_weights, plan.mixed_weights, rtol=0, atol=0
         )
 
+    def test_ignores_group_gather_row_of_older_plans(self):
+        # older plan files carry a group_gather row; it is read and ignored
+        plan = make_plan(5, 3, 11, seed=8)
+        legacy = mx.plan_to_text(plan) + "group_gather " + " ".join(
+            str(v) for v in mx.flat_group_gather(5, 3)
+        ) + "\n"
+        back = mx.plan_from_text(legacy)
+        assert mx.plan_to_text(back) == mx.plan_to_text(plan)
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             mx.plan_from_text("not a plan\n")

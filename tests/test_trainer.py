@@ -401,6 +401,14 @@ class TestPretrain:
         assert_params_equal(full.opt_m, res.opt_m)
         assert full.loss_history == res.loss_history
 
+    def test_resume_in_place_rewrites_log_from_checkpoint_step(self, tmp_path):
+        cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
+        tr.pretrain(cfg, self.small_data(), tmp_path)
+        full_log = (tmp_path / "train_log.csv").read_bytes()
+        mid = tmp_path / "checkpoint_epoch0002.bin"
+        tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
+        assert (tmp_path / "train_log.csv").read_bytes() == full_log
+
     def test_loss_decreases_on_easy_data(self, tmp_path):
         cfg = micro_config(
             epochs=25, warmup_epochs=2, base_lr=2e-3, batch_size=4, seed=3
