@@ -6,10 +6,19 @@ then a clamp to [0, 1]. The two views share every setting except the blur
 and solarize probabilities, which are per-view pairs (view 1 defaults to
 blur always / never solarize, view 2 to rare blur / occasional solarize).
 
-All randomness is drawn per image from the caller's generator, so a fixed
-seed reproduces the batch bit for bit. Color operations assume 3-channel
-input and are skipped for other channel counts; ``color_ops=False``
-disables jitter and grayscale entirely for data without color semantics.
+``augment_view`` runs in two phases. First it draws every image's
+parameters from the caller's generator, image by image in pipeline order:
+crop box (with its retries), flip, jitter flag, jitter order and factors,
+grayscale flag, blur flag and sigma, solarize flag. Then it applies them:
+the crop and bilinear resize as one gather over the batch, the flip as one
+reversed slice, jitter, grayscale and blur per image over the images that
+drew them, then solarization and the clamp over the batch. A fixed seed
+reproduces the batch bit for bit, and the result equals drawing and
+applying image by image, to the bit.
+
+Color operations assume 3-channel input and are skipped for other channel
+counts; ``color_ops=False`` disables jitter and grayscale entirely for
+data without color semantics.
 """
 
 from __future__ import annotations
@@ -59,26 +68,10 @@ class AugConfig:
                 raise ValueError(f"{name} must be a non-empty positive range")
 
 
-def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of a [C, h, w] image; exact identity at same size."""
-    c, h, w = img.shape
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
-    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
-    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
-    return top * (1 - wy) + bot * wy
-
-
-def _random_resized_crop(
-    img: np.ndarray, cfg: AugConfig, rng: np.random.Generator
-) -> np.ndarray:
-    c, h, w = img.shape
+def _draw_crop_box(
+    h: int, w: int, cfg: AugConfig, rng: np.random.Generator
+) -> tuple[int, int, int, int]:
+    """(top, left, height, width) of a random resized crop of an h x w image."""
     for _ in range(10):
         area = h * w * rng.uniform(*cfg.crop_area)
         aspect = rng.uniform(*cfg.crop_aspect)
@@ -87,12 +80,45 @@ def _random_resized_crop(
         if 0 < ch <= h and 0 < cw <= w:
             top = int(rng.integers(0, h - ch + 1))
             left = int(rng.integers(0, w - cw + 1))
-            crop = img[:, top : top + ch, left : left + cw]
-            return _bilinear_resize(crop, h, w)
+            return top, left, ch, cw
     # fallback: centered square of the smaller side
     side = min(h, w)
-    top, left = (h - side) // 2, (w - side) // 2
-    return _bilinear_resize(img[:, top : top + side, left : left + side], h, w)
+    return (h - side) // 2, (w - side) // 2, side, side
+
+
+def _resample_axis(
+    start: np.ndarray, size: np.ndarray, out: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bilinear source indices and weights along one axis, one row per image.
+
+    Resamples each window [start, start + size) to ``out`` samples; returns
+    the lower and upper source index and the upper sample's weight, all
+    [n, out]. At size == out the weights are zero: an exact identity.
+    """
+    pos = (np.arange(out) + 0.5) * (size / out)[:, None] - 0.5
+    i0 = np.clip(np.floor(pos).astype(np.int64), 0, size[:, None] - 1)
+    i1 = np.minimum(i0 + 1, size[:, None] - 1)
+    frac = np.clip(pos - i0, 0.0, 1.0)
+    return start[:, None] + i0, start[:, None] + i1, frac
+
+
+def _resized_crops(data: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Bilinear resample of every image's crop box back to full size.
+
+    ``data`` is [N, C, H, W]; ``boxes`` is [N, 4] of (top, left, height,
+    width). All four corner reads are batched gathers over the whole batch.
+    """
+    n, c, h, w = data.shape
+    y0, y1, wy = _resample_axis(boxes[:, 0], boxes[:, 2], h)
+    x0, x1, wx = _resample_axis(boxes[:, 1], boxes[:, 3], w)
+    img = np.arange(n)[:, None, None, None]
+    chan = np.arange(c)[None, :, None, None]
+    y0, y1 = y0[:, None, :, None], y1[:, None, :, None]
+    x0, x1 = x0[:, None, None, :], x1[:, None, None, :]
+    wy, wx = wy[:, None, :, None], wx[:, None, None, :]
+    top = data[img, chan, y0, x0] * (1 - wx) + data[img, chan, y0, x1] * wx
+    bot = data[img, chan, y1, x0] * (1 - wx) + data[img, chan, y1, x1] * wx
+    return top * (1 - wy) + bot * wy
 
 
 def _rgb_to_hsv(img: np.ndarray) -> np.ndarray:
@@ -135,34 +161,42 @@ def _grayscale(img: np.ndarray) -> np.ndarray:
     return np.broadcast_to(y, img.shape).copy()
 
 
-def _color_jitter(
-    img: np.ndarray, cfg: AugConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Brightness/contrast/saturation/hue, applied in a random order."""
-    order = rng.permutation(4)
-    for op in order:
-        if op == 0 and cfg.brightness > 0:
-            f = rng.uniform(max(0.0, 1.0 - cfg.brightness), 1.0 + cfg.brightness)
+def _draw_jitter(
+    cfg: AugConfig, rng: np.random.Generator
+) -> list[tuple[int, float]]:
+    """A random order of the enabled jitter ops, each with its factor.
+
+    Ops are 0 brightness, 1 contrast, 2 saturation, 3 hue (a shift).
+    """
+    strengths = (cfg.brightness, cfg.contrast, cfg.saturation)
+    steps = []
+    for op in rng.permutation(4):
+        if op < 3 and strengths[op] > 0:
+            s = strengths[op]
+            steps.append((op, rng.uniform(max(0.0, 1.0 - s), 1.0 + s)))
+        elif op == 3 and cfg.hue > 0:
+            steps.append((3, rng.uniform(-cfg.hue, cfg.hue)))
+    return steps
+
+
+def _color_jitter(img: np.ndarray, steps: list[tuple[int, float]]) -> np.ndarray:
+    """Brightness/contrast/saturation/hue in the drawn order."""
+    for op, f in steps:
+        if op == 0:
             img = np.clip(img * f, 0.0, 1.0)
-        elif op == 1 and cfg.contrast > 0:
-            f = rng.uniform(max(0.0, 1.0 - cfg.contrast), 1.0 + cfg.contrast)
+        elif op == 1:
             anchor = _grayscale(img).mean()
             img = np.clip(img * f + anchor * (1.0 - f), 0.0, 1.0)
-        elif op == 2 and cfg.saturation > 0:
-            f = rng.uniform(max(0.0, 1.0 - cfg.saturation), 1.0 + cfg.saturation)
+        elif op == 2:
             img = np.clip(img * f + _grayscale(img) * (1.0 - f), 0.0, 1.0)
-        elif op == 3 and cfg.hue > 0:
-            shift = rng.uniform(-cfg.hue, cfg.hue)
+        else:
             hsv = _rgb_to_hsv(img)
-            hsv[0] = (hsv[0] + shift) % 1.0
+            hsv[0] = (hsv[0] + f) % 1.0
             img = np.clip(_hsv_to_rgb(hsv), 0.0, 1.0)
     return img
 
 
-def _gaussian_blur(
-    img: np.ndarray, image_side: int, cfg: AugConfig, rng: np.random.Generator
-) -> np.ndarray:
-    sigma = rng.uniform(*cfg.blur_sigma)
+def _gaussian_blur(img: np.ndarray, image_side: int, sigma: float) -> np.ndarray:
     ksize = max(3, int(round(image_side / 10)) | 1)
     half = ksize // 2
     xs = np.arange(-half, half + 1, dtype=np.float64)
@@ -186,19 +220,38 @@ def augment_view(
     data = batch.data
     n, c, h, w = data.shape
     color = cfg.color_ops and c == 3
-    out = np.empty_like(data, dtype=np.float64)
+
+    # draw: every image's parameters, in the order the pipeline uses them
+    boxes = np.empty((n, 4), dtype=np.int64)
+    flip = np.zeros(n, dtype=bool)
+    solarize = np.zeros(n, dtype=bool)
+    per_image: list[tuple[int, list | None, bool, float | None]] = []
     for i in range(n):
-        img = data[i].astype(np.float64, copy=True)
-        img = _random_resized_crop(img, cfg, rng)
-        if rng.random() < cfg.flip_prob:
-            img = img[:, :, ::-1]
+        boxes[i] = _draw_crop_box(h, w, cfg, rng)
+        flip[i] = rng.random() < cfg.flip_prob
+        jitter = sigma = None
         if color and rng.random() < cfg.jitter_prob:
-            img = _color_jitter(img, cfg, rng)
-        if color and rng.random() < cfg.grayscale_prob:
-            img = _grayscale(img)
+            jitter = _draw_jitter(cfg, rng)
+        gray = color and rng.random() < cfg.grayscale_prob
         if rng.random() < cfg.blur_prob[vi]:
-            img = _gaussian_blur(img, max(h, w), cfg, rng)
-        if rng.random() < cfg.solarize_prob[vi]:
-            img = np.where(img < cfg.solarize_threshold, img, 1.0 - img)
-        out[i] = np.clip(img, 0.0, 1.0)
+            sigma = rng.uniform(*cfg.blur_sigma)
+        solarize[i] = rng.random() < cfg.solarize_prob[vi]
+        if jitter is not None or gray or sigma is not None:
+            per_image.append((i, jitter, gray, sigma))
+
+    # apply: batched crop, flip, solarize and clamp; the rest per image
+    out = _resized_crops(data.astype(np.float64, copy=False), boxes)
+    out[flip] = out[flip, :, :, ::-1]
+    for i, jitter, gray, sigma in per_image:
+        img = out[i]
+        if jitter is not None:
+            img = _color_jitter(img, jitter)
+        if gray:
+            img = _grayscale(img)
+        if sigma is not None:
+            img = _gaussian_blur(img, max(h, w), sigma)
+        out[i] = img
+    sel = out[solarize]
+    out[solarize] = np.where(sel < cfg.solarize_threshold, sel, 1.0 - sel)
+    np.clip(out, 0.0, 1.0, out=out)
     return ImageBatch(out)

@@ -14,6 +14,7 @@ for callers that opt in, with correspondingly looser gradient checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -51,8 +52,9 @@ __all__ = [
     "check_gradients",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# plain floats, so that float32 operands stay float32 (NEP 50)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
@@ -173,6 +175,18 @@ def _value(x) -> np.ndarray:
     return arr
 
 
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Values of an elementwise binary op. A Python scalar takes the float
+    dtype of the other operand, as NumPy's weak scalars do, instead of
+    turning a float32 operation into a float64 one."""
+    av, bv = _value(a), _value(b)
+    if isinstance(a, (int, float)) and bv.dtype.kind == "f":
+        av = av.astype(bv.dtype)
+    if isinstance(b, (int, float)) and av.dtype.kind == "f":
+        bv = bv.astype(av.dtype)
+    return av, bv
+
+
 def _tape_of(*xs) -> Tape | None:
     tape = None
     for x in xs:
@@ -196,7 +210,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch-broadcast semantics (operands >= 2-D)."""
+    """Matrix product with numpy batch-broadcast semantics (operands >= 2-D).
+
+    A 2-D ``b`` is a weight shared by every leading index of ``a``; its
+    gradient is one GEMM over the flattened leading axes.
+    """
     av, bv = _value(a), _value(b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(
@@ -212,14 +230,19 @@ def matmul(a, b) -> Tensor:
 
         def backward(g):
             tape._accumulate(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-            tape._accumulate(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+            if bv.ndim == 2:
+                k, n = bv.shape
+                gb = av.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
+            tape._accumulate(b, gb)
 
         tape._record(out, backward)
     return out
 
 
 def add(a, b) -> Tensor:
-    av, bv = _value(a), _value(b)
+    av, bv = _operands(a, b)
     tape = _tape_of(a, b)
     out = Tensor(av + bv, tape)
     if tape is not None:
@@ -233,7 +256,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    av, bv = _value(a), _value(b)
+    av, bv = _operands(a, b)
     tape = _tape_of(a, b)
     out = Tensor(av - bv, tape)
     if tape is not None:
@@ -247,7 +270,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    av, bv = _value(a), _value(b)
+    av, bv = _operands(a, b)
     tape = _tape_of(a, b)
     out = Tensor(av * bv, tape)
     if tape is not None:
@@ -261,7 +284,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    av, bv = _value(a), _value(b)
+    av, bv = _operands(a, b)
     tape = _tape_of(a, b)
     out = Tensor(av / bv, tape)
     if tape is not None:
@@ -491,20 +514,38 @@ def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     return out
 
 
+def _is_basic_key(key) -> bool:
+    """True for keys numpy treats as basic indexing: ints, slices, ``...``
+    and ``None``. A bool is an int, but ``a[True]`` is advanced indexing."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None
+        or k is Ellipsis
+        or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
+
+
 def take(a, key) -> Tensor:
     """Indexing (ints, slices, index arrays); gradients scatter back.
 
-    Repeated indices in an index-array key accumulate their gradients,
-    which plain ``z[key] += g`` would silently drop.
+    A basic key selects each element at most once, so its gradient is a
+    plain assignment. Repeated indices in an index-array key accumulate
+    their gradients, which plain ``z[key] += g`` would silently drop.
     """
     av = _value(a)
     tape = _tape_of(a)
     out = Tensor(av[key], tape)
     if tape is not None:
+        basic = _is_basic_key(key)
 
         def backward(g):
             z = np.zeros_like(av)
-            np.add.at(z, key, g)
+            if basic:
+                z[key] = g
+            else:
+                np.add.at(z, key, g)
             tape._accumulate(a, z)
 
         tape._record(out, backward)

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import kvconfig as kv
@@ -412,7 +413,22 @@ def cmd_oracle_check(cfg: dict, seed: int, out: str | None) -> int:
                     ):
                         print(f"oracle-check: FAIL {instance}: inverse broken")
                         return 1
-                    plan = mx.plan_mix(config, perm)
+                    # plan_mix must warn exactly when N <= 2M - 2, where
+                    # the mix-to-mix window repeats targets within a row
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        plan = mx.plan_mix(config, perm)
+                    notes = [str(w.message) for w in caught]
+                    expected = n <= 2 * m - 2
+                    if len(notes) != int(expected) or not all(
+                        "duplicate indices within a row" in note for note in notes
+                    ):
+                        print(
+                            f"oracle-check: FAIL {instance}: plan_mix warned "
+                            f"{notes}; duplicate-target warning expected: "
+                            f"{expected}"
+                        )
+                        return 1
                     pb = po.PatchBatch(
                         rng.random((n, t, dim)), 1, (1, t), dim
                     )

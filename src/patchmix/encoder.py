@@ -3,7 +3,9 @@
 The backbone is a standard pre-norm ViT over flattened patches: linear
 patch embedding, a learned class token and position table, ``depth``
 blocks of multi-head self-attention and a GELU MLP, and a final layer
-norm; the class-token row is the representation.
+norm; the class-token row is the representation. Since nothing else is
+read after the last block, that block attends from the class token alone
+and its MLP and the final norm see only that row.
 
 Two MLP heads sit on top, mirroring momentum-contrastive practice: a
 3-layer projection (hidden 4096 by default, output 256) whose final batch
@@ -330,22 +332,26 @@ def forward_backbone(
     attention: list[np.ndarray] = []
     for i in range(config.depth):
         pre = f"blocks.{i}."
+        # only the class token is read after the last block, so there the
+        # queries, the MLP and the final norm run on it alone; every token
+        # still gives keys and values. Captured attention needs all rows.
+        rows = 1 if i == config.depth - 1 and not capture_attention else tk
         y = ad.layer_norm(h, tv[pre + "ln1.g"], tv[pre + "ln1.b"], config.ln_eps)
         qkv = ad.add(ad.matmul(y, tv[pre + "attn.qkv.w"]), tv[pre + "attn.qkv.b"])
 
         def heads_view(part):
-            return ad.transpose(ad.reshape(part, (n, tk, heads, dh)), (0, 2, 1, 3))
+            return ad.transpose(ad.reshape(part, (n, -1, heads, dh)), (0, 2, 1, 3))
 
-        q = heads_view(qkv[:, :, 0 * d : 1 * d])
+        q = heads_view(qkv[:, :rows, 0 * d : 1 * d])
         k = heads_view(qkv[:, :, 1 * d : 2 * d])
         v = heads_view(qkv[:, :, 2 * d : 3 * d])
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
         attn = ad.softmax(scores, axis=-1)
         if capture_attention:
             attention.append(attn.data.copy())
-        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (n, tk, d))
+        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (n, rows, d))
         proj = ad.add(ad.matmul(ctx, tv[pre + "attn.out.w"]), tv[pre + "attn.out.b"])
-        h = ad.add(h, proj)
+        h = ad.add(h if rows == tk else h[:, :rows], proj)
 
         y = ad.layer_norm(h, tv[pre + "ln2.g"], tv[pre + "ln2.b"], config.ln_eps)
         m = ad.add(ad.matmul(y, tv[pre + "mlp.fc1.w"]), tv[pre + "mlp.fc1.b"])

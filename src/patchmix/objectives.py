@@ -143,7 +143,7 @@ def loss_mtm(
         w = w / m
     sim = cosine_sim_matrix(h_mix1, z_mix2)
     logp = ad.log_softmax(ad.scale(sim, 1.0 / tau), axis=1)
-    picked = ad.mul(ad.gather(logp, y), w)
+    picked = ad.mul(ad.gather(logp, y), w.astype(logp.dtype, copy=False))
     n = y.shape[0]
     return _check_finite("loss_mtm", ad.scale(ad.asum(picked), -1.0 / n))
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d
 
 from patchmix import augment as ag
 from patchmix import patch_ops as po
@@ -185,3 +188,153 @@ class TestPipeline:
         assert any(
             np.any(out.data[i] != out.data[0]) for i in range(1, 4)
         )
+
+
+# ---------------------------------------------------------------- reference
+# The pipeline as a per-image loop that draws and applies each op in one
+# pass: the bit-for-bit reference of the batched ``augment_view``, which
+# must consume the same random stream and produce the same pixels.
+
+
+def _ref_bilinear_resize(img, out_h, out_w):
+    c, h, w = img.shape
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
+    top = img[:, y0][:, :, x0] * (1 - wx) + img[:, y0][:, :, x1] * wx
+    bot = img[:, y1][:, :, x0] * (1 - wx) + img[:, y1][:, :, x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def _ref_random_resized_crop(img, cfg, rng):
+    c, h, w = img.shape
+    for _ in range(10):
+        area = h * w * rng.uniform(*cfg.crop_area)
+        aspect = rng.uniform(*cfg.crop_aspect)
+        ch = int(round(math.sqrt(area / aspect)))
+        cw = int(round(math.sqrt(area * aspect)))
+        if 0 < ch <= h and 0 < cw <= w:
+            top = int(rng.integers(0, h - ch + 1))
+            left = int(rng.integers(0, w - cw + 1))
+            crop = img[:, top : top + ch, left : left + cw]
+            return _ref_bilinear_resize(crop, h, w)
+    side = min(h, w)
+    top, left = (h - side) // 2, (w - side) // 2
+    return _ref_bilinear_resize(img[:, top : top + side, left : left + side], h, w)
+
+
+def _ref_color_jitter(img, cfg, rng):
+    order = rng.permutation(4)
+    for op in order:
+        if op == 0 and cfg.brightness > 0:
+            f = rng.uniform(max(0.0, 1.0 - cfg.brightness), 1.0 + cfg.brightness)
+            img = np.clip(img * f, 0.0, 1.0)
+        elif op == 1 and cfg.contrast > 0:
+            f = rng.uniform(max(0.0, 1.0 - cfg.contrast), 1.0 + cfg.contrast)
+            anchor = ag._grayscale(img).mean()
+            img = np.clip(img * f + anchor * (1.0 - f), 0.0, 1.0)
+        elif op == 2 and cfg.saturation > 0:
+            f = rng.uniform(max(0.0, 1.0 - cfg.saturation), 1.0 + cfg.saturation)
+            img = np.clip(img * f + ag._grayscale(img) * (1.0 - f), 0.0, 1.0)
+        elif op == 3 and cfg.hue > 0:
+            shift = rng.uniform(-cfg.hue, cfg.hue)
+            hsv = ag._rgb_to_hsv(img)
+            hsv[0] = (hsv[0] + shift) % 1.0
+            img = np.clip(ag._hsv_to_rgb(hsv), 0.0, 1.0)
+    return img
+
+
+def _ref_gaussian_blur(img, image_side, cfg, rng):
+    sigma = rng.uniform(*cfg.blur_sigma)
+    ksize = max(3, int(round(image_side / 10)) | 1)
+    half = ksize // 2
+    xs = np.arange(-half, half + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (xs / sigma) ** 2)
+    kernel /= kernel.sum()
+    out = convolve1d(img, kernel, axis=1, mode="reflect")
+    return convolve1d(out, kernel, axis=2, mode="reflect")
+
+
+def reference_augment_view(batch, cfg, view, rng):
+    vi = view - 1
+    data = batch.data
+    n, c, h, w = data.shape
+    color = cfg.color_ops and c == 3
+    out = np.empty_like(data, dtype=np.float64)
+    for i in range(n):
+        img = data[i].astype(np.float64, copy=True)
+        img = _ref_random_resized_crop(img, cfg, rng)
+        if rng.random() < cfg.flip_prob:
+            img = img[:, :, ::-1]
+        if color and rng.random() < cfg.jitter_prob:
+            img = _ref_color_jitter(img, cfg, rng)
+        if color and rng.random() < cfg.grayscale_prob:
+            img = ag._grayscale(img)
+        if rng.random() < cfg.blur_prob[vi]:
+            img = _ref_gaussian_blur(img, max(h, w), cfg, rng)
+        if rng.random() < cfg.solarize_prob[vi]:
+            img = np.where(img < cfg.solarize_threshold, img, 1.0 - img)
+        out[i] = np.clip(img, 0.0, 1.0)
+    return po.ImageBatch(out)
+
+
+REFERENCE_CONFIGS = {
+    "default": ag.AugConfig(),
+    # the smoke-learning augmentation of acceptance criteria 08 and 09
+    "smoke": ag.AugConfig(
+        crop_area=(0.9, 1.0),
+        jitter_prob=0.0,
+        grayscale_prob=0.0,
+        blur_prob=(0.0, 0.0),
+        solarize_prob=(0.0, 0.0),
+    ),
+    "no_color_ops": ag.AugConfig(color_ops=False),
+    "one_channel": ag.AugConfig(),
+    "all_certain": ag.AugConfig(
+        flip_prob=1.0,
+        jitter_prob=1.0,
+        grayscale_prob=1.0,
+        blur_prob=(1.0, 1.0),
+        solarize_prob=(1.0, 1.0),
+    ),
+}
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("side", [8, 13, 16, 32])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_bit_identical(self, name, side):
+        cfg = REFERENCE_CONFIGS[name]
+        channels = 1 if name == "one_channel" else 3
+        for seed in range(5):
+            data = np.random.default_rng(100 + seed).random((6, channels, side, side))
+            batch = po.ImageBatch(data)
+            for view in (1, 2):
+                got = ag.augment_view(batch, cfg, view, np.random.default_rng(seed))
+                want = reference_augment_view(
+                    batch, cfg, view, np.random.default_rng(seed)
+                )
+                assert got.data.tobytes() == want.data.tobytes(), (seed, view)
+
+    def test_consumes_the_same_random_stream(self):
+        batch = rgb_batch(n=5, seed=9)
+        cfg = REFERENCE_CONFIGS["all_certain"]
+        rng_new, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+        ag.augment_view(batch, cfg, 1, rng_new)
+        reference_augment_view(batch, cfg, 1, rng_ref)
+        assert rng_new.random() == rng_ref.random()
+
+    def test_float32_input(self):
+        data = np.random.default_rng(3).random((4, 3, 16, 16)).astype(np.float32)
+        batch = po.ImageBatch(data)
+        got = ag.augment_view(batch, ag.AugConfig(), 2, np.random.default_rng(0))
+        want = reference_augment_view(
+            batch, ag.AugConfig(), 2, np.random.default_rng(0)
+        )
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == want.data.tobytes()

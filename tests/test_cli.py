@@ -2,6 +2,10 @@ import contextlib
 import dataclasses
 import io
 import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,47 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "N=" in out and "perm=" in out  # counterexample is printed
+
+    def test_clean_run_writes_no_user_warning(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "always::UserWarning", "-c",
+                "import sys; from patchmix import cli; "
+                "sys.exit(cli.main(['oracle-check']))",
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "oracle-check: pass" in proc.stdout
+        assert "UserWarning" not in proc.stderr
+
+    def test_fails_when_duplicate_target_warning_is_missing(
+        self, monkeypatch, capsys
+    ):
+        real = mx.plan_mix
+
+        def silent(config, perm):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return real(config, perm)
+
+        monkeypatch.setattr(mx, "plan_mix", silent)
+        assert cli.main(["oracle-check"]) == 1
+        assert "warning expected: True" in capsys.readouterr().out
+
+    def test_fails_on_unexpected_warning(self, monkeypatch, capsys):
+        real = mx.plan_mix
+
+        def noisy(config, perm):
+            warnings.warn("duplicate indices within a row")
+            return real(config, perm)
+
+        monkeypatch.setattr(mx, "plan_mix", noisy)
+        assert cli.main(["oracle-check"]) == 1
+        assert "warning expected: False" in capsys.readouterr().out
 
 
 class TestGradCheck:

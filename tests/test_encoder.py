@@ -89,6 +89,27 @@ class TestForward:
         assert maps[0].shape == (2, 2, 17, 17)
         np.testing.assert_allclose(maps[0].sum(axis=-1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_class_token_only_last_block_matches_full_trunk(self, depth):
+        # capturing attention runs every token through every block
+        cfg = enc.vit_micro(8, depth=depth)
+        params = enc.init_encoder(cfg, np.random.default_rng(depth))
+        w = np.random.default_rng(5).standard_normal((3, cfg.dim))
+        reps, grads = [], []
+        for capture in (False, True):
+            tape = ad.Tape()
+            tv = enc.bind(params.params, tape)
+            out = enc.forward_backbone(cfg, tv, micro_batch(3), capture)
+            rep = out[0] if capture else out
+            tape.backward(ad.asum(ad.mul(rep, w)))
+            reps.append(rep.data)
+            grads.append({k: tape.grad(t) for k, t in tv.items()})
+        np.testing.assert_allclose(reps[0], reps[1], rtol=1e-12, atol=1e-14)
+        for k in grads[1]:
+            np.testing.assert_allclose(
+                grads[0][k], grads[1][k], rtol=1e-10, atol=1e-13, err_msg=k
+            )
+
     def test_heads_shapes(self):
         params = micro_params()
         tape = ad.Tape()

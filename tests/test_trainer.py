@@ -10,6 +10,7 @@ from patchmix import encoder as enc
 from patchmix import objectives as ob
 from patchmix import patch_ops as po
 from patchmix import trainer as tr
+from patchmix.autodiff import Tape
 
 
 def micro_config(**overrides) -> tr.TrainConfig:
@@ -324,6 +325,37 @@ class TestTrainStep:
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
         assert all(v.dtype == np.float32 for v in state.encoder.params.values())
+
+    def test_f32_step_computes_in_f32(self, monkeypatch):
+        tapes = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                self.deltas = []
+                tapes.append(self)
+
+            def _accumulate(self, t, delta):
+                self.deltas.append(np.asarray(delta).dtype)
+                super()._accumulate(t, delta)
+
+        monkeypatch.setattr(tr, "Tape", RecordingTape)
+        state = tr.init_state(micro_config(precision="f32"), 8)
+        state, report = tr.train_step(state, micro_batch())
+        assert report is not None
+        (tape,) = tapes
+        outputs = {out.data.dtype for out, _backward in tape._nodes}
+        assert outputs == {np.dtype(np.float32)}
+        assert set(tape.deltas) == {np.dtype(np.float32)}
+        for group in (
+            state.encoder.params,
+            state.encoder.buffers,
+            state.momentum.params,
+            state.momentum.buffers,
+            state.opt_m,
+            state.opt_v,
+        ):
+            assert {v.dtype for v in group.values()} == {np.dtype(np.float32)}
 
 
 class TestCheckpointing:
