@@ -1,12 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tape`` records every primitive applied to tensors attached to it, in
-execution order. Because the recording is a topological order of the data
-flow, ``backward`` is a single reverse sweep that pops each node's output
-gradient and pushes contributions onto its inputs, accumulating additively
-at fan-out points. Tensors built without a tape (or passed through
-``stop_gradient``) act as constants: primitives still compute values for
-them but record nothing.
+execution order. Each primitive computes its value and declares one edge
+per input: the input and a map from the output's gradient to that input's
+gradient. ``_node`` records only the edges whose input is on the tape, so
+constants are never differentiated: tensors built without a tape (or
+passed through ``stop_gradient``), arrays and Python scalars still take
+part in the value but get no gradient computed for them.
+
+Because the recording is a topological order of the data flow,
+``backward`` is a single reverse sweep that pops each node's output
+gradient and pushes one contribution per kept edge onto its input, in the
+order the edges were declared, accumulating additively at fan-out points.
 
 Values are 64-bit floats by default; 32-bit arrays pass through unchanged
 for callers that opt in, with correspondingly looser gradient checks.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,8 +38,6 @@ __all__ = [
     "div",
     "neg",
     "scale",
-    "exp",
-    "log",
     "sqrt",
     "relu",
     "gelu",
@@ -81,9 +85,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -126,19 +127,15 @@ class Tape:
     __slots__ = ("_nodes", "_grads")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        # (output, [(input, vjp), ...]) per primitive, in execution order
+        self._nodes: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
         self._grads: dict[int, np.ndarray] = {}
 
     def var(self, data) -> Tensor:
         """Attach a leaf variable to this tape."""
         return Tensor(data, self)
 
-    def _record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]):
-        self._nodes.append((out, backward_fn))
-
     def _accumulate(self, t: Tensor, delta: np.ndarray):
-        if not isinstance(t, Tensor) or t.tape is not self:
-            return
         key = id(t)
         cur = self._grads.get(key)
         self._grads[key] = delta if cur is None else cur + delta
@@ -156,16 +153,39 @@ class Tape:
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
         self._grads = {id(loss): np.ones_like(loss.data)}
-        for out, backward_fn in reversed(self._nodes):
+        for out, edges in reversed(self._nodes):
             g = self._grads.pop(id(out), None)
             if g is None:
                 continue  # not an ancestor of the loss
-            backward_fn(g)
+            for t, vjp in edges:
+                self._accumulate(t, vjp(g))
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for ``t`` after backward; zeros if the loss ignores it."""
         g = self._grads.get(id(t))
         return np.zeros_like(t.data) if g is None else g
+
+
+def _node(value, *edges) -> Tensor:
+    """The output tensor of a primitive with value ``value``.
+
+    Each edge is ``(input, vjp)``. The output joins the tape its taped
+    inputs share, and the node keeps only their edges; an output with no
+    taped input is a constant and records nothing.
+    """
+    tape, kept = None, []
+    for edge in edges:
+        t = edge[0]
+        if isinstance(t, Tensor) and t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif t.tape is not tape:
+                raise ValueError("operands were recorded on different tapes")
+            kept.append(edge)
+    out = Tensor(value, tape)
+    if kept:
+        tape._nodes.append((out, kept))
+    return out
 
 
 def _value(x) -> np.ndarray:
@@ -185,17 +205,6 @@ def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(b, (int, float)) and av.dtype.kind == "f":
         bv = bv.astype(av.dtype)
     return av, bv
-
-
-def _tape_of(*xs) -> Tape | None:
-    tape = None
-    for x in xs:
-        if isinstance(x, Tensor) and x.tape is not None:
-            if tape is None:
-                tape = x.tape
-            elif tape is not x.tape:
-                raise ValueError("operands were recorded on different tapes")
-    return tape
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -224,208 +233,127 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul inner dimensions differ: {av.shape} @ {bv.shape}"
         )
-    tape = _tape_of(a, b)
-    out = Tensor(av @ bv, tape)
-    if tape is not None:
 
-        def backward(g):
-            tape._accumulate(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-            if bv.ndim == 2:
-                k, n = bv.shape
-                gb = av.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
-            tape._accumulate(b, gb)
+    def grad_b(g):
+        if bv.ndim == 2:
+            k, n = bv.shape
+            return av.reshape(-1, k).T @ g.reshape(-1, n)
+        return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
 
-        tape._record(out, backward)
-    return out
+    return _node(
+        av @ bv,
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+        (b, grad_b),
+    )
 
 
 def add(a, b) -> Tensor:
     av, bv = _operands(a, b)
-    tape = _tape_of(a, b)
-    out = Tensor(av + bv, tape)
-    if tape is not None:
-
-        def backward(g):
-            tape._accumulate(a, _unbroadcast(g, av.shape))
-            tape._accumulate(b, _unbroadcast(g, bv.shape))
-
-        tape._record(out, backward)
-    return out
+    return _node(
+        av + bv,
+        (a, lambda g: _unbroadcast(g, av.shape)),
+        (b, lambda g: _unbroadcast(g, bv.shape)),
+    )
 
 
 def sub(a, b) -> Tensor:
     av, bv = _operands(a, b)
-    tape = _tape_of(a, b)
-    out = Tensor(av - bv, tape)
-    if tape is not None:
-
-        def backward(g):
-            tape._accumulate(a, _unbroadcast(g, av.shape))
-            tape._accumulate(b, _unbroadcast(-g, bv.shape))
-
-        tape._record(out, backward)
-    return out
+    return _node(
+        av - bv,
+        (a, lambda g: _unbroadcast(g, av.shape)),
+        (b, lambda g: _unbroadcast(-g, bv.shape)),
+    )
 
 
 def mul(a, b) -> Tensor:
     av, bv = _operands(a, b)
-    tape = _tape_of(a, b)
-    out = Tensor(av * bv, tape)
-    if tape is not None:
-
-        def backward(g):
-            tape._accumulate(a, _unbroadcast(g * bv, av.shape))
-            tape._accumulate(b, _unbroadcast(g * av, bv.shape))
-
-        tape._record(out, backward)
-    return out
+    return _node(
+        av * bv,
+        (a, lambda g: _unbroadcast(g * bv, av.shape)),
+        (b, lambda g: _unbroadcast(g * av, bv.shape)),
+    )
 
 
 def div(a, b) -> Tensor:
     av, bv = _operands(a, b)
-    tape = _tape_of(a, b)
-    out = Tensor(av / bv, tape)
-    if tape is not None:
-
-        def backward(g):
-            tape._accumulate(a, _unbroadcast(g / bv, av.shape))
-            tape._accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-        tape._record(out, backward)
-    return out
+    return _node(
+        av / bv,
+        (a, lambda g: _unbroadcast(g / bv, av.shape)),
+        (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
+    )
 
 
 def neg(a) -> Tensor:
-    av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(-av, tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, -g))
-    return out
+    return _node(-_value(a), (a, lambda g: -g))
 
 
 def scale(a, s: float) -> Tensor:
     """Multiply by a python scalar (kept separate from ``mul`` for clarity)."""
-    av = _value(a)
     s = float(s)
-    tape = _tape_of(a)
-    out = Tensor(av * s, tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, g * s))
-    return out
-
-
-def exp(a) -> Tensor:
-    av = _value(a)
-    tape = _tape_of(a)
-    ov = np.exp(av)
-    out = Tensor(ov, tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, g * ov))
-    return out
-
-
-def log(a) -> Tensor:
-    av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(np.log(av), tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, g / av))
-    return out
+    return _node(_value(a) * s, (a, lambda g: g * s))
 
 
 def sqrt(a) -> Tensor:
-    av = _value(a)
-    tape = _tape_of(a)
-    ov = np.sqrt(av)
-    out = Tensor(ov, tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, 0.5 * g / ov))
-    return out
+    ov = np.sqrt(_value(a))
+    return _node(ov, (a, lambda g: 0.5 * g / ov))
 
 
 def relu(a) -> Tensor:
     av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(np.maximum(av, 0.0), tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, g * (av > 0)))
-    return out
+    return _node(np.maximum(av, 0.0), (a, lambda g: g * (av > 0)))
 
 
 def gelu(a) -> Tensor:
     """Gaussian error linear unit, exact form x * Phi(x)."""
     av = _value(a)
-    tape = _tape_of(a)
     cdf = 0.5 * (1.0 + _erf(av * _INV_SQRT2))
-    out = Tensor(av * cdf, tape)
-    if tape is not None:
 
-        def backward(g):
-            pdf = np.exp(-0.5 * av * av) * _INV_SQRT2PI
-            tape._accumulate(a, g * (cdf + av * pdf))
+    def grad(g):
+        pdf = np.exp(-0.5 * av * av) * _INV_SQRT2PI
+        return g * (cdf + av * pdf)
 
-        tape._record(out, backward)
-    return out
+    return _node(av * cdf, (a, grad))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max subtraction along ``axis``)."""
     av = _value(a)
-    tape = _tape_of(a)
     shifted = av - av.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, tape)
-    if tape is not None:
-
-        def backward(g):
-            inner = (g * s).sum(axis=axis, keepdims=True)
-            tape._accumulate(a, s * (g - inner))
-
-        tape._record(out, backward)
-    return out
+    return _node(s, (a, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     av = _value(a)
-    tape = _tape_of(a)
     shifted = av - av.max(axis=axis, keepdims=True)
     ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(ls, tape)
-    if tape is not None:
-
-        def backward(g):
-            tape._accumulate(a, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-
-        tape._record(out, backward)
-    return out
+    return _node(
+        ls, (a, lambda g: g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+    )
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalise over the last axis, then apply elementwise gain and bias."""
     av, gv, bv = _value(a), _value(gain), _value(bias)
-    tape = _tape_of(a, gain, bias)
     mu = av.mean(axis=-1, keepdims=True)
     xc = av - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gv + bv, tape)
-    if tape is not None:
 
-        def backward(g):
-            tape._accumulate(gain, _unbroadcast(g * xhat, gv.shape))
-            tape._accumulate(bias, _unbroadcast(g, bv.shape))
-            dxhat = g * gv
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            tape._accumulate(a, inv * (dxhat - m1 - xhat * m2))
+    def grad_a(g):
+        dxhat = g * gv
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv * (dxhat - m1 - xhat * m2)
 
-        tape._record(out, backward)
-    return out
+    return _node(
+        xhat * gv + bv,
+        (gain, lambda g: _unbroadcast(g * xhat, gv.shape)),
+        (bias, lambda g: _unbroadcast(g, bv.shape)),
+        (a, grad_a),
+    )
 
 
 def _expand_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
@@ -440,78 +368,59 @@ def _expand_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
 def asum(a, axis=None, keepdims: bool = False) -> Tensor:
     """Sum over ``axis`` (all axes when None)."""
     av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(av.sum(axis=axis, keepdims=keepdims), tape)
-    if tape is not None:
 
-        def backward(g):
-            gg = _expand_axes(np.asarray(g), av.shape, axis, keepdims)
-            tape._accumulate(a, np.broadcast_to(gg, av.shape).copy())
+    def grad(g):
+        gg = _expand_axes(np.asarray(g), av.shape, axis, keepdims)
+        return np.broadcast_to(gg, av.shape).copy()
 
-        tape._record(out, backward)
-    return out
+    return _node(av.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(av.mean(axis=axis, keepdims=keepdims), tape)
-    if tape is not None:
-        count = av.size / out.data.size
+    ov = av.mean(axis=axis, keepdims=keepdims)
+    count = av.size / ov.size
 
-        def backward(g):
-            gg = _expand_axes(np.asarray(g), av.shape, axis, keepdims)
-            tape._accumulate(a, np.broadcast_to(gg, av.shape) / count)
+    def grad(g):
+        gg = _expand_axes(np.asarray(g), av.shape, axis, keepdims)
+        return np.broadcast_to(gg, av.shape) / count
 
-        tape._record(out, backward)
-    return out
+    return _node(ov, (a, grad))
 
 
 def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
-    av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(av.transpose(axes), tape)
-    if tape is not None:
-        inv = None if axes is None else np.argsort(np.asarray(axes))
+    def grad(g):
+        return g.transpose(None if axes is None else np.argsort(axes))
 
-        def backward(g):
-            tape._accumulate(a, g.transpose(inv))
-
-        tape._record(out, backward)
-    return out
+    return _node(_value(a).transpose(axes), (a, grad))
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(av.reshape(shape), tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, g.reshape(av.shape)))
-    return out
+    return _node(av.reshape(shape), (a, lambda g: g.reshape(av.shape)))
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
     values = [_value(p) for p in parts]
-    tape = _tape_of(*parts)
-    out = Tensor(np.concatenate(values, axis=axis), tape)
-    if tape is not None:
-        offsets = np.cumsum([v.shape[axis] for v in values])[:-1]
+    ov = np.concatenate(values, axis=axis)
+    axis %= ov.ndim
+    sizes = [v.shape[axis] for v in values]
 
-        def backward(g):
-            for p, piece in zip(parts, np.split(g, offsets, axis=axis)):
-                tape._accumulate(p, piece)
+    def piece(stop, size):
+        key = (slice(None),) * axis + (slice(stop - size, stop),)
+        return lambda g: g[key]  # a view, as np.split gives
 
-        tape._record(out, backward)
-    return out
+    return _node(
+        ov, *[(p, piece(e, n)) for p, e, n in zip(parts, accumulate(sizes), sizes)]
+    )
 
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(np.broadcast_to(av, tuple(shape)).copy(), tape)
-    if tape is not None:
-        tape._record(out, lambda g: tape._accumulate(a, _unbroadcast(g, av.shape)))
-    return out
+    return _node(
+        np.broadcast_to(av, tuple(shape)).copy(),
+        (a, lambda g: _unbroadcast(g, av.shape)),
+    )
 
 
 def _is_basic_key(key) -> bool:
@@ -535,21 +444,16 @@ def take(a, key) -> Tensor:
     their gradients, which plain ``z[key] += g`` would silently drop.
     """
     av = _value(a)
-    tape = _tape_of(a)
-    out = Tensor(av[key], tape)
-    if tape is not None:
-        basic = _is_basic_key(key)
 
-        def backward(g):
-            z = np.zeros_like(av)
-            if basic:
-                z[key] = g
-            else:
-                np.add.at(z, key, g)
-            tape._accumulate(a, z)
+    def grad(g):
+        z = np.zeros_like(av)
+        if _is_basic_key(key):
+            z[key] = g
+        else:
+            np.add.at(z, key, g)
+        return z
 
-        tape._record(out, backward)
-    return out
+    return _node(av[key], (a, grad))
 
 
 def gather(a, index) -> Tensor:
@@ -565,24 +469,19 @@ def gather(a, index) -> Tensor:
             f"gather expects a [N, C] array and [N, K] index, got {av.shape} "
             f"and {idx.shape}"
         )
-    tape = _tape_of(a)
     rows = np.arange(av.shape[0])[:, None]
-    out = Tensor(av[rows, idx], tape)
-    if tape is not None:
 
-        def backward(g):
-            z = np.zeros_like(av)
-            np.add.at(z, (rows, idx), g)
-            tape._accumulate(a, z)
+    def grad(g):
+        z = np.zeros_like(av)
+        np.add.at(z, (rows, idx), g)
+        return z
 
-        tape._record(out, backward)
-    return out
+    return _node(av[rows, idx], (a, grad))
 
 
 def l2_normalize(a, axis: int = -1) -> Tensor:
     """Scale rows along ``axis`` to unit Euclidean norm; zero rows rejected."""
     av = _value(a)
-    tape = _tape_of(a)
     norm = np.sqrt((av * av).sum(axis=axis, keepdims=True))
     if np.any(norm == 0.0):
         where = np.argwhere(norm == 0.0)[0]
@@ -590,15 +489,12 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
             f"cannot normalise a zero-norm slice at index {tuple(where)}"
         )
     y = av / norm
-    out = Tensor(y, tape)
-    if tape is not None:
 
-        def backward(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            tape._accumulate(a, (g - y * inner) / norm)
+    def grad(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        return (g - y * inner) / norm
 
-        tape._record(out, backward)
-    return out
+    return _node(y, (a, grad))
 
 
 def stop_gradient(a) -> Tensor:

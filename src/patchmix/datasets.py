@@ -22,8 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .patch_ops import ImageBatch
-
 __all__ = [
     "LabeledDataset",
     "load_cifar_binary",
@@ -66,9 +64,6 @@ class LabeledDataset:
     @property
     def count(self) -> int:
         return self.images.shape[0]
-
-    def image_batch(self) -> ImageBatch:
-        return ImageBatch(self.images)
 
     def subset(self, index: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(

@@ -23,6 +23,7 @@ training-mode forward passes, not by the optimizer.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Mapping
@@ -483,29 +484,38 @@ def write_checkpoint(
     Each blob is stored little-endian in its own precision (64- or 32-bit
     reals), recorded per name in the header so loading is bit-exact for
     either training precision. ``meta`` must be JSON-serialisable.
+
+    The file is written beside ``path``, synced and then renamed onto it, so
+    ``path`` holds either the previous checkpoint or the complete new one.
     """
-    entries = []
-    payload = []
-    for name, arr in blobs.items():
-        arr = np.asarray(arr)
-        tag = "<f4" if arr.dtype == np.float32 else "<f8"
-        data = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag])
-        entries.append([name, list(arr.shape), tag])
-        payload.append(data.tobytes())
+    arrays = [np.asarray(arr) for arr in blobs.values()]
+    tags = ["<f4" if arr.dtype == np.float32 else "<f8" for arr in arrays]
     header = json.dumps(
         {
             "version": _CHECKPOINT_VERSION,
             "config": asdict(config),
             "meta": meta,
-            "blobs": entries,
+            "blobs": [
+                [name, list(arr.shape), tag]
+                for name, arr, tag in zip(blobs, arrays, tags)
+            ],
         }
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", _CHECKPOINT_VERSION, len(header)))
-        f.write(header)
-        for chunk in payload:
-            f.write(chunk)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", _CHECKPOINT_VERSION, len(header)))
+            f.write(header)
+            for arr, tag in zip(arrays, tags):
+                f.write(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:

@@ -31,6 +31,14 @@ class TestTapeBasics:
         tape.backward(ad.asum(ad.add(x, x)))
         np.testing.assert_array_equal(tape.grad(x), [2.0])
 
+    @pytest.mark.parametrize(
+        "op", [ad.add, lambda x, y: ad.concat([x, y])], ids=["add", "concat"]
+    )
+    def test_operands_from_two_tapes_rejected(self, op):
+        x, y = ad.Tape().var(np.ones(2)), ad.Tape().var(np.ones(2))
+        with pytest.raises(ValueError, match="different tapes"):
+            op(x, y)
+
     def test_operator_sugar(self):
         tape = ad.Tape()
         x = tape.var(np.array([2.0, 4.0]))
@@ -54,11 +62,9 @@ class TestElementwise:
         c, d = rng.random((3, 1)), rng.random((1, 4))
         fd_ok(lambda x, y: ad.asum(ad.add(x, y)), c, d)
 
-    def test_exp_log_sqrt(self):
+    def test_sqrt(self):
         rng = np.random.default_rng(2)
         a = rng.random((2, 5)) + 0.5
-        fd_ok(lambda x: ad.asum(ad.exp(x)), a)
-        fd_ok(lambda x: ad.asum(ad.log(x)), a)
         fd_ok(lambda x: ad.asum(ad.sqrt(x)), a)
 
     def test_gelu_matches_erf_form(self):
@@ -346,8 +352,6 @@ def _sweep_cases():
         ],
         "neg": [unary(ad.neg)],
         "scale": [unary(lambda x: ad.scale(x, -1.5))],
-        "exp": [unary(ad.exp)],
-        "log": [unary(ad.log, positive=True)],
         "sqrt": [unary(ad.sqrt, positive=True)],
         "relu": [unary(ad.relu)],
         "gelu": [unary(ad.gelu)],

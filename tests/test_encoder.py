@@ -286,3 +286,26 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 50])
         with pytest.raises(ValueError, match="truncat"):
             enc.read_checkpoint(path)
+
+    @pytest.mark.parametrize("fault", ["blob", "fsync"])
+    def test_failed_write_keeps_previous_checkpoint(
+        self, tmp_path, monkeypatch, fault
+    ):
+        cfg = enc.vit_micro(8)
+        path = tmp_path / "ck.bin"
+        enc.write_checkpoint(path, cfg, {"theta.a": np.ones(4)}, {"step": 1})
+        before = path.read_bytes()
+        blobs = {"theta.a": np.zeros(4), "theta.b": np.zeros(4)}
+        if fault == "blob":
+            # fails converting to floats, after the header and first blob
+            blobs["theta.b"] = np.array([object()], dtype=object)
+        else:
+
+            def fsync(fd):
+                raise OSError("disk gone")
+
+            monkeypatch.setattr(enc.os, "fsync", fsync)
+        with pytest.raises((TypeError, OSError)):
+            enc.write_checkpoint(path, cfg, blobs, {"step": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]

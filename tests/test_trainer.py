@@ -357,6 +357,29 @@ class TestTrainStep:
         ):
             assert {v.dtype for v in group.values()} == {np.dtype(np.float32)}
 
+    def test_step_differentiates_only_taped_tensors(self, monkeypatch):
+        tapes = []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                self.targets = []
+                tapes.append(self)
+
+            def _accumulate(self, t, delta):
+                self.targets.append(t)
+                super()._accumulate(t, delta)
+
+        monkeypatch.setattr(tr, "Tape", RecordingTape)
+        state = tr.init_state(micro_config(), 8)
+        state, report = tr.train_step(state, micro_batch())
+        assert report is not None
+        (tape,) = tapes
+        assert tape.targets
+        # constants never get a delta: the patch inputs, the momentum twin's
+        # outputs, the mix weights and scalars such as batch-norm eps
+        assert all(getattr(t, "tape", None) is tape for t in tape.targets)
+
 
 class TestCheckpointing:
     def test_save_and_reload_round_trips(self, tmp_path):
