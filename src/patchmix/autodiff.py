@@ -12,6 +12,11 @@ Because the recording is a topological order of the data flow,
 ``backward`` is a single reverse sweep that pops each node's output
 gradient and pushes one contribution per kept edge onto its input, in the
 order the edges were declared, accumulating additively at fan-out points.
+The sweep consumes the graph: it pops the nodes off the tape, so every
+activation and gradient map is freed as soon as its node has run, and the
+tape keeps only the gradients of its leaves.
+``backward`` may therefore be called once per tape, and a consumed tape
+records nothing more.
 
 Values are 64-bit floats by default; 32-bit arrays pass through unchanged
 for callers that opt in, with correspondingly looser gradient checks.
@@ -59,6 +64,8 @@ __all__ = [
 # plain floats, so that float32 operands stay float32 (NEP 50)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_CONSUMED = "backward has consumed this tape; record on a new tape"
 
 
 class Tensor:
@@ -127,12 +134,15 @@ class Tape:
     __slots__ = ("_nodes", "_grads")
 
     def __init__(self):
-        # (output, [(input, vjp), ...]) per primitive, in execution order
-        self._nodes: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
+        # (output, [(input, vjp), ...]) per primitive, in execution order;
+        # None once backward has consumed them
+        self._nodes: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] | None = []
         self._grads: dict[int, np.ndarray] = {}
 
     def var(self, data) -> Tensor:
         """Attach a leaf variable to this tape."""
+        if self._nodes is None:
+            raise ValueError(_CONSUMED)
         return Tensor(data, self)
 
     def _accumulate(self, t: Tensor, delta: np.ndarray):
@@ -143,17 +153,22 @@ class Tape:
     def backward(self, loss: Tensor):
         """Propagate d(loss)/d(tensor) to every tensor recorded on this tape.
 
-        ``loss`` must be scalar. Call once per tape; gradients of leaves are
-        then available through ``grad``.
+        ``loss`` must be scalar. The sweep consumes the recorded graph,
+        freeing each node once it has run, so it may be called once per
+        tape; gradients of leaves are then available through ``grad``.
         """
+        if self._nodes is None:
+            raise ValueError(_CONSUMED)
         if not isinstance(loss, Tensor) or loss.tape is not self:
             raise ValueError("loss is not a tensor recorded on this tape")
         if loss.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
+        nodes, self._nodes = self._nodes, None
         self._grads = {id(loss): np.ones_like(loss.data)}
-        for out, edges in reversed(self._nodes):
+        while nodes:
+            out, edges = nodes.pop()
             g = self._grads.pop(id(out), None)
             if g is None:
                 continue  # not an ancestor of the loss
@@ -162,7 +177,8 @@ class Tape:
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for ``t`` after backward; zeros if the loss ignores it."""
-        g = self._grads.get(id(t))
+        # a tensor of another tape may reuse the id of one freed by backward
+        g = self._grads.get(id(t)) if t.tape is self else None
         return np.zeros_like(t.data) if g is None else g
 
 
@@ -184,6 +200,8 @@ def _node(value, *edges) -> Tensor:
             kept.append(edge)
     out = Tensor(value, tape)
     if kept:
+        if tape._nodes is None:
+            raise ValueError(_CONSUMED)
         tape._nodes.append((out, kept))
     return out
 

@@ -126,6 +126,7 @@ class TrainState:
     total_steps: int
     warmup_steps: int
     loss_history: list[tuple] = field(default_factory=list)
+    aborted: int = 0  # steps aborted on a bad loss; they leave no log row
 
 
 def _derive_rng(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -239,9 +240,9 @@ def train_step(
 ) -> tuple[TrainState, ob.LossReport | None]:
     """Advance one step on one batch; see the module docstring for the order.
 
-    On a non-finite loss the step is aborted: a diagnostic is logged, the
-    state (including batch-norm buffers) is left untouched, and the report
-    is None.
+    On a non-finite loss the step is aborted: a diagnostic is logged,
+    ``state.aborted`` is increased, the rest of the state (including
+    batch-norm buffers) is left untouched, and the report is None.
     """
     cfg = state.config
     vit = cfg.vit
@@ -322,10 +323,12 @@ def train_step(
         )
     except ValueError as err:
         state.encoder.buffers.update(buffer_backup)
+        state.aborted += 1
         log.warning("step %d aborted: %s", step, err)
         return state, None
     if not math.isfinite(report.l_total):
         state.encoder.buffers.update(buffer_backup)
+        state.aborted += 1
         log.warning(
             "step %d aborted: non-finite loss %r, state unchanged", step, report
         )
@@ -400,6 +403,7 @@ def save_state(state: TrainState, path) -> None:
         "epoch": state.epoch,
         "total_steps": state.total_steps,
         "warmup_steps": state.warmup_steps,
+        "aborted": state.aborted,
         "seed": state.config.seed,
         "precision": state.config.precision,
         "loss_history": [list(row) for row in state.loss_history],
@@ -441,6 +445,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
         total_steps=int(meta["total_steps"]),
         warmup_steps=int(meta["warmup_steps"]),
         loss_history=[tuple(row) for row in meta.get("loss_history", [])],
+        aborted=int(meta.get("aborted", 0)),  # older checkpoints lack it
     )
 
 

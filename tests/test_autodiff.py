@@ -39,6 +39,32 @@ class TestTapeBasics:
         with pytest.raises(ValueError, match="different tapes"):
             op(x, y)
 
+    def test_second_backward_rejected(self):
+        tape = ad.Tape()
+        x = tape.var(np.array([3.0]))
+        loss = ad.asum(ad.mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ValueError, match="consumed"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(tape.grad(x), [6.0])
+
+    def test_consumed_tape_records_nothing(self):
+        tape = ad.Tape()
+        x = tape.var(np.array([3.0]))
+        tape.backward(ad.asum(x))
+        with pytest.raises(ValueError, match="consumed"):
+            ad.mul(x, 2.0)
+        with pytest.raises(ValueError, match="consumed"):
+            tape.var(np.ones(1))
+
+    def test_grad_of_other_tensor_is_zero_after_backward(self):
+        tape = ad.Tape()
+        tape.backward(ad.asum(ad.mul(tape.var(np.ones(2)), 2.0)))
+        # the leaf above is freed with the graph; its id may come back
+        others = [ad.Tensor(np.ones(2)) for _ in range(64)]
+        for t in others:
+            np.testing.assert_array_equal(tape.grad(t), np.zeros(2))
+
     def test_operator_sugar(self):
         tape = ad.Tape()
         x = tape.var(np.array([2.0, 4.0]))

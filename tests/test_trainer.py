@@ -1,6 +1,8 @@
 import copy
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -339,12 +341,16 @@ class TestTrainStep:
                 self.deltas.append(np.asarray(delta).dtype)
                 super()._accumulate(t, delta)
 
+            def backward(self, loss):
+                self.nodes = list(self._nodes)  # backward consumes them
+                super().backward(loss)
+
         monkeypatch.setattr(tr, "Tape", RecordingTape)
         state = tr.init_state(micro_config(precision="f32"), 8)
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
         (tape,) = tapes
-        outputs = {out.data.dtype for out, _backward in tape._nodes}
+        outputs = {out.data.dtype for out, _backward in tape.nodes}
         assert outputs == {np.dtype(np.float32)}
         assert set(tape.deltas) == {np.dtype(np.float32)}
         for group in (
@@ -380,6 +386,27 @@ class TestTrainStep:
         # outputs, the mix weights and scalars such as batch-norm eps
         assert all(getattr(t, "tape", None) is tape for t in tape.targets)
 
+    def test_step_frees_its_tape_on_return(self, monkeypatch):
+        refs = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(tr, "Tape", WatchedTape)
+        state = tr.init_state(micro_config(), 8)
+        was_enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free the tape
+        try:
+            state, report = tr.train_step(state, micro_batch())
+            assert report is not None
+            (ref,) = refs
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 class TestCheckpointing:
     def test_save_and_reload_round_trips(self, tmp_path):
@@ -398,6 +425,41 @@ class TestCheckpointing:
         assert_params_equal(loaded.momentum.params, state.momentum.params)
         assert_params_equal(loaded.opt_m, state.opt_m)
         assert_params_equal(loaded.opt_v, state.opt_v)
+
+    def test_abort_count_round_trips(self, tmp_path, monkeypatch):
+        cfg = micro_config()
+        state = tr.init_state(cfg, 8)
+        assert state.aborted == 0
+
+        def poisoned(cb, **kwargs):
+            return ob.LossReport(math.nan, math.nan, math.nan, math.nan), None
+
+        def rejected(cb, **kwargs):
+            raise ValueError("zero-norm row")
+
+        for fault in (poisoned, rejected):
+            monkeypatch.setattr(tr.ob, "loss_total", fault)
+            state, report = tr.train_step(state, micro_batch())
+            assert report is None
+        monkeypatch.undo()
+        state, report = tr.train_step(state, micro_batch())
+        assert report is not None
+        assert (state.step, state.aborted) == (1, 2)
+        tr.save_state(state, tmp_path / "state.bin")
+        loaded = tr.state_from_checkpoint(tmp_path / "state.bin", cfg)
+        assert loaded.aborted == 2
+
+    def test_checkpoint_without_abort_count_loads_as_zero(self, tmp_path):
+        cfg = micro_config()
+        state = tr.init_state(cfg, 8)
+        state.aborted = 3
+        tr.save_state(state, tmp_path / "new.bin")
+        vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "new.bin")
+        del meta["aborted"]
+        enc.write_checkpoint(tmp_path / "old.bin", vit_cfg, blobs, meta)
+        loaded = tr.state_from_checkpoint(tmp_path / "old.bin", cfg)
+        assert loaded.aborted == 0
+        assert loaded.step == state.step
 
     def test_reload_then_step_matches_uninterrupted(self, tmp_path):
         cfg = micro_config()
