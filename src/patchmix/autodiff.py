@@ -16,7 +16,14 @@ The sweep consumes the graph: it pops the nodes off the tape, so every
 activation and gradient map is freed as soon as its node has run, and the
 tape keeps only the gradients of its leaves.
 ``backward`` may therefore be called once per tape, and a consumed tape
-records nothing more.
+records nothing more. A graph that will never be differentiated (an
+aborted training step) is dropped with ``discard``, which consumes the
+tape the same way.
+
+``linear`` records a biased projection ``a @ w + b`` as a single node
+that adds the bias in place, so a forward pass keeps one array per
+projection instead of two. Its values and gradients are those of
+``add(matmul(a, w), b)``, bit for bit.
 
 Values are 64-bit floats by default; 32-bit arrays pass through unchanged
 for callers that opt in, with correspondingly looser gradient checks.
@@ -37,6 +44,7 @@ __all__ = [
     "Tape",
     "GradCheckResult",
     "matmul",
+    "linear",
     "add",
     "sub",
     "mul",
@@ -65,7 +73,7 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_CONSUMED = "backward has consumed this tape; record on a new tape"
+_CONSUMED = "this tape is consumed (by backward or discard); record on a new tape"
 
 
 class Tensor:
@@ -95,35 +103,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # operator sugar; all routes through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
+    # indexing is the one operator; the encoder slices tensors with it
     def __getitem__(self, key):
         return take(self, key)
 
@@ -135,7 +115,7 @@ class Tape:
 
     def __init__(self):
         # (output, [(input, vjp), ...]) per primitive, in execution order;
-        # None once backward has consumed them
+        # None once backward or discard has consumed them
         self._nodes: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] | None = []
         self._grads: dict[int, np.ndarray] = {}
 
@@ -174,6 +154,15 @@ class Tape:
                 continue  # not an ancestor of the loss
             for t, vjp in edges:
                 self._accumulate(t, vjp(g))
+
+    def discard(self):
+        """Drop the recorded graph without a backward sweep.
+
+        The nodes and the activations they hold are freed at once, instead
+        of waiting in the tape's reference cycle for the cyclic GC; the
+        tape is consumed, as after ``backward``, and has no gradients.
+        """
+        self._nodes, self._grads = None, {}
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for ``t`` after backward; zeros if the loss ignores it."""
@@ -262,6 +251,31 @@ def matmul(a, b) -> Tensor:
         av @ bv,
         (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
         (b, grad_b),
+    )
+
+
+def linear(a, w, b) -> Tensor:
+    """``a @ w + b`` as one node, for a 2-D weight ``w`` and a bias ``b``
+    that broadcasts to the product.
+
+    The bias is added in place into the product, so the node holds one
+    output array where ``add(matmul(a, w), b)`` holds two; values and
+    gradients equal that composition's bit for bit. The bias may not
+    promote the product's dtype.
+    """
+    av, wv, bv = _value(a), _value(w), _value(b)
+    if wv.ndim != 2:
+        raise ValueError(f"linear needs a 2-D weight, got shape {wv.shape}")
+    ov = av @ wv
+    if np.result_type(ov, bv) != ov.dtype:
+        raise ValueError(f"a {bv.dtype} bias would promote the {ov.dtype} product")
+    ov += bv
+    k, n = wv.shape
+    return _node(
+        ov,
+        (a, lambda g: g @ wv.T),
+        (w, lambda g: av.reshape(-1, k).T @ g.reshape(-1, n)),
+        (b, lambda g: _unbroadcast(g, bv.shape)),
     )
 
 

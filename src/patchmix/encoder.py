@@ -5,7 +5,10 @@ patch embedding, a learned class token and position table, ``depth``
 blocks of multi-head self-attention and a GELU MLP, and a final layer
 norm; the class-token row is the representation. Since nothing else is
 read after the last block, that block attends from the class token alone
-and its MLP and the final norm see only that row.
+and its MLP and the final norm see only that row. Every biased
+projection is one ``autodiff.linear`` node, and the queries, keys and
+values of a block are views of its one qkv array, split by head without
+a copy.
 
 Two MLP heads sit on top, mirroring momentum-contrastive practice: a
 3-layer projection (hidden 4096 by default, output 256) whose final batch
@@ -325,7 +328,7 @@ def forward_backbone(
     tk = t + 1
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
-    h = ad.add(ad.matmul(Tensor(x), tv["patch_embed.w"]), tv["patch_embed.b"])
+    h = ad.linear(Tensor(x), tv["patch_embed.w"], tv["patch_embed.b"])
     cls = ad.broadcast_to(tv["cls_token"], (n, 1, d))
     h = ad.concat([cls, h], axis=1)
     h = ad.add(h, tv["pos_embed"])
@@ -338,26 +341,21 @@ def forward_backbone(
         # still gives keys and values. Captured attention needs all rows.
         rows = 1 if i == config.depth - 1 and not capture_attention else tk
         y = ad.layer_norm(h, tv[pre + "ln1.g"], tv[pre + "ln1.b"], config.ln_eps)
-        qkv = ad.add(ad.matmul(y, tv[pre + "attn.qkv.w"]), tv[pre + "attn.qkv.b"])
-
-        def heads_view(part):
-            return ad.transpose(ad.reshape(part, (n, -1, heads, dh)), (0, 2, 1, 3))
-
-        q = heads_view(qkv[:, :rows, 0 * d : 1 * d])
-        k = heads_view(qkv[:, :, 1 * d : 2 * d])
-        v = heads_view(qkv[:, :, 2 * d : 3 * d])
+        qkv = ad.linear(y, tv[pre + "attn.qkv.w"], tv[pre + "attn.qkv.b"])
+        # [3, n, heads, T+1, dh]: q, k and v are views of the one array
+        qkv = ad.transpose(ad.reshape(qkv, (n, tk, 3, heads, dh)), (2, 0, 3, 1, 4))
+        q, k, v = qkv[0, :, :, :rows], qkv[1], qkv[2]
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
         attn = ad.softmax(scores, axis=-1)
         if capture_attention:
             attention.append(attn.data.copy())
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (n, rows, d))
-        proj = ad.add(ad.matmul(ctx, tv[pre + "attn.out.w"]), tv[pre + "attn.out.b"])
+        proj = ad.linear(ctx, tv[pre + "attn.out.w"], tv[pre + "attn.out.b"])
         h = ad.add(h if rows == tk else h[:, :rows], proj)
 
         y = ad.layer_norm(h, tv[pre + "ln2.g"], tv[pre + "ln2.b"], config.ln_eps)
-        m = ad.add(ad.matmul(y, tv[pre + "mlp.fc1.w"]), tv[pre + "mlp.fc1.b"])
-        m = ad.gelu(m)
-        m = ad.add(ad.matmul(m, tv[pre + "mlp.fc2.w"]), tv[pre + "mlp.fc2.b"])
+        m = ad.gelu(ad.linear(y, tv[pre + "mlp.fc1.w"], tv[pre + "mlp.fc1.b"]))
+        m = ad.linear(m, tv[pre + "mlp.fc2.w"], tv[pre + "mlp.fc2.b"])
         h = ad.add(h, m)
 
     h = ad.layer_norm(h, tv["norm.g"], tv["norm.b"], config.ln_eps)

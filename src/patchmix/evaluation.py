@@ -149,7 +149,7 @@ def linear_probe(
     for _ in range(epochs):
         tape = Tape()
         tw, tb = tape.var(w), tape.var(b)
-        logits = ad.add(ad.matmul(Tensor(x), tw), tb)
+        logits = ad.linear(Tensor(x), tw, tb)
         logp = ad.log_softmax(logits, axis=1)
         loss = ad.neg(ad.mean(ad.asum(ad.mul(logp, onehot), axis=1)))
         tape.backward(loss)

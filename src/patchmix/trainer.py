@@ -242,7 +242,8 @@ def train_step(
 
     On a non-finite loss the step is aborted: a diagnostic is logged,
     ``state.aborted`` is increased, the rest of the state (including
-    batch-norm buffers) is left untouched, and the report is None.
+    batch-norm buffers) is left untouched, the step's graph is discarded,
+    and the report is None.
     """
     cfg = state.config
     vit = cfg.vit
@@ -322,11 +323,15 @@ def train_step(
             term_weights=cfg.loss_weights,
         )
     except ValueError as err:
+        tape.discard()
         state.encoder.buffers.update(buffer_backup)
         state.aborted += 1
-        log.warning("step %d aborted: %s", step, err)
+        # the message, not the error: a handler that keeps log records would
+        # keep its traceback, and through it this step's frame and graph
+        log.warning("step %d aborted: %s", step, str(err))
         return state, None
     if not math.isfinite(report.l_total):
+        tape.discard()
         state.encoder.buffers.update(buffer_backup)
         state.aborted += 1
         log.warning(

@@ -65,13 +65,18 @@ class TestTapeBasics:
         for t in others:
             np.testing.assert_array_equal(tape.grad(t), np.zeros(2))
 
-    def test_operator_sugar(self):
+    def test_discarded_tape_is_consumed(self):
         tape = ad.Tape()
-        x = tape.var(np.array([2.0, 4.0]))
-        y = (x * 3.0 - 1.0) / 2.0 + x
-        np.testing.assert_allclose(y.data, [4.5, 9.5])
-        tape.backward(ad.asum(y))
-        np.testing.assert_allclose(tape.grad(x), [2.5, 2.5])
+        x = tape.var(np.array([3.0]))
+        loss = ad.asum(ad.mul(x, x))
+        tape.discard()
+        with pytest.raises(ValueError, match="consumed"):
+            tape.backward(loss)
+        with pytest.raises(ValueError, match="consumed"):
+            ad.mul(x, 2.0)
+        with pytest.raises(ValueError, match="consumed"):
+            tape.var(np.ones(1))
+        np.testing.assert_array_equal(tape.grad(x), [0.0])
 
 
 class TestElementwise:
@@ -295,6 +300,14 @@ def _sweep_cases():
         b, k = int(rng.integers(2, 4)), int(rng.integers(1, 4))
         return ad.matmul, [rng.random((2, 1, 3, k)), rng.random((b, k, 2))]
 
+    def linear(a_ndim, b_shape):
+        def case(rng):
+            k = int(rng.integers(1, 5))
+            a = rng.random(_shape(rng, a_ndim - 1) + (k,))
+            return ad.linear, [a, rng.random((k, 3)), rng.random(b_shape)]
+
+        return case
+
     def binary(op, positive_b=False):
         def case(rng):
             b_shape = [(2, 4), (4,), (1, 4), (2, 1)][int(rng.integers(0, 4))]
@@ -369,6 +382,7 @@ def _sweep_cases():
 
     return {
         "matmul": [matmul_nd_2d, matmul_2d_2d, matmul_batched_broadcast],
+        "linear": [linear(2, (3,)), linear(3, (3,)), linear(4, (1, 1, 3))],
         "add": [binary(ad.add), with_scalar(ad.add)],
         "sub": [binary(ad.sub), with_scalar(lambda x, s: ad.sub(s, x))],
         "mul": [binary(ad.mul), with_scalar(ad.mul)],
@@ -496,6 +510,64 @@ class TestMatmulWeightGradient:
         tape.backward(ad.asum(ad.gelu(ad.matmul(x, y))))
         assert tape.grad(x).dtype == np.float32
         assert tape.grad(y).dtype == np.float32
+
+
+class TestLinear:
+    """``linear`` is ``add(matmul(a, w), b)`` as one node, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [((6, 4), (3,)), ((2, 5, 4), (3,)), ((2, 3, 5, 4), (5, 1))],
+    )
+    def test_equals_add_of_matmul(self, a_shape, b_shape, dtype):
+        rng = np.random.default_rng(16)
+        arrays = [
+            rng.standard_normal(shape).astype(dtype)
+            for shape in (a_shape, (4, 3), b_shape)
+        ]
+        g = rng.standard_normal(a_shape[:-1] + (3,)).astype(dtype)
+
+        def run(fn):
+            tape = ad.Tape()
+            ts = [tape.var(x) for x in arrays]
+            out = fn(*ts)
+            tape.backward(ad.asum(ad.mul(out, g)))
+            return [out.data] + [tape.grad(t) for t in ts]
+
+        fused = run(ad.linear)
+        composed = run(lambda a, w, b: ad.add(ad.matmul(a, w), b))
+        for got, want in zip(fused, composed):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_constant_input_gets_no_delta(self):
+        targets = []
+
+        class RecordingTape(ad.Tape):
+            def _accumulate(self, t, delta):
+                targets.append(t)
+                super()._accumulate(t, delta)
+
+        rng = np.random.default_rng(17)
+        tape = RecordingTape()
+        w, b = tape.var(rng.random((4, 3))), tape.var(rng.random(3))
+        x = ad.Tensor(rng.random((2, 5, 4)))
+        tape.backward(ad.asum(ad.linear(x, w, b)))
+        assert all(t.tape is tape for t in targets)
+        assert {id(w), id(b)} <= {id(t) for t in targets}
+
+    def test_weight_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D weight"):
+            ad.linear(np.ones((2, 3)), np.ones((2, 3, 4)), np.ones(4))
+        with pytest.raises(ValueError):
+            ad.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
+
+    def test_bias_may_not_promote(self):
+        a = np.ones((2, 3), dtype=np.float32)
+        w = np.ones((3, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="promote"):
+            ad.linear(a, w, np.ones(2))
 
 
 class TestScalarOperands:

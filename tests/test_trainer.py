@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from patchmix import autodiff as ad
 from patchmix import datasets as ds
 from patchmix import encoder as enc
 from patchmix import objectives as ob
@@ -406,6 +407,62 @@ class TestTrainStep:
         finally:
             if was_enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("abort", ["value_error", "non_finite"])
+    def test_aborted_step_frees_its_tape(self, monkeypatch, abort):
+        refs = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        def failing(cb, **kwargs):
+            if abort == "value_error":
+                raise ValueError("bad batch")
+            return ob.LossReport(math.nan, math.nan, math.nan, math.nan), None
+
+        monkeypatch.setattr(tr, "Tape", WatchedTape)
+        monkeypatch.setattr(tr.ob, "loss_total", failing)
+        state = tr.init_state(micro_config(), 8)
+        was_enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free the tape
+        try:
+            state, report = tr.train_step(state, micro_batch())
+            assert report is None and state.aborted == 1
+            (ref,) = refs
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_step_node_and_call_budget(self, monkeypatch):
+        """Guards the graph size of one step: one node per biased projection
+        and a copy-free head split. Splitting them again exceeds both."""
+        nodes, calls = [], []
+
+        class CountingTape(Tape):
+            def backward(self, loss):
+                nodes.append(len(self._nodes))
+                super().backward(loss)
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        primitives = set(ad.__all__) - {
+            "Tensor", "Tape", "GradCheckResult", "stop_gradient", "check_gradients"
+        }
+        for name in primitives | {"take"}:
+            monkeypatch.setattr(ad, name, counted(getattr(ad, name)))
+        monkeypatch.setattr(tr, "Tape", CountingTape)
+        state = tr.init_state(micro_config(), 8)
+        state, report = tr.train_step(state, micro_batch())
+        assert report is not None
+        assert nodes[0] <= 223 and len(calls) <= 466, (nodes, len(calls))
 
 
 class TestCheckpointing:
