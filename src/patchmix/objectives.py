@@ -87,13 +87,8 @@ class LossReport:
 
 
 def cosine_sim_matrix(a, b) -> Tensor:
-    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``."""
-    av, bv = ad._value(a), ad._value(b)
-    for side, arr in (("left", av), ("right", bv)):
-        norms = np.sqrt((arr * arr).sum(axis=-1))
-        if np.any(norms == 0.0):
-            row = int(np.argwhere(norms == 0.0)[0][0])
-            raise ValueError(f"zero-norm row {row} in {side} input")
+    """All-pairs cosine similarity between rows of ``a`` and rows of ``b``;
+    ``l2_normalize`` rejects a zero row, naming its index."""
     an = ad.l2_normalize(a, axis=-1)
     bn = ad.l2_normalize(b, axis=-1)
     return ad.matmul(an, ad.transpose(bn))

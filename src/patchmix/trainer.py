@@ -38,6 +38,7 @@ __all__ = [
     "schedule",
     "optimizer_update",
     "decay_exempt",
+    "decay_mask",
     "train_step",
     "pretrain",
     "state_from_checkpoint",
@@ -120,9 +121,10 @@ class TrainState:
     step: int
     epoch: int
     encoder: enc.EncoderParams
-    momentum: enc.MomentumParams
-    opt_m: dict[str, np.ndarray]
-    opt_v: dict[str, np.ndarray]
+    momentum: enc.EncoderParams
+    opt_m: enc.Packed  # AdamW moments, in the layout of encoder.params
+    opt_v: enc.Packed
+    decay: np.ndarray  # decay_mask(encoder.params)
     total_steps: int
     warmup_steps: int
     loss_history: list[tuple] = field(default_factory=list)
@@ -175,63 +177,58 @@ def decay_exempt(name: str) -> bool:
     return name.endswith((".b", ".beta", ".g")) or name == "cls_token"
 
 
+def decay_mask(params: enc.Packed) -> np.ndarray:
+    """Which elements of ``params.flat`` take weight decay."""
+    return np.concatenate(
+        [np.full(v.size, not decay_exempt(k)) for k, v in params.items()]
+    )
+
+
 def optimizer_update(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    theta: np.ndarray,
+    grad: np.ndarray,
     lr: float,
     wd: float,
-    moments: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
+    moments: tuple[np.ndarray, np.ndarray],
     step: int,
+    decay: np.ndarray,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
-) -> dict[str, np.ndarray]:
-    """One AdamW step over a parameter dict, in place.
+) -> np.ndarray:
+    """One AdamW step over a whole parameter array, in place.
 
-    Decoupled weight decay (theta -= lr * wd * theta) applies alongside the
-    adaptive step to every non-exempt parameter; ``step`` is 1-based for
-    the bias correction.
+    ``grad``, both moments and the boolean ``decay`` mask share the layout
+    of ``theta``. Decoupled weight decay (theta -= lr * wd * theta) applies
+    alongside the adaptive step where ``decay`` is set; ``step`` is 1-based
+    for the bias correction.
     """
     b1, b2 = betas
-    m_dict, v_dict = moments
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
-    for name, theta in params.items():
-        g = grads[name]
-        m = m_dict[name]
-        v = v_dict[name]
+    for b in enc.blocks(theta.size):
+        t, g, m, v = theta[b], grad[b], moments[0][b], moments[1][b]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
         update = (m / c1) / (np.sqrt(v / c2) + eps)
-        if wd != 0.0 and not decay_exempt(name):
-            update = update + wd * theta
-        theta -= lr * update
-    return params
+        if wd != 0.0:
+            np.add(update, wd * t, out=update, where=decay[b])
+        t -= lr * update
+    return theta
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def _clip_gradients(grad: np.ndarray, max_norm: float) -> None:
+    total = math.sqrt(float((grad * grad).sum()))
     if total > max_norm:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grad *= max_norm / total
 
 
 def _schedules_at(state: TrainState) -> tuple[float, float, float]:
-    cfg = state.config
-    lr = schedule(
-        state.step, state.total_steps, state.warmup_steps, cfg.base_lr, 0.0,
-        "warmup-cosine",
-    )
-    wd = schedule(
-        state.step, state.total_steps, 0, cfg.weight_decay[0],
-        cfg.weight_decay[1], "cosine",
-    )
-    mu = schedule(
-        state.step, state.total_steps, 0, cfg.momentum_mu[0],
-        cfg.momentum_mu[1], "cosine",
-    )
+    cfg, step, total = state.config, state.step, state.total_steps
+    lr = schedule(step, total, state.warmup_steps, cfg.base_lr, 0.0, "warmup-cosine")
+    wd = schedule(step, total, 0, *cfg.weight_decay, "cosine")
+    mu = schedule(step, total, 0, *cfg.momentum_mu, "cosine")
     return lr, wd, mu
 
 
@@ -240,7 +237,8 @@ def train_step(
 ) -> tuple[TrainState, ob.LossReport | None]:
     """Advance one step on one batch; see the module docstring for the order.
 
-    On a non-finite loss the step is aborted: a diagnostic is logged,
+    On a non-finite loss, or a ``ValueError`` from the loss (such as a
+    zero-norm embedding row), the step is aborted: a diagnostic is logged,
     ``state.aborted`` is increased, the rest of the state (including
     batch-norm buffers) is left untouched, the step's graph is discarded,
     and the report is None.
@@ -278,43 +276,33 @@ def train_step(
     def cast(pb: po.PatchBatch) -> np.ndarray:
         return pb.patches.astype(dtype, copy=False)
 
-    # batch-norm buffers may be rolled back if the step aborts
-    buffer_backup = {k: v.copy() for k, v in state.encoder.buffers.items()}
+    # batch-norm buffers are rolled back if the step aborts
+    buffer_backup = state.encoder.buffers.flat.copy()
 
     # gradient branch through the trained encoder
     tape = Tape()
     tv = enc.bind(state.encoder.params, tape)
-    rep_mix1 = enc.forward_backbone(vit, tv, cast(mixed1.patches))
-    _, h_mix1 = enc.forward_heads(
-        vit, tv, state.encoder.buffers, rep_mix1, train=True, update_stats=True
-    )
-    rep_v2 = enc.forward_backbone(vit, tv, cast(pb2))
-    _, h_view2 = enc.forward_heads(
-        vit, tv, state.encoder.buffers, rep_v2, train=True, update_stats=True
-    )
+
+    def predict(patches: np.ndarray):
+        rep = enc.forward_backbone(vit, tv, patches)
+        return enc.forward_heads(vit, tv, state.encoder.buffers, rep, True, True)[1]
+
+    h_mix1 = predict(cast(mixed1.patches))
+    h_view2 = predict(cast(pb2))
 
     # momentum branch, read before the optimizer touches the encoder
     mtv = enc.bind(state.momentum.params, None)
-    mbuf = state.momentum.buffers
 
     def momentum_project(patches: np.ndarray):
         rep = enc.forward_backbone(vit, mtv, patches)
-        return enc.forward_project(
-            vit, mtv, mbuf, rep, train=True, update_stats=False
-        )
+        return enc.forward_project(vit, mtv, state.momentum.buffers, rep, True, False)
 
     z_view1 = momentum_project(cast(pb1))
     z_view2 = momentum_project(cast(pb2))
     z_mix2 = momentum_project(cast(mixed2.patches))
 
     cb = ob.ContrastBatch(
-        h_mix1=h_mix1,
-        h_view2=h_view2,
-        z_view1=z_view1,
-        z_view2=z_view2,
-        z_mix2=z_mix2,
-        plan=plan1,
-        temperature=cfg.temperature,
+        h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
     )
     try:
         report, total = ob.loss_total(
@@ -322,33 +310,32 @@ def train_step(
             normalize_weights=cfg.normalize_mix_weights,
             term_weights=cfg.loss_weights,
         )
+        abort = None
+        if not math.isfinite(report.l_total):
+            abort = f"non-finite loss {report!r}, state unchanged"
     except ValueError as err:
-        tape.discard()
-        state.encoder.buffers.update(buffer_backup)
-        state.aborted += 1
         # the message, not the error: a handler that keeps log records would
         # keep its traceback, and through it this step's frame and graph
-        log.warning("step %d aborted: %s", step, str(err))
-        return state, None
-    if not math.isfinite(report.l_total):
+        abort = str(err)
+    if abort is not None:
         tape.discard()
-        state.encoder.buffers.update(buffer_backup)
+        state.encoder.buffers.flat[...] = buffer_backup
         state.aborted += 1
-        log.warning(
-            "step %d aborted: non-finite loss %r, state unchanged", step, report
-        )
+        log.warning("step %d aborted: %s", step, abort)
         return state, None
 
     tape.backward(total)
-    grads = {k: tape.grad(v) for k, v in tv.items()}
+    # the gradient in the layout of the parameters
+    grad = np.concatenate([tape.grad(t).ravel() for t in tv.values()])
     if cfg.grad_clip is not None:
-        _clip_gradients(grads, cfg.grad_clip)
+        _clip_gradients(grad, cfg.grad_clip)
 
     optimizer_update(
-        state.encoder.params, grads, lr, wd, (state.opt_m, state.opt_v),
-        step + 1, cfg.betas, cfg.adam_eps,
+        state.encoder.params.flat, grad, lr, wd,
+        (state.opt_m.flat, state.opt_v.flat), step + 1, state.decay,
+        cfg.betas, cfg.adam_eps,
     )
-    state.momentum = enc.ema_update(state.encoder, state.momentum, mu)
+    enc.ema_update(state.encoder, state.momentum, mu)
 
     state.step += 1
     state.loss_history.append(
@@ -365,40 +352,31 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
             f"dataset of {dataset_size} images yields no full batch of "
             f"{cfg.batch_size}"
         )
-    encoder = enc.init_encoder(
-        cfg.vit, _derive_rng(cfg.seed, _RNG_INIT, 0), dtype=cfg.dtype
-    )
-    momentum = enc.init_momentum(encoder)
-    opt_m = {k: np.zeros_like(v) for k, v in encoder.params.items()}
-    opt_v = {k: np.zeros_like(v) for k, v in encoder.params.items()}
+    encoder = enc.init_encoder(cfg.vit, _derive_rng(cfg.seed, _RNG_INIT, 0), cfg.dtype)
     return TrainState(
         config=cfg,
         step=0,
         epoch=0,
         encoder=encoder,
-        momentum=momentum,
-        opt_m=opt_m,
-        opt_v=opt_v,
+        momentum=enc.init_momentum(encoder),
+        opt_m=enc.Packed(encoder.params.shapes, np.zeros_like(encoder.params.flat)),
+        opt_v=enc.Packed(encoder.params.shapes, np.zeros_like(encoder.params.flat)),
+        decay=decay_mask(encoder.params),
         total_steps=cfg.epochs * steps_per_epoch,
         warmup_steps=cfg.warmup_epochs * steps_per_epoch,
     )
 
 
 def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
-    blobs: dict[str, np.ndarray] = {}
-    for k, v in state.encoder.params.items():
-        blobs["theta." + k] = v
-    for k, v in state.encoder.buffers.items():
-        blobs["theta_buf." + k] = v
-    for k, v in state.momentum.params.items():
-        blobs["xi." + k] = v
-    for k, v in state.momentum.buffers.items():
-        blobs["xi_buf." + k] = v
-    for k, v in state.opt_m.items():
-        blobs["adam_m." + k] = v
-    for k, v in state.opt_v.items():
-        blobs["adam_v." + k] = v
-    return blobs
+    sets = {
+        "theta.": state.encoder.params,
+        "theta_buf.": state.encoder.buffers,
+        "xi.": state.momentum.params,
+        "xi_buf.": state.momentum.buffers,
+        "adam_m.": state.opt_m,
+        "adam_v.": state.opt_v,
+    }
+    return {pre + k: v for pre, packed in sets.items() for k, v in packed.items()}
 
 
 def save_state(state: TrainState, path) -> None:
@@ -421,11 +399,18 @@ def _strip(blobs: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
 
 
+def _encoder_from_blobs(vit_cfg, blobs, params: str, buffers: str) -> enc.EncoderParams:
+    return enc.EncoderParams(
+        vit_cfg, enc.pack(_strip(blobs, params)), enc.pack(_strip(blobs, buffers))
+    )
+
+
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state``.
 
-    The provided config must describe the same backbone; loop counters,
-    both parameter sets, buffers, and optimizer moments come from the file.
+    The provided config must describe the same backbone and precision; loop
+    counters, both parameter sets, buffers, and optimizer moments come from
+    the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     if vit_cfg != cfg.vit:
@@ -433,20 +418,23 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint backbone {vit_cfg} does not match the "
             f"configured backbone {cfg.vit}"
         )
-    encoder = enc.EncoderParams(
-        vit_cfg, _strip(blobs, "theta."), _strip(blobs, "theta_buf.")
-    )
-    momentum = enc.MomentumParams(
-        vit_cfg, _strip(blobs, "xi."), _strip(blobs, "xi_buf.")
-    )
+    if meta["precision"] != cfg.precision:
+        raise ValueError(
+            f"{path}: checkpoint precision {meta['precision']} does not match "
+            f"the configured precision {cfg.precision}"
+        )
+    encoder = _encoder_from_blobs(vit_cfg, blobs, "theta.", "theta_buf.")
+    momentum = _encoder_from_blobs(vit_cfg, blobs, "xi.", "xi_buf.")
+    enc.check_twin(encoder, momentum)
     return TrainState(
         config=cfg,
         step=int(meta["step"]),
         epoch=int(meta["epoch"]),
         encoder=encoder,
         momentum=momentum,
-        opt_m=_strip(blobs, "adam_m."),
-        opt_v=_strip(blobs, "adam_v."),
+        opt_m=enc.pack(_strip(blobs, "adam_m."), encoder.params.shapes),
+        opt_v=enc.pack(_strip(blobs, "adam_v."), encoder.params.shapes),
+        decay=decay_mask(encoder.params),
         total_steps=int(meta["total_steps"]),
         warmup_steps=int(meta["warmup_steps"]),
         loss_history=[tuple(row) for row in meta.get("loss_history", [])],
@@ -457,10 +445,9 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
 def encoder_from_checkpoint(path) -> enc.EncoderParams:
     """The trained encoder of a checkpoint, with the backbone stored in it."""
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
-    params = _strip(blobs, "theta.")
-    if not params:
+    if not _strip(blobs, "theta."):
         raise ValueError(f"{path}: checkpoint holds no encoder parameters")
-    return enc.EncoderParams(vit_cfg, params, _strip(blobs, "theta_buf."))
+    return _encoder_from_blobs(vit_cfg, blobs, "theta.", "theta_buf.")
 
 
 def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:
@@ -475,13 +462,14 @@ def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:
 
 
 def _truncate_csv(path: Path, step: int) -> None:
-    """Keep the header and the rows of steps before ``step``.
+    """Keep the header and the complete rows of steps before ``step``.
 
     Rows are matched by their step value, not counted, because aborted
-    steps write no row.
+    steps write no row. A line without its newline, the remnant of an
+    interrupted append, is dropped whatever its cut step number reads.
     """
     with open(path, newline="") as f:
-        lines = f.read().splitlines(keepends=True)
+        lines = [ln for ln in f.read().splitlines(keepends=True) if ln.endswith("\n")]
     kept = lines[:1] + [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < step]
     with open(path, "w", newline="") as f:
         f.writelines(kept)
@@ -527,7 +515,9 @@ def pretrain(
             state, report = train_step(state, batch)
             if report is not None:
                 epoch_rows.append(state.loss_history[-1])
-        _append_csv(csv_path, epoch_rows, write_header=not csv_path.exists())
+        # an empty log is one whose header an interrupted append cut
+        has_header = csv_path.exists() and csv_path.stat().st_size > 0
+        _append_csv(csv_path, epoch_rows, write_header=not has_header)
         state.epoch = epoch + 1
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_state(state, out_dir / f"checkpoint_epoch{epoch + 1:04d}.bin")

@@ -365,6 +365,22 @@ class TestTrainAndEval:
         for h in heads:
             assert (tmp_path / f"attn_head{h}.ppm").exists()
 
+    def test_resume_under_other_precision_is_usage_error(
+        self, trained, tmp_path, capsys
+    ):
+        _out, ckpt, _log = trained
+        code = quiet_main(
+            ["pretrain", "--out", str(tmp_path)]
+            + ["--override", f"train.resume={ckpt}"]
+            + ["--override", "train.precision=f32"]
+            + ["--override", "data.train_per_class=8"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint precision f64" in err
+        assert "configured precision f32" in err
+        assert not (tmp_path / "train_log.csv").exists()
+
     def test_eval_without_checkpoint_is_usage_error(self, capsys):
         assert cli.main(["eval-knn"]) == 2
         assert "eval.checkpoint" in capsys.readouterr().err

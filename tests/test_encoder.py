@@ -240,11 +240,62 @@ class TestMomentum:
             atol=1e-15,
         )
 
+    def test_ema_updates_the_twin_in_place(self):
+        params = micro_params()
+        twin = enc.init_momentum(params)
+        flats = (twin.params.flat, twin.buffers.flat)
+        views = [id(v) for v in twin.params.values()]
+        for v in params.params.values():
+            v += 1.0
+        out = enc.ema_update(params, twin, 0.5)
+        assert out is twin
+        assert twin.params.flat is flats[0] and twin.buffers.flat is flats[1]
+        assert [id(v) for v in twin.params.values()] == views
+        np.testing.assert_allclose(
+            twin.params["patch_embed.w"], params.params["patch_embed.w"] - 0.5,
+            atol=1e-15,
+        )
+
+    def test_twin_mirrors_the_encoders_leading_names(self):
+        params = micro_params()
+        twin = enc.init_momentum(params)
+        for mine, theirs in ((twin.params, params.params),
+                             (twin.buffers, params.buffers)):
+            assert list(mine) == list(theirs)[: len(mine)]
+            np.testing.assert_array_equal(mine.flat, theirs.flat[: mine.flat.size])
+        enc.check_twin(params, twin)
+
+    def test_twin_that_is_not_a_prefix_is_rejected(self):
+        params = micro_params()
+        names = sorted(params.params, key=enc.momentum_tracks)  # pred.* first
+        shuffled = enc.EncoderParams(
+            params.config,
+            enc.pack({k: params.params[k] for k in names}),
+            params.buffers,
+        )
+        with pytest.raises(ValueError, match="leading params"):
+            enc.init_momentum(shuffled)
+        with pytest.raises(ValueError, match="leading params"):
+            enc.check_twin(shuffled, enc.init_momentum(params))
+
     def test_mu_out_of_range_rejected(self):
         params = micro_params()
         twin = enc.init_momentum(params)
         with pytest.raises(ValueError):
             enc.ema_update(params, twin, 1.5)
+
+
+class TestPacked:
+    def test_pack_copies_into_one_array(self):
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2, np.float32)}
+        packed = enc.pack(arrays)
+        assert packed.flat.shape == (8,) and packed.flat.dtype == np.float64
+        np.testing.assert_array_equal(packed.flat, [0, 1, 2, 3, 4, 5, 1, 1])
+        assert packed["a"].base is packed.flat
+        assert not np.shares_memory(packed["a"], arrays["a"])
+
+    def test_empty_set_packs(self):
+        assert enc.pack({}).flat.size == 0
 
 
 class TestCheckpoint:

@@ -113,64 +113,122 @@ class TestDecayExempt:
         assert not tr.decay_exempt(name)
 
 
+def reference_adamw(params, grads, lr, wd, moments, step, betas=(0.9, 0.999),
+                    eps=1e-8):
+    """AdamW over a name -> array dict, one name at a time: the per-name
+    loop that ``optimizer_update`` replaced, kept as its oracle."""
+    b1, b2 = betas
+    m_dict, v_dict = moments
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    for name, theta in params.items():
+        g = grads[name]
+        m = m_dict[name]
+        v = v_dict[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        if wd != 0.0 and not tr.decay_exempt(name):
+            update = update + wd * theta
+        theta -= lr * update
+
+
+def assert_bits_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
+    assert a.keys() == b.keys()
+    for k in a:
+        assert a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes(), k
+
+
 class TestOptimizer:
     def setup_method(self):
-        self.params = {"layer.w": np.ones((2, 2)), "layer.b": np.ones(2)}
-        self.moments = (
-            {k: np.zeros_like(v) for k, v in self.params.items()},
-            {k: np.zeros_like(v) for k, v in self.params.items()},
-        )
+        self.params = enc.pack({"layer.w": np.ones((2, 2)), "layer.b": np.ones(2)})
+        self.moments = (np.zeros(6), np.zeros(6))
 
-    def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+    def update(self, grad, lr, wd, step=1):
+        return tr.optimizer_update(
+            self.params.flat, grad, lr, wd, self.moments, step,
+            tr.decay_mask(self.params),
+        )
 
     def test_zero_grads_no_decay_is_identity(self):
         before = flat_params(self.params)
-        tr.optimizer_update(
-            self.params, self.zero_grads(), 0.1, 0.0, self.moments, step=1
-        )
+        self.update(np.zeros(6), 0.1, 0.0)
         assert_params_equal(self.params, before)
 
     def test_zero_grads_decay_shrinks_non_exempt(self):
-        tr.optimizer_update(
-            self.params, self.zero_grads(), 0.1, 0.5, self.moments, step=1
-        )
+        self.update(np.zeros(6), 0.1, 0.5)
         np.testing.assert_array_equal(
             self.params["layer.w"], np.full((2, 2), 1.0 - 0.1 * 0.5)
         )
         # biases are exempt from decay
         np.testing.assert_array_equal(self.params["layer.b"], np.ones(2))
 
+    def test_decay_mask_follows_names(self):
+        mask = tr.decay_mask(self.params)
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, [True] * 4 + [False] * 2)
+
     def test_first_step_is_unit_scaled(self):
         # grad of theta^2/2 at theta=1 is 1; bias-corrected Adam moves ~lr
-        params = {"x.w": np.array([1.0])}
-        moments = ({"x.w": np.zeros(1)}, {"x.w": np.zeros(1)})
-        tr.optimizer_update(params, {"x.w": np.array([1.0])}, 0.1, 0.0, moments, 1)
+        params = enc.pack({"x.w": np.array([1.0])})
+        moments = (np.zeros(1), np.zeros(1))
+        tr.optimizer_update(
+            params.flat, np.array([1.0]), 0.1, 0.0, moments, 1,
+            tr.decay_mask(params),
+        )
         assert abs(params["x.w"][0] - 0.9) <= 1e-7
 
     def test_updates_in_place(self):
-        out = tr.optimizer_update(
-            self.params, self.zero_grads(), 0.1, 0.5, self.moments, step=1
-        )
-        assert out is self.params
+        out = self.update(np.zeros(6), 0.1, 0.5)
+        assert out is self.params.flat
+        assert np.shares_memory(self.params["layer.w"], out)
 
     def test_moments_accumulate(self):
-        g = {"layer.w": np.full((2, 2), 2.0), "layer.b": np.zeros(2)}
-        tr.optimizer_update(self.params, g, 0.1, 0.0, self.moments, step=1)
-        np.testing.assert_allclose(self.moments[0]["layer.w"], 0.1 * 2.0)
-        np.testing.assert_allclose(self.moments[1]["layer.w"], 0.001 * 4.0)
+        grad = np.array([2.0, 2.0, 2.0, 2.0, 0.0, 0.0])
+        self.update(grad, 0.1, 0.0)
+        np.testing.assert_allclose(self.moments[0][:4], 0.1 * 2.0)
+        np.testing.assert_allclose(self.moments[1][:4], 0.001 * 4.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    def test_equals_per_name_reference_bit_for_bit(self, dtype, wd):
+        params = enc.init_encoder(
+            enc.vit_micro(8), np.random.default_rng(4), dtype=dtype
+        ).params
+        ref = flat_params(params)
+        ref_moments = (
+            {k: np.zeros_like(v) for k, v in ref.items()},
+            {k: np.zeros_like(v) for k, v in ref.items()},
+        )
+        moments = (np.zeros_like(params.flat), np.zeros_like(params.flat))
+        decay = tr.decay_mask(params)
+        rng = np.random.default_rng(5)
+        for step in range(1, 5):
+            grads = {
+                k: rng.normal(0.0, 0.1, size=v.shape).astype(dtype)
+                for k, v in params.items()
+            }
+            grad = np.concatenate([g.ravel() for g in grads.values()])
+            tr.optimizer_update(
+                params.flat, grad, 1e-2, wd, moments, step, decay, (0.9, 0.99)
+            )
+            reference_adamw(ref, grads, 1e-2, wd, ref_moments, step, (0.9, 0.99))
+            assert_bits_equal(params, ref)
+        for flat, by_name in zip(moments, ref_moments):
+            assert_bits_equal(enc.Packed(params.shapes, flat), by_name)
 
     def test_clip_rescales_to_max_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        tr._clip_gradients(grads, 1.0)
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        assert abs(total - 1.0) <= 1e-12
-        assert abs(grads["a"][0] / grads["b"][0] - 3.0 / 4.0) <= 1e-12
+        grad = np.array([3.0, 4.0])
+        tr._clip_gradients(grad, 1.0)
+        assert abs(math.sqrt(float((grad * grad).sum())) - 1.0) <= 1e-12
+        assert abs(grad[0] / grad[1] - 3.0 / 4.0) <= 1e-12
 
     def test_clip_leaves_small_gradients_alone(self):
-        grads = {"a": np.array([0.3])}
-        tr._clip_gradients(grads, 1.0)
-        assert grads["a"][0] == 0.3
+        grad = np.array([0.3])
+        tr._clip_gradients(grad, 1.0)
+        assert grad[0] == 0.3
 
 
 class TestConfigValidation:
@@ -241,10 +299,10 @@ class TestTrainStep:
         # exactly ema(theta_new, xi_old)
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
-        xi_old = enc.MomentumParams(
+        xi_old = enc.EncoderParams(
             cfg.vit,
-            flat_params(state.momentum.params),
-            flat_params(state.momentum.buffers),
+            enc.pack(state.momentum.params),
+            enc.pack(state.momentum.buffers),
         )
         mu = tr.schedule(
             0, state.total_steps, 0, cfg.momentum_mu[0], cfg.momentum_mu[1], "cosine"
@@ -529,6 +587,12 @@ class TestCheckpointing:
         assert ra == rb
         assert_params_equal(a.encoder.params, b.encoder.params)
 
+    def test_precision_mismatch_rejected(self, tmp_path):
+        cfg = micro_config()
+        tr.save_state(tr.init_state(cfg, 8), tmp_path / "s.bin")
+        with pytest.raises(ValueError, match="precision f64 .* precision f32"):
+            tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(precision="f32"))
+
     def test_backbone_mismatch_rejected(self, tmp_path):
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
@@ -536,6 +600,81 @@ class TestCheckpointing:
         other = micro_config(vit=enc.vit_micro(16))
         with pytest.raises(ValueError, match="backbone"):
             tr.state_from_checkpoint(tmp_path / "s.bin", other)
+
+
+def state_sets(state: tr.TrainState) -> dict[str, enc.Packed]:
+    return {
+        "params": state.encoder.params,
+        "buffers": state.encoder.buffers,
+        "twin params": state.momentum.params,
+        "twin buffers": state.momentum.buffers,
+        "adam m": state.opt_m,
+        "adam v": state.opt_v,
+    }
+
+
+def assert_packed(packed: enc.Packed):
+    """Every entry is a view, in name order and without gaps, of ``flat``,
+    one contiguous array that owns its memory."""
+    flat = packed.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.base is None
+    start = flat.__array_interface__["data"][0]
+    for name, view in packed.items():
+        assert view.base is flat, name
+        assert view.__array_interface__["data"][0] == start, name
+        start += view.nbytes
+    assert start == flat.__array_interface__["data"][0] + flat.nbytes
+
+
+class TestLayout:
+    def test_fresh_state_is_packed(self):
+        state = tr.init_state(micro_config(), 8)
+        for packed in state_sets(state).values():
+            assert_packed(packed)
+        layout = list(state.encoder.params.shapes.items())
+        assert list(state.opt_m.shapes.items()) == layout
+        assert list(state.opt_v.shapes.items()) == layout
+        assert state.decay.shape == state.encoder.params.flat.shape
+
+    def test_step_keeps_every_array(self):
+        state = tr.init_state(micro_config(), 8)
+        before = {
+            label: (packed.flat, [id(v) for v in packed.values()])
+            for label, packed in state_sets(state).items()
+        }
+        bn_mean = state.encoder.buffers["proj.bn1.mean"].copy()
+        state, report = tr.train_step(state, micro_batch())
+        assert report is not None
+        # batch norm wrote its running stats through the views
+        assert not np.array_equal(state.encoder.buffers["proj.bn1.mean"], bn_mean)
+        for label, packed in state_sets(state).items():
+            flat, ids = before[label]
+            assert packed.flat is flat, label
+            assert [id(v) for v in packed.values()] == ids, label
+            assert_packed(packed)
+
+    def test_loaded_state_is_packed(self, tmp_path):
+        cfg = micro_config(precision="f32")
+        state = tr.init_state(cfg, 8)
+        state, _ = tr.train_step(state, micro_batch())
+        tr.save_state(state, tmp_path / "s.bin")
+        loaded = tr.state_from_checkpoint(tmp_path / "s.bin", cfg)
+        for label, packed in state_sets(loaded).items():
+            assert_packed(packed)
+            assert packed.flat.dtype == np.float32, label
+            expect = state_sets(state)[label].shapes.items()
+            assert list(packed.shapes.items()) == list(expect), label
+        np.testing.assert_array_equal(loaded.decay, state.decay)
+        assert_packed(tr.encoder_from_checkpoint(tmp_path / "s.bin").params)
+
+    def test_twin_that_is_not_a_prefix_is_rejected(self, tmp_path):
+        cfg = micro_config()
+        tr.save_state(tr.init_state(cfg, 8), tmp_path / "s.bin")
+        vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "s.bin")
+        del blobs["xi.patch_embed.w"]
+        enc.write_checkpoint(tmp_path / "bad.bin", vit_cfg, blobs, meta)
+        with pytest.raises(ValueError, match="leading"):
+            tr.state_from_checkpoint(tmp_path / "bad.bin", cfg)
 
 
 class TestPretrain:
@@ -582,6 +721,33 @@ class TestPretrain:
         mid = tmp_path / "checkpoint_epoch0002.bin"
         tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
         assert (tmp_path / "train_log.csv").read_bytes() == full_log
+
+    def test_resume_drops_a_row_cut_inside_its_step(self, tmp_path):
+        cfg = micro_config(epochs=6, warmup_epochs=1, checkpoint_every=3)
+        tr.pretrain(cfg, self.small_data(), tmp_path)
+        log = tmp_path / "train_log.csv"
+        full_log = log.read_bytes()
+        # an append interrupted after the "1" of row 10; the checkpoint of
+        # epoch 3 is at step 6, so the remnant reads as a step below it
+        cut = full_log.index(b"\n10,") + 2
+        log.write_bytes(full_log[:cut])
+        mid = tmp_path / "checkpoint_epoch0003.bin"
+        assert tr.state_from_checkpoint(mid, cfg).step == 6
+        tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
+        assert log.read_bytes() == full_log
+
+    def test_resume_rewrites_a_cut_header(self, tmp_path):
+        cfg = micro_config(epochs=6, warmup_epochs=1, checkpoint_every=3)
+        tr.pretrain(cfg, self.small_data(), tmp_path / "full")
+        full_log = (tmp_path / "full" / "train_log.csv").read_bytes()
+        log = tmp_path / "res" / "train_log.csv"
+        log.parent.mkdir()
+        log.write_bytes(full_log[:9])  # "step,l_mt", cut inside the header
+        mid = tmp_path / "full" / "checkpoint_epoch0003.bin"
+        tr.pretrain(cfg, self.small_data(), tmp_path / "res", resume_from=mid)
+        lines = full_log.splitlines(keepends=True)
+        expect = lines[:1] + [ln for ln in lines[1:] if int(ln.split(b",")[0]) >= 6]
+        assert log.read_bytes() == b"".join(expect)
 
     def test_loss_decreases_on_easy_data(self, tmp_path):
         cfg = micro_config(
