@@ -18,10 +18,11 @@ only (the prediction head has no twin) and is advanced exclusively by
 ``ema_update``.
 
 Each parameter set is a ``Packed`` dict of named views into one contiguous
-array: the optimizer, the EMA and the abort rollback act on the array, the
-forward pass and the checkpoint on the names. Batch-norm running statistics
-are a separate ``buffers`` set, updated in place by training-mode forward
-passes, not by the optimizer. The twin's names lead the encoder's.
+array: the optimizer and the EMA act on the array, the forward pass and the
+checkpoint on the names. The heads only ever run in training mode and are
+discarded after pretraining, so their batch norms normalise by the batch
+statistics and keep no running statistics: an encoder is one parameter
+set. The twin's names lead the encoder's.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -83,7 +85,6 @@ class ViTConfig:
     head_out: int = 256
     ln_eps: float = 1e-6
     bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
 
     @property
     def grid_side(self) -> int:
@@ -188,12 +189,11 @@ def pack(arrays: Mapping[str, np.ndarray], shapes: Mapping | None = None) -> Pac
 
 @dataclass
 class EncoderParams:
-    """Learnable parameters and batch-norm running statistics, two ``Packed``
-    sets; also the momentum twin, which lacks the prediction head."""
+    """Learnable parameters as one ``Packed`` set; also the momentum twin,
+    which lacks the prediction head."""
 
     config: ViTConfig
     params: Packed
-    buffers: Packed
 
 
 def _trunc_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> None:
@@ -272,39 +272,30 @@ def init_encoder(
     p["pred.bn1.gamma"] = ones(hid)
     p["pred.bn1.beta"] = zeros(hid)
     p["pred.fc2.w"] = tn(hid, out)
-
-    buffers: dict[str, tuple] = {}
-    widths = {"proj.bn1": hid, "proj.bn2": hid, "proj.bn3": out,
-              "pred.bn1": hid, "pred.bn2": out}
-    for name, width in widths.items():
-        buffers[name + ".mean"] = zeros(width)
-        buffers[name + ".var"] = ones(width)
-    return EncoderParams(config, _filled(p, rng, dtype), _filled(buffers, rng, dtype))
+    return EncoderParams(config, _filled(p, rng, dtype))
 
 
 def momentum_tracks(name: str) -> bool:
-    """Whether a parameter or buffer belongs to the momentum twin."""
+    """Whether a parameter belongs to the momentum twin."""
     return not name.startswith("pred.")
 
 
 def check_twin(encoder: EncoderParams, twin: EncoderParams) -> None:
-    """Raise unless, in both sets, the twin's names and shapes are the
-    encoder's leading ones, in order: ``ema_update`` pairs them by position."""
-    for part in ("params", "buffers"):
-        mine = list(getattr(twin, part).shapes.items())
-        if mine != list(getattr(encoder, part).shapes.items())[: len(mine)]:
-            raise ValueError(
-                f"the momentum twin's {part} are not the encoder's leading "
-                f"{part} (names, shapes and order)"
-            )
+    """Raise unless the twin's names and shapes are the encoder's leading
+    ones, in order: ``ema_update`` pairs them by position."""
+    mine = list(twin.params.shapes.items())
+    if mine != list(encoder.params.shapes.items())[: len(mine)]:
+        raise ValueError(
+            "the momentum twin's params are not the encoder's leading "
+            "params (names, shapes and order)"
+        )
 
 
 def init_momentum(encoder: EncoderParams) -> EncoderParams:
     """Copy the tracked subset; the twin starts equal to the encoder."""
-    twin = EncoderParams(encoder.config, *[
-        pack({k: v for k, v in part.items() if momentum_tracks(k)})
-        for part in (encoder.params, encoder.buffers)
-    ])
+    twin = EncoderParams(encoder.config, pack(
+        {k: v for k, v in encoder.params.items() if momentum_tracks(k)}
+    ))
     check_twin(encoder, twin)
     return twin
 
@@ -314,20 +305,17 @@ def ema_update(
 ) -> EncoderParams:
     """One exponential-moving-average step: xi' = mu * xi + (1 - mu) * theta.
 
-    Applied in place to every tracked parameter and buffer, each set as
-    one array; returns the twin. ``mu`` must lie in [0, 1]; mu=1 leaves
-    the twin bit-identical, mu=0 copies the encoder.
+    Applied in place to every tracked parameter, as one array; returns the
+    twin. ``mu`` must lie in [0, 1]; mu=1 leaves the twin bit-identical,
+    mu=0 copies the encoder.
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"momentum coefficient must lie in [0, 1], got {mu}")
-    for twin, base in (
-        (momentum.params.flat, encoder.params.flat),
-        (momentum.buffers.flat, encoder.buffers.flat),
-    ):
-        for b in blocks(twin.size):
-            xi = twin[b]
-            xi *= mu
-            xi += (1.0 - mu) * base[b]
+    twin, base = momentum.params.flat, encoder.params.flat
+    for b in blocks(twin.size):
+        xi = twin[b]
+        xi *= mu
+        xi += (1.0 - mu) * base[b]
     return momentum
 
 
@@ -402,97 +390,52 @@ def forward_backbone(
     return rep
 
 
-def _batch_norm(
-    x: Tensor,
-    tv: Mapping[str, Tensor],
-    buffers: dict[str, np.ndarray],
-    name: str,
-    config: ViTConfig,
-    train: bool,
-    update_stats: bool,
-) -> Tensor:
-    """1-D batch norm over axis 0, with the affine ``name.gamma`` and
-    ``name.beta`` where ``tv`` holds them.
-
-    Training mode normalises by batch statistics; eval mode by the stored
-    running statistics. ``update_stats`` folds the fresh batch statistics
-    into the buffers (momentum ``bn_momentum``, unbiased variance), and is
-    kept off for momentum-twin forwards so only ``ema_update`` moves the
-    twin.
-    """
-    eps = config.bn_eps
-    if train:
-        mu = ad.mean(x, axis=0, keepdims=True)
-        xc = ad.sub(x, mu)
-        var = ad.mean(ad.mul(xc, xc), axis=0, keepdims=True)
-        xhat = ad.div(xc, ad.sqrt(ad.add(var, eps)))
-        if update_stats:
-            n = x.data.shape[0]
-            correction = n / (n - 1) if n > 1 else 1.0
-            mom = config.bn_momentum
-            # in place, so the buffers stay views of their set's array
-            buffers[name + ".mean"][...] = (
-                mom * buffers[name + ".mean"] + (1.0 - mom) * mu.data.reshape(-1)
-            )
-            buffers[name + ".var"][...] = (
-                mom * buffers[name + ".var"]
-                + (1.0 - mom) * correction * var.data.reshape(-1)
-            )
-    else:
-        mean_c = buffers[name + ".mean"]
-        var_c = buffers[name + ".var"]
-        xhat = ad.div(ad.sub(x, mean_c), np.sqrt(var_c + eps))
+def _batch_norm(x: Tensor, tv: Mapping[str, Tensor], name: str, eps: float) -> Tensor:
+    """1-D batch norm over axis 0 by the batch statistics, with the affine
+    ``name.gamma`` and ``name.beta`` where ``tv`` holds them."""
+    mu = ad.mean(x, axis=0, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.mean(ad.mul(xc, xc), axis=0, keepdims=True)
+    xhat = ad.div(xc, ad.sqrt(ad.add(var, eps)))
     if name + ".gamma" in tv:
         xhat = ad.add(ad.mul(xhat, tv[name + ".gamma"]), tv[name + ".beta"])
     return xhat
 
 
-def _mlp_head(config, tv, buffers, x, head: str, layers: int, train, update_stats):
+def _mlp_head(config, tv, x, head: str, layers: int):
     """``layers`` stages of linear+BN, each but the last followed by ReLU."""
     for i in range(1, layers + 1):
         x = ad.matmul(x, tv[f"{head}.fc{i}.w"])
-        x = _batch_norm(x, tv, buffers, f"{head}.bn{i}", config, train, update_stats)
+        x = _batch_norm(x, tv, f"{head}.bn{i}", config.bn_eps)
         if i < layers:
             x = ad.relu(x)
     return x
 
 
-def forward_project(
-    config: ViTConfig,
-    tv: Mapping[str, Tensor],
-    buffers: dict[str, np.ndarray],
-    rep: Tensor,
-    train: bool = True,
-    update_stats: bool = False,
-) -> Tensor:
+def forward_project(config: ViTConfig, tv: Mapping[str, Tensor], rep: Tensor) -> Tensor:
     """Projection head: two linear+BN+ReLU stages, then linear+BN (no affine)."""
-    return _mlp_head(config, tv, buffers, rep, "proj", 3, train, update_stats)
+    return _mlp_head(config, tv, rep, "proj", 3)
 
 
 def forward_heads(
-    config: ViTConfig,
-    tv: Mapping[str, Tensor],
-    buffers: dict[str, np.ndarray],
-    rep: Tensor,
-    train: bool = True,
-    update_stats: bool = False,
+    config: ViTConfig, tv: Mapping[str, Tensor], rep: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Both heads in sequence: returns (projection z, prediction h). The
     prediction head is linear+BN+ReLU, then linear+BN (no affine)."""
-    z = forward_project(config, tv, buffers, rep, train, update_stats)
-    h = _mlp_head(config, tv, buffers, z, "pred", 2, train, update_stats)
-    return z, h
+    z = forward_project(config, tv, rep)
+    return z, _mlp_head(config, tv, z, "pred", 2)
 
 
 CHECKPOINT_MAGIC = b"PMIXCKPT"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2  # version 1 (no checksum) is still read
 _DTYPE_TAGS = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
 
 def write_checkpoint(
     path, config: ViTConfig, blobs: Mapping[str, np.ndarray], meta: dict
 ) -> None:
-    """Binary checkpoint: magic, version, JSON header, named raw blobs.
+    """Binary checkpoint: magic, version, JSON header, named raw blobs, and a
+    CRC-32 of all the bytes before it.
 
     Each blob is stored little-endian in its own precision (64- or 32-bit
     reals), recorded per name in the header so loading is bit-exact for
@@ -514,14 +457,19 @@ def write_checkpoint(
             ],
         }
     ).encode("utf-8")
+    head = CHECKPOINT_MAGIC + struct.pack("<II", _CHECKPOINT_VERSION, len(header))
+    head += header
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", _CHECKPOINT_VERSION, len(header)))
-            f.write(header)
+            f.write(head)
+            crc = zlib.crc32(head)
             for arr, tag in zip(arrays, tags):
-                f.write(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes())
+                # written and summed from one buffer, with no bytes copy
+                buf = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag])
+                f.write(buf)
+                crc = zlib.crc32(buf, crc)
+            f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -532,24 +480,51 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:
-    """Inverse of ``write_checkpoint``; returns (config, blobs, meta)."""
+    """Inverse of ``write_checkpoint``; returns (config, blobs, meta).
+
+    The blobs are read-only views of the one buffer the file is read into.
+    A version-1 file, which has no checksum, still reads: its batch-norm
+    buffer blobs and ``bn_momentum`` are dropped. A short prefix, a header
+    that does not parse or lacks a field, a truncated blob and a checksum
+    mismatch each raise a ``ValueError`` naming ``path``.
+    """
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-        version, hlen = struct.unpack("<II", f.read(8))
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint version {version}"
-            )
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        config = ViTConfig(**header["config"])
-        blobs: dict[str, np.ndarray] = {}
-        for name, shape, tag in header["blobs"]:
-            dtype = _DTYPE_TAGS[tag]
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
-                raise ValueError(f"{path}: truncated blob {name!r}")
-            blobs[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return config, blobs, header["meta"]
+        data = f.read()
+    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    start = len(CHECKPOINT_MAGIC) + 8
+    if len(data) < start:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    version, hlen = struct.unpack_from("<II", data, len(CHECKPOINT_MAGIC))
+    if version not in (1, _CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    end = len(data) - (4 if version >= 2 else 0)  # where the blobs must stop
+    if start + hlen > end:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(data[start : start + hlen].decode("utf-8"))
+        fields = dict(header["config"])
+        if version == 1:
+            fields.pop("bn_momentum", None)
+        config = ViTConfig(**fields)
+        specs = [(name, tuple(shape), _DTYPE_TAGS[tag])
+                 for name, shape, tag in header["blobs"]]
+        meta = header["meta"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed checkpoint header: {err!r}") from None
+    offset = start + hlen
+    blobs: dict[str, np.ndarray] = {}
+    for name, shape, dtype in specs:
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > end:
+            raise ValueError(f"{path}: truncated blob {name!r}")
+        blobs[name] = np.frombuffer(data, dtype, count, offset).reshape(shape)
+        offset += count * dtype.itemsize
+    if version == 1:
+        blobs = {k: v for k, v in blobs.items()
+                 if not k.startswith(("theta_buf.", "xi_buf."))}
+    elif offset != end:
+        raise ValueError(f"{path}: {end - offset} stray bytes after the last blob")
+    elif zlib.crc32(memoryview(data)[:end]) != struct.unpack_from("<I", data, end)[0]:
+        raise ValueError(f"{path}: checksum mismatch, the checkpoint is corrupted")
+    return config, blobs, meta

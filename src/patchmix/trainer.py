@@ -239,9 +239,9 @@ def train_step(
 
     On a non-finite loss, or a ``ValueError`` from the loss (such as a
     zero-norm embedding row), the step is aborted: a diagnostic is logged,
-    ``state.aborted`` is increased, the rest of the state (including
-    batch-norm buffers) is left untouched, the step's graph is discarded,
-    and the report is None.
+    the step's graph is discarded, the report is None, and ``state.aborted``
+    is increased. The rest of the state is untouched: nothing writes to it
+    before the loss is known to be finite.
     """
     cfg = state.config
     vit = cfg.vit
@@ -276,16 +276,13 @@ def train_step(
     def cast(pb: po.PatchBatch) -> np.ndarray:
         return pb.patches.astype(dtype, copy=False)
 
-    # batch-norm buffers are rolled back if the step aborts
-    buffer_backup = state.encoder.buffers.flat.copy()
-
     # gradient branch through the trained encoder
     tape = Tape()
     tv = enc.bind(state.encoder.params, tape)
 
     def predict(patches: np.ndarray):
         rep = enc.forward_backbone(vit, tv, patches)
-        return enc.forward_heads(vit, tv, state.encoder.buffers, rep, True, True)[1]
+        return enc.forward_heads(vit, tv, rep)[1]
 
     h_mix1 = predict(cast(mixed1.patches))
     h_view2 = predict(cast(pb2))
@@ -295,7 +292,7 @@ def train_step(
 
     def momentum_project(patches: np.ndarray):
         rep = enc.forward_backbone(vit, mtv, patches)
-        return enc.forward_project(vit, mtv, state.momentum.buffers, rep, True, False)
+        return enc.forward_project(vit, mtv, rep)
 
     z_view1 = momentum_project(cast(pb1))
     z_view2 = momentum_project(cast(pb2))
@@ -319,7 +316,6 @@ def train_step(
         abort = str(err)
     if abort is not None:
         tape.discard()
-        state.encoder.buffers.flat[...] = buffer_backup
         state.aborted += 1
         log.warning("step %d aborted: %s", step, abort)
         return state, None
@@ -370,9 +366,7 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
 def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
     sets = {
         "theta.": state.encoder.params,
-        "theta_buf.": state.encoder.buffers,
         "xi.": state.momentum.params,
-        "xi_buf.": state.momentum.buffers,
         "adam_m.": state.opt_m,
         "adam_v.": state.opt_v,
     }
@@ -399,18 +393,16 @@ def _strip(blobs: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
 
 
-def _encoder_from_blobs(vit_cfg, blobs, params: str, buffers: str) -> enc.EncoderParams:
-    return enc.EncoderParams(
-        vit_cfg, enc.pack(_strip(blobs, params)), enc.pack(_strip(blobs, buffers))
-    )
+def _encoder_from_blobs(vit_cfg, blobs, prefix: str) -> enc.EncoderParams:
+    return enc.EncoderParams(vit_cfg, enc.pack(_strip(blobs, prefix)))
 
 
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state``.
 
     The provided config must describe the same backbone and precision; loop
-    counters, both parameter sets, buffers, and optimizer moments come from
-    the file.
+    counters, both parameter sets and the optimizer moments come from the
+    file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     if vit_cfg != cfg.vit:
@@ -423,8 +415,8 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint precision {meta['precision']} does not match "
             f"the configured precision {cfg.precision}"
         )
-    encoder = _encoder_from_blobs(vit_cfg, blobs, "theta.", "theta_buf.")
-    momentum = _encoder_from_blobs(vit_cfg, blobs, "xi.", "xi_buf.")
+    encoder = _encoder_from_blobs(vit_cfg, blobs, "theta.")
+    momentum = _encoder_from_blobs(vit_cfg, blobs, "xi.")
     enc.check_twin(encoder, momentum)
     return TrainState(
         config=cfg,
@@ -447,7 +439,7 @@ def encoder_from_checkpoint(path) -> enc.EncoderParams:
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
     if not _strip(blobs, "theta."):
         raise ValueError(f"{path}: checkpoint holds no encoder parameters")
-    return _encoder_from_blobs(vit_cfg, blobs, "theta.", "theta_buf.")
+    return _encoder_from_blobs(vit_cfg, blobs, "theta.")
 
 
 def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:

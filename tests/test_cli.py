@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
 import io
+import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 from patchmix import autodiff as ad
 from patchmix import cli
+from patchmix import encoder as enc
 from patchmix import kvconfig as kv
 from patchmix import mixing as mx
 
@@ -380,6 +384,29 @@ class TestTrainAndEval:
         assert "checkpoint precision f64" in err
         assert "configured precision f32" in err
         assert not (tmp_path / "train_log.csv").exists()
+
+    @pytest.mark.parametrize("fault", ["flipped_byte", "short_prefix", "no_config"])
+    def test_bad_checkpoint_is_usage_error(self, trained, tmp_path, capsys, fault):
+        _out, ckpt, _log = trained
+        message = {
+            "flipped_byte": "checksum mismatch",
+            "short_prefix": "truncated checkpoint header",
+            "no_config": "malformed checkpoint header: KeyError('config')",
+        }[fault]
+        raw = bytearray(ckpt.read_bytes())
+        if fault == "flipped_byte":
+            raw[-100] ^= 0x01  # inside the last blob
+        elif fault == "short_prefix":
+            raw = raw[:12]
+        else:
+            header = json.dumps({"version": 2, "meta": {}, "blobs": []}).encode()
+            raw = enc.CHECKPOINT_MAGIC + struct.pack("<II", 2, len(header)) + header
+            raw += struct.pack("<I", zlib.crc32(raw))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw)
+        assert quiet_main(["eval-knn"] + eval_overrides(bad)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {message}" in err
 
     def test_eval_without_checkpoint_is_usage_error(self, capsys):
         assert cli.main(["eval-knn"]) == 2

@@ -1,3 +1,9 @@
+import dataclasses
+import json
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +19,15 @@ def micro_params(seed: int = 0) -> enc.EncoderParams:
 def micro_batch(n: int = 2, seed: int = 1) -> po.PatchBatch:
     rng = np.random.default_rng(seed)
     return po.patchify(po.ImageBatch(rng.random((n, 3, 8, 8))), 2)
+
+
+def raw_checkpoint(version: int, header: dict, payload: bytes = b"") -> bytes:
+    """A checkpoint file's bytes, written by hand: a CRC-32 trailer from
+    version 2 on."""
+    head = json.dumps(header).encode()
+    raw = enc.CHECKPOINT_MAGIC + struct.pack("<II", version, len(head)) + head
+    raw += payload
+    return raw + struct.pack("<I", zlib.crc32(raw)) if version >= 2 else raw
 
 
 class TestViTConfig:
@@ -50,12 +65,6 @@ class TestInit:
         assert not any(n.startswith(("proj", "pred")) and n.endswith(".b") for n in names)
         assert params.params["pos_embed"].shape == (1, 17, 32)
         assert params.params["cls_token"].shape == (1, 1, 32)
-
-    def test_buffers_start_at_unit_stats(self):
-        params = micro_params()
-        assert "proj.bn1.mean" in params.buffers
-        np.testing.assert_array_equal(params.buffers["proj.bn1.mean"], 0.0)
-        np.testing.assert_array_equal(params.buffers["proj.bn1.var"], 1.0)
 
     def test_truncated_normal_bounded(self):
         params = micro_params(seed=5)
@@ -115,9 +124,7 @@ class TestForward:
         tape = ad.Tape()
         tv = enc.bind(params.params, tape)
         rep = enc.forward_backbone(params.config, tv, micro_batch(4))
-        z, h = enc.forward_heads(
-            params.config, tv, params.buffers, rep, update_stats=False
-        )
+        z, h = enc.forward_heads(params.config, tv, rep)
         assert z.data.shape == (4, 64) and h.data.shape == (4, 64)
 
     def test_gradients_reach_every_parameter(self):
@@ -125,9 +132,7 @@ class TestForward:
         tape = ad.Tape()
         tv = enc.bind(params.params, tape)
         rep = enc.forward_backbone(params.config, tv, micro_batch(3))
-        z, h = enc.forward_heads(
-            params.config, tv, params.buffers, rep, update_stats=False
-        )
+        z, h = enc.forward_heads(params.config, tv, rep)
         tape.backward(ad.asum(ad.add(ad.asum(z), ad.asum(h))))
         zero = [
             name
@@ -138,51 +143,30 @@ class TestForward:
         ]
         assert zero == [], f"no gradient reached: {zero}"
 
-
-class TestBatchNormBuffers:
-    def test_train_mode_updates_buffers(self):
+    def test_heads_leave_the_encoder_unchanged(self):
         params = micro_params()
-        before = {k: v.copy() for k, v in params.buffers.items()}
-        tv = enc.bind(params.params, None)
-        rep = enc.forward_backbone(params.config, tv, micro_batch(4))
-        enc.forward_heads(
-            params.config, tv, params.buffers, rep, update_stats=True
-        )
-        changed = [k for k in before if not np.array_equal(before[k], params.buffers[k])]
-        assert changed, "train-mode forward must update running stats"
 
-    def test_eval_mode_leaves_buffers(self):
-        params = micro_params()
-        before = {k: v.copy() for k, v in params.buffers.items()}
-        tv = enc.bind(params.params, None)
-        rep = enc.forward_backbone(params.config, tv, micro_batch(4))
-        enc.forward_heads(
-            params.config, tv, params.buffers, rep, update_stats=False
-        )
-        for k in before:
-            np.testing.assert_array_equal(before[k], params.buffers[k])
+        def arrays():
+            sets = [getattr(params, f.name) for f in dataclasses.fields(params)]
+            return [(k, v.tobytes()) for p in sets[1:] for k, v in p.items()]
 
-    def test_unbiased_variance_in_update(self):
-        # one train step with momentum 0.9: new = 0.9*old + 0.1*batch_unbiased
+        before = arrays()
+        for tape in (None, ad.Tape()):
+            tv = enc.bind(params.params, tape)
+            rep = enc.forward_backbone(params.config, tv, micro_batch(4))
+            enc.forward_heads(params.config, tv, rep)
+            enc.forward_project(params.config, tv, rep)
+            assert arrays() == before
+
+    def test_batch_norm_uses_batch_statistics(self):
         params = micro_params()
         tv = enc.bind(params.params, None)
-        pb = micro_batch(8)
-        rep = enc.forward_backbone(params.config, tv, pb)
-        x = rep.data
-        old = params.buffers["proj.bn1.mean"].copy()
-        enc.forward_heads(
-            params.config, tv, params.buffers, rep, update_stats=True
-        )
-        w = params.params["proj.fc1.w"]
-        pre = x @ w
-        expect = 0.9 * old + 0.1 * pre.mean(axis=0)
-        np.testing.assert_allclose(
-            params.buffers["proj.bn1.mean"], expect, atol=1e-12
-        )
-        expect_var = 0.9 * 1.0 + 0.1 * pre.var(axis=0, ddof=1)
-        np.testing.assert_allclose(
-            params.buffers["proj.bn1.var"], expect_var, atol=1e-12
-        )
+        rep = enc.forward_backbone(params.config, tv, micro_batch(8))
+        z = enc.forward_project(params.config, tv, rep).data
+        # the last projection BN has no affine: zero mean and, but for eps,
+        # unit variance over the batch
+        np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
+        assert np.all((z.var(axis=0) < 1.0) & (z.var(axis=0) > 0.99))
 
 
 class TestMomentum:
@@ -229,27 +213,16 @@ class TestMomentum:
             err = np.abs(twin.params[k] - expect).max()
             assert err <= 1e-12
 
-    def test_ema_tracks_buffers(self):
-        params = micro_params()
-        twin = enc.init_momentum(params)
-        params.buffers["proj.bn1.mean"] += 1.0
-        twin = enc.ema_update(params, twin, 0.5)
-        np.testing.assert_allclose(
-            twin.buffers["proj.bn1.mean"],
-            0.5 * 0.0 + 0.5 * params.buffers["proj.bn1.mean"],
-            atol=1e-15,
-        )
-
     def test_ema_updates_the_twin_in_place(self):
         params = micro_params()
         twin = enc.init_momentum(params)
-        flats = (twin.params.flat, twin.buffers.flat)
+        flat = twin.params.flat
         views = [id(v) for v in twin.params.values()]
         for v in params.params.values():
             v += 1.0
         out = enc.ema_update(params, twin, 0.5)
         assert out is twin
-        assert twin.params.flat is flats[0] and twin.buffers.flat is flats[1]
+        assert twin.params.flat is flat
         assert [id(v) for v in twin.params.values()] == views
         np.testing.assert_allclose(
             twin.params["patch_embed.w"], params.params["patch_embed.w"] - 0.5,
@@ -259,19 +232,16 @@ class TestMomentum:
     def test_twin_mirrors_the_encoders_leading_names(self):
         params = micro_params()
         twin = enc.init_momentum(params)
-        for mine, theirs in ((twin.params, params.params),
-                             (twin.buffers, params.buffers)):
-            assert list(mine) == list(theirs)[: len(mine)]
-            np.testing.assert_array_equal(mine.flat, theirs.flat[: mine.flat.size])
+        mine, theirs = twin.params, params.params
+        assert list(mine) == list(theirs)[: len(mine)]
+        np.testing.assert_array_equal(mine.flat, theirs.flat[: mine.flat.size])
         enc.check_twin(params, twin)
 
     def test_twin_that_is_not_a_prefix_is_rejected(self):
         params = micro_params()
         names = sorted(params.params, key=enc.momentum_tracks)  # pred.* first
         shuffled = enc.EncoderParams(
-            params.config,
-            enc.pack({k: params.params[k] for k in names}),
-            params.buffers,
+            params.config, enc.pack({k: params.params[k] for k in names})
         )
         with pytest.raises(ValueError, match="leading params"):
             enc.init_momentum(shuffled)
@@ -302,7 +272,6 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = micro_params(seed=9)
         blobs = {f"theta.{k}": v for k, v in params.params.items()}
-        blobs.update({f"theta_buf.{k}": v for k, v in params.buffers.items()})
         path = tmp_path / "ck.bin"
         enc.write_checkpoint(path, params.config, blobs, {"step": 12})
         cfg, back, meta = enc.read_checkpoint(path)
@@ -360,3 +329,94 @@ class TestCheckpoint:
             enc.write_checkpoint(path, cfg, blobs, {"step": 2})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+    def test_version_2_ends_with_a_checksum_of_all_before(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        enc.write_checkpoint(path, enc.vit_micro(8), {"theta.a": np.ones(4)}, {})
+        raw = path.read_bytes()
+        assert struct.unpack_from("<I", raw, 8)[0] == 2
+        assert struct.unpack("<I", raw[-4:])[0] == zlib.crc32(raw[:-4])
+
+    @pytest.mark.parametrize("where", [-40, -1])  # a blob byte, the checksum
+    def test_flipped_byte_rejected(self, tmp_path, where):
+        path = tmp_path / "ck.bin"
+        enc.write_checkpoint(path, enc.vit_micro(8), {"theta.a": np.ones(8)}, {})
+        raw = bytearray(path.read_bytes())
+        raw[where] ^= 0x01
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checksum mismatch")):
+            enc.read_checkpoint(path)
+
+    def test_stray_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        enc.write_checkpoint(path, enc.vit_micro(8), {"theta.a": np.ones(2)}, {})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4] + b"\0" * 8 + raw[-4:])
+        with pytest.raises(ValueError, match="stray bytes"):
+            enc.read_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [8, 11, 15])
+    def test_short_prefix_rejected(self, tmp_path, keep):
+        path = tmp_path / "short.bin"
+        enc.write_checkpoint(path, enc.vit_micro(8), {}, {})
+        path.write_bytes(path.read_bytes()[:keep])
+        message = re.escape(f"{path}: truncated checkpoint header")
+        with pytest.raises(ValueError, match=message):
+            enc.read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ({"meta": {}, "blobs": []}, "KeyError"),
+            ({"config": {"image_side": 8, "patch_side": 2, "colour": 1},
+              "meta": {}, "blobs": []}, "unexpected keyword argument 'colour'"),
+            ({"config": {"image_side": 8, "patch_side": 2},
+              "meta": {}, "blobs": [["a", [1], "<i8"]]}, "KeyError"),
+        ],
+        ids=["no_config", "unknown_config_key", "unknown_dtype"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, error):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(raw_checkpoint(2, header))
+        message = re.escape(f"{path}: malformed checkpoint header")
+        with pytest.raises(ValueError, match=message):
+            enc.read_checkpoint(path)
+        with pytest.raises(ValueError, match=error):
+            enc.read_checkpoint(path)
+
+    def test_unreadable_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        raw = bytearray(raw_checkpoint(1, {"config": {}, "meta": {}, "blobs": []}))
+        raw[16] = 0xFF  # not UTF-8, not JSON
+        path.write_bytes(raw)
+        message = re.escape(f"{path}: malformed checkpoint header")
+        with pytest.raises(ValueError, match=message):
+            enc.read_checkpoint(path)
+
+    def test_version_1_reads_without_buffers_or_bn_momentum(self, tmp_path):
+        cfg = enc.vit_micro(8)
+        fields = dataclasses.asdict(cfg) | {"bn_momentum": 0.9}
+        blobs = [["theta.a", [2], "<f8"], ["theta_buf.proj.bn1.mean", [3], "<f8"],
+                 ["xi.a", [2], "<f4"], ["xi_buf.proj.bn1.mean", [3], "<f4"]]
+        payload = (np.array([1.0, 2.0]).tobytes() + np.zeros(3).tobytes()
+                   + np.array([3.0, 4.0], np.float32).tobytes()
+                   + np.zeros(3, np.float32).tobytes())
+        path = tmp_path / "v1.bin"
+        path.write_bytes(raw_checkpoint(
+            1, {"version": 1, "config": fields, "meta": {"step": 3}, "blobs": blobs},
+            payload,
+        ))
+        config, back, meta = enc.read_checkpoint(path)
+        assert config == cfg and meta == {"step": 3}
+        assert list(back) == ["theta.a", "xi.a"]
+        np.testing.assert_array_equal(back["theta.a"], [1.0, 2.0])
+        assert back["xi.a"].dtype == np.float32
+
+    def test_blobs_are_read_only_views(self, tmp_path):
+        params = micro_params()
+        path = tmp_path / "ck.bin"
+        enc.write_checkpoint(path, params.config, dict(params.params), {})
+        _, back, _ = enc.read_checkpoint(path)
+        for name, arr in back.items():
+            assert not arr.flags.writeable and not arr.flags.owndata, name
+            np.testing.assert_array_equal(arr, params.params[name])

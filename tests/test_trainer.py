@@ -1,7 +1,10 @@
 import copy
 import csv
+import dataclasses
 import gc
+import json
 import math
+import struct
 import weakref
 
 import numpy as np
@@ -43,6 +46,40 @@ def assert_params_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
     assert a.keys() == b.keys()
     for k in a:
         np.testing.assert_array_equal(a[k], b[k], err_msg=k)
+
+
+def rewrite_as_version1(src, dst) -> None:
+    """Write the checkpoint ``src`` as its version-1 file: no checksum, and
+    batch-norm running statistics (at their initial values) after each
+    encoder's parameters, with ``bn_momentum`` in the config."""
+    vit, blobs, meta = enc.read_checkpoint(src)
+    dtype = blobs["theta.cls_token"].dtype
+    hid, out = vit.head_hidden, vit.head_out
+    stats = {}
+    for bn, width in {"proj.bn1": hid, "proj.bn2": hid, "proj.bn3": out,
+                      "pred.bn1": hid, "pred.bn2": out}.items():
+        stats[bn + ".mean"] = np.zeros(width, dtype)
+        stats[bn + ".var"] = np.ones(width, dtype)
+    ordered = {}
+    for prefix in ("theta.", "theta_buf.", "xi.", "xi_buf.", "adam_m.", "adam_v."):
+        if prefix == "theta_buf.":
+            part = stats
+        elif prefix == "xi_buf.":
+            part = {k: v for k, v in stats.items() if enc.momentum_tracks(k)}
+        else:
+            part = tr._strip(blobs, prefix)
+        ordered.update({prefix + k: v for k, v in part.items()})
+    tag = "<f4" if dtype == np.float32 else "<f8"
+    header = json.dumps({
+        "version": 1,
+        "config": dataclasses.asdict(vit) | {"bn_momentum": 0.9},
+        "meta": meta,
+        "blobs": [[k, list(v.shape), tag] for k, v in ordered.items()],
+    }).encode()
+    payload = b"".join(v.astype(tag).tobytes() for v in ordered.values())
+    with open(dst, "wb") as f:
+        f.write(enc.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)))
+        f.write(header + payload)
 
 
 class TestSchedule:
@@ -299,18 +336,13 @@ class TestTrainStep:
         # exactly ema(theta_new, xi_old)
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
-        xi_old = enc.EncoderParams(
-            cfg.vit,
-            enc.pack(state.momentum.params),
-            enc.pack(state.momentum.buffers),
-        )
+        xi_old = enc.EncoderParams(cfg.vit, enc.pack(state.momentum.params))
         mu = tr.schedule(
             0, state.total_steps, 0, cfg.momentum_mu[0], cfg.momentum_mu[1], "cosine"
         )
         state, _ = tr.train_step(state, micro_batch())
         expected = enc.ema_update(state.encoder, xi_old, mu)
         assert_params_equal(state.momentum.params, expected.params)
-        assert_params_equal(state.momentum.buffers, expected.buffers)
 
     def test_twin_read_before_update_and_written_after(self, monkeypatch):
         state = tr.init_state(micro_config(), 8)
@@ -342,8 +374,7 @@ class TestTrainStep:
 
     def test_non_finite_loss_aborts_without_side_effects(self, monkeypatch):
         state = tr.init_state(micro_config(), 8)
-        params_before = flat_params(state.encoder.params)
-        buffers_before = flat_params(state.encoder.buffers)
+        before = {label: p.flat.tobytes() for label, p in state_sets(state).items()}
 
         def poisoned(cb, **kwargs):
             return ob.LossReport(math.nan, math.nan, math.nan, math.nan), None
@@ -352,9 +383,9 @@ class TestTrainStep:
         state, report = tr.train_step(state, micro_batch())
         assert report is None
         assert state.step == 0
-        assert state.loss_history == []
-        assert_params_equal(state.encoder.params, params_before)
-        assert_params_equal(state.encoder.buffers, buffers_before)
+        assert state.loss_history == [] and state.aborted == 1
+        for label, packed in state_sets(state).items():
+            assert packed.flat.tobytes() == before[label], label
 
     def test_mu_one_freezes_twin(self):
         cfg = micro_config(momentum_mu=(1.0, 1.0))
@@ -414,9 +445,7 @@ class TestTrainStep:
         assert set(tape.deltas) == {np.dtype(np.float32)}
         for group in (
             state.encoder.params,
-            state.encoder.buffers,
             state.momentum.params,
-            state.momentum.buffers,
             state.opt_m,
             state.opt_v,
         ):
@@ -536,7 +565,6 @@ class TestCheckpointing:
         assert loaded.warmup_steps == state.warmup_steps
         assert loaded.loss_history == state.loss_history
         assert_params_equal(loaded.encoder.params, state.encoder.params)
-        assert_params_equal(loaded.encoder.buffers, state.encoder.buffers)
         assert_params_equal(loaded.momentum.params, state.momentum.params)
         assert_params_equal(loaded.opt_m, state.opt_m)
         assert_params_equal(loaded.opt_v, state.opt_v)
@@ -593,6 +621,23 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="precision f64 .* precision f32"):
             tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(precision="f32"))
 
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_version_1_checkpoint_loads(self, tmp_path, precision):
+        cfg = micro_config(precision=precision)
+        state = tr.init_state(cfg, 8)
+        state, _ = tr.train_step(state, micro_batch())
+        tr.save_state(state, tmp_path / "v2.bin")
+        rewrite_as_version1(tmp_path / "v2.bin", tmp_path / "v1.bin")
+        loaded = tr.state_from_checkpoint(tmp_path / "v1.bin", cfg)
+        assert (loaded.step, loaded.aborted) == (state.step, state.aborted)
+        assert loaded.loss_history == state.loss_history
+        for label, packed in state_sets(loaded).items():
+            assert list(packed) == list(state_sets(state)[label]), label
+            assert packed.flat.tobytes() == state_sets(state)[label].flat.tobytes()
+        encoder = tr.encoder_from_checkpoint(tmp_path / "v1.bin")
+        assert encoder.config == cfg.vit
+        assert encoder.params.flat.tobytes() == state.encoder.params.flat.tobytes()
+
     def test_backbone_mismatch_rejected(self, tmp_path):
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
@@ -605,9 +650,7 @@ class TestCheckpointing:
 def state_sets(state: tr.TrainState) -> dict[str, enc.Packed]:
     return {
         "params": state.encoder.params,
-        "buffers": state.encoder.buffers,
         "twin params": state.momentum.params,
-        "twin buffers": state.momentum.buffers,
         "adam m": state.opt_m,
         "adam v": state.opt_v,
     }
@@ -642,11 +685,8 @@ class TestLayout:
             label: (packed.flat, [id(v) for v in packed.values()])
             for label, packed in state_sets(state).items()
         }
-        bn_mean = state.encoder.buffers["proj.bn1.mean"].copy()
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
-        # batch norm wrote its running stats through the views
-        assert not np.array_equal(state.encoder.buffers["proj.bn1.mean"], bn_mean)
         for label, packed in state_sets(state).items():
             flat, ids = before[label]
             assert packed.flat is flat, label
@@ -721,6 +761,17 @@ class TestPretrain:
         mid = tmp_path / "checkpoint_epoch0002.bin"
         tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
         assert (tmp_path / "train_log.csv").read_bytes() == full_log
+
+    def test_resume_in_place_from_a_version_1_checkpoint(self, tmp_path):
+        cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
+        tr.pretrain(cfg, self.small_data(), tmp_path)
+        full_log = (tmp_path / "train_log.csv").read_bytes()
+        final = (tmp_path / "checkpoint_final.bin").read_bytes()
+        mid = tmp_path / "checkpoint_epoch0002.bin"
+        rewrite_as_version1(mid, mid)
+        tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
+        assert (tmp_path / "train_log.csv").read_bytes() == full_log
+        assert (tmp_path / "checkpoint_final.bin").read_bytes() == final
 
     def test_resume_drops_a_row_cut_inside_its_step(self, tmp_path):
         cfg = micro_config(epochs=6, warmup_epochs=1, checkpoint_every=3)
