@@ -8,13 +8,25 @@ constants are never differentiated: tensors built without a tape (or
 passed through ``stop_gradient``), arrays and Python scalars still take
 part in the value but get no gradient computed for them.
 
+The graph holds keys, not tensors. A tensor created on a tape gets an
+integer ``key`` unique on that tape, and a node is ``(output key, [(input
+key, gradient map), ...])``. An activation therefore lives only as long as
+the caller holds its tensor or a gradient map reads it: each map closes
+over exactly the arrays it needs (a shape-only map such as ``add``'s or
+``reshape``'s keeps no array at all).
+
 Because the recording is a topological order of the data flow,
 ``backward`` is a single reverse sweep that pops each node's output
 gradient and pushes one contribution per kept edge onto its input, in the
 order the edges were declared, accumulating additively at fan-out points.
+The first contribution to a key is kept as given, and may be shared with
+another key; the second makes a fresh sum that the tape owns, and later
+ones are added into that sum in place. A basic-key ``take`` contributes a
+slice, which is scattered into the owned sum instead of being widened to
+a full array of zeros first.
 The sweep consumes the graph: it pops the nodes off the tape, so every
-activation and gradient map is freed as soon as its node has run, and the
-tape keeps only the gradients of its leaves.
+gradient map and the arrays it holds are freed as soon as its node has
+run, and the tape keeps only the gradients of its leaves.
 ``backward`` may therefore be called once per tape, and a consumed tape
 records nothing more. A graph that will never be differentiated (an
 aborted training step) is dropped with ``discard``, which consumes the
@@ -33,8 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable, Sequence
+from itertools import accumulate, count
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -77,9 +89,10 @@ _CONSUMED = "this tape is consumed (by backward or discard); record on a new tap
 
 
 class Tensor:
-    """A dense array plus the tape (if any) that is recording it."""
+    """A dense array plus the tape (if any) that is recording it, and the
+    key by which that tape's graph refers to it."""
 
-    __slots__ = ("data", "tape")
+    __slots__ = ("data", "tape", "key")
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data)
@@ -87,6 +100,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.tape = tape
+        self.key = None if tape is None else next(tape._keys)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,16 +122,33 @@ class Tensor:
         return take(self, key)
 
 
+class _Slice(NamedTuple):
+    """A gradient that is zero outside ``[index]`` of an array of
+    ``shape`` and ``dtype``, where it is ``values``."""
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    index: object
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        z = np.zeros(self.shape, self.dtype)
+        z[self.index] = self.values
+        return z
+
+
 class Tape:
     """Execution-ordered record of primitives, replayed backwards for grads."""
 
-    __slots__ = ("_nodes", "_grads")
+    __slots__ = ("_nodes", "_grads", "_owned", "_keys")
 
     def __init__(self):
-        # (output, [(input, vjp), ...]) per primitive, in execution order;
-        # None once backward or discard has consumed them
-        self._nodes: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] | None = []
+        # (output key, [(input key, vjp), ...]) per primitive, in execution
+        # order; None once backward or discard has consumed them
+        self._nodes: list[tuple[int, list[tuple[int, Callable]]]] | None = []
         self._grads: dict[int, np.ndarray] = {}
+        self._owned: set[int] = set()  # keys whose gradient the tape made
+        self._keys = count()
 
     def var(self, data) -> Tensor:
         """Attach a leaf variable to this tape."""
@@ -125,17 +156,37 @@ class Tape:
             raise ValueError(_CONSUMED)
         return Tensor(data, self)
 
-    def _accumulate(self, t: Tensor, delta: np.ndarray):
-        key = id(t)
+    def _accumulate(self, key: int, delta):
+        """Add one contribution (an array or a ``_Slice``) to a gradient.
+
+        Only an array the tape made is written in place: a first
+        contribution is stored as given and may be shared with another key.
+        """
         cur = self._grads.get(key)
-        self._grads[key] = delta if cur is None else cur + delta
+        if key in self._owned and cur.dtype == delta.dtype:
+            if isinstance(delta, _Slice):
+                cur[delta.index] += delta.values
+            else:
+                cur += delta
+            return
+        made = isinstance(delta, _Slice)
+        if made:
+            delta = delta.dense()
+        if cur is not None:
+            delta, made = cur + delta, True
+        self._grads[key] = delta
+        if made and type(delta) is np.ndarray:  # 0-d operands sum to a scalar
+            self._owned.add(key)
 
     def backward(self, loss: Tensor):
         """Propagate d(loss)/d(tensor) to every tensor recorded on this tape.
 
         ``loss`` must be scalar. The sweep consumes the recorded graph,
-        freeing each node once it has run, so it may be called once per
-        tape; gradients of leaves are then available through ``grad``.
+        freeing each node (its keys and gradient maps) once it has run, so
+        it may be called once per tape; gradients of leaves are then
+        available through ``grad``. The tape writes only into gradient
+        arrays it made itself: sums of two or more contributions and the
+        zeros a slice is scattered into.
         """
         if self._nodes is None:
             raise ValueError(_CONSUMED)
@@ -146,28 +197,34 @@ class Tape:
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
         nodes, self._nodes = self._nodes, None
-        self._grads = {id(loss): np.ones_like(loss.data)}
+        self._grads = {loss.key: np.ones_like(loss.data)}
         while nodes:
             out, edges = nodes.pop()
-            g = self._grads.pop(id(out), None)
+            g = self._grads.pop(out, None)
             if g is None:
                 continue  # not an ancestor of the loss
-            for t, vjp in edges:
-                self._accumulate(t, vjp(g))
+            self._owned.discard(out)
+            for key, vjp in edges:
+                self._accumulate(key, vjp(g))
 
     def discard(self):
         """Drop the recorded graph without a backward sweep.
 
-        The nodes and the activations they hold are freed at once, instead
-        of waiting in the tape's reference cycle for the cyclic GC; the
-        tape is consumed, as after ``backward``, and has no gradients.
+        The nodes and the arrays their gradient maps hold are freed at
+        once, even while the tape itself is still referenced; the tape is
+        consumed, as after ``backward``, and has no gradients.
         """
-        self._nodes, self._grads = None, {}
+        self._nodes, self._grads, self._owned = None, {}, set()
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient for ``t`` after backward; zeros if the loss ignores it."""
-        # a tensor of another tape may reuse the id of one freed by backward
-        g = self._grads.get(id(t)) if t.tape is self else None
+        """Gradient for ``t`` after backward; zeros if the loss ignores it.
+
+        Keys restart on every tape, so a tensor of another tape (or none)
+        gets zeros. The array returned may be shared with the gradient of
+        another tensor of this tape, so a caller that writes to it should
+        copy it first.
+        """
+        g = self._grads.get(t.key) if t.tape is self else None
         return np.zeros_like(t.data) if g is None else g
 
 
@@ -187,11 +244,11 @@ def _node(value, *edges) -> Tensor:
             elif t.tape is not tape:
                 raise ValueError("operands were recorded on different tapes")
             kept.append(edge)
+    if kept and tape._nodes is None:
+        raise ValueError(_CONSUMED)
     out = Tensor(value, tape)
     if kept:
-        if tape._nodes is None:
-            raise ValueError(_CONSUMED)
-        tape._nodes.append((out, kept))
+        tape._nodes.append((out.key, [(t.key, vjp) for t, vjp in kept]))
     return out
 
 
@@ -241,15 +298,17 @@ def matmul(a, b) -> Tensor:
             f"matmul inner dimensions differ: {av.shape} @ {bv.shape}"
         )
 
+    a_shape, b_shape = av.shape, bv.shape
+
     def grad_b(g):
-        if bv.ndim == 2:
-            k, n = bv.shape
+        if len(b_shape) == 2:
+            k, n = b_shape
             return av.reshape(-1, k).T @ g.reshape(-1, n)
-        return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
+        return _unbroadcast(np.swapaxes(av, -1, -2) @ g, b_shape)
 
     return _node(
         av @ bv,
-        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)),
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a_shape)),
         (b, grad_b),
     )
 
@@ -271,47 +330,52 @@ def linear(a, w, b) -> Tensor:
         raise ValueError(f"a {bv.dtype} bias would promote the {ov.dtype} product")
     ov += bv
     k, n = wv.shape
+    b_shape = bv.shape
     return _node(
         ov,
         (a, lambda g: g @ wv.T),
         (w, lambda g: av.reshape(-1, k).T @ g.reshape(-1, n)),
-        (b, lambda g: _unbroadcast(g, bv.shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     )
 
 
 def add(a, b) -> Tensor:
     av, bv = _operands(a, b)
+    a_shape, b_shape = av.shape, bv.shape
     return _node(
         av + bv,
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(g, bv.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     )
 
 
 def sub(a, b) -> Tensor:
     av, bv = _operands(a, b)
+    a_shape, b_shape = av.shape, bv.shape
     return _node(
         av - bv,
-        (a, lambda g: _unbroadcast(g, av.shape)),
-        (b, lambda g: _unbroadcast(-g, bv.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(-g, b_shape)),
     )
 
 
 def mul(a, b) -> Tensor:
     av, bv = _operands(a, b)
+    a_shape, b_shape = av.shape, bv.shape
     return _node(
         av * bv,
-        (a, lambda g: _unbroadcast(g * bv, av.shape)),
-        (b, lambda g: _unbroadcast(g * av, bv.shape)),
+        (a, lambda g: _unbroadcast(g * bv, a_shape)),
+        (b, lambda g: _unbroadcast(g * av, b_shape)),
     )
 
 
 def div(a, b) -> Tensor:
     av, bv = _operands(a, b)
+    a_shape, b_shape = av.shape, bv.shape
     return _node(
         av / bv,
-        (a, lambda g: _unbroadcast(g / bv, av.shape)),
-        (b, lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape)),
+        (a, lambda g: _unbroadcast(g / bv, a_shape)),
+        (b, lambda g: _unbroadcast(-g * av / (bv * bv), b_shape)),
     )
 
 
@@ -380,10 +444,11 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         return inv * (dxhat - m1 - xhat * m2)
 
+    g_shape, b_shape = gv.shape, bv.shape
     return _node(
         xhat * gv + bv,
-        (gain, lambda g: _unbroadcast(g * xhat, gv.shape)),
-        (bias, lambda g: _unbroadcast(g, bv.shape)),
+        (gain, lambda g: _unbroadcast(g * xhat, g_shape)),
+        (bias, lambda g: _unbroadcast(g, b_shape)),
         (a, grad_a),
     )
 
@@ -400,10 +465,11 @@ def _expand_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
 def asum(a, axis=None, keepdims: bool = False) -> Tensor:
     """Sum over ``axis`` (all axes when None)."""
     av = _value(a)
+    shape = av.shape
 
     def grad(g):
-        gg = _expand_axes(np.asarray(g), av.shape, axis, keepdims)
-        return np.broadcast_to(gg, av.shape).copy()
+        gg = _expand_axes(np.asarray(g), shape, axis, keepdims)
+        return np.broadcast_to(gg, shape).copy()
 
     return _node(av.sum(axis=axis, keepdims=keepdims), (a, grad))
 
@@ -411,11 +477,11 @@ def asum(a, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     av = _value(a)
     ov = av.mean(axis=axis, keepdims=keepdims)
-    count = av.size / ov.size
+    shape, count = av.shape, av.size / ov.size
 
     def grad(g):
-        gg = _expand_axes(np.asarray(g), av.shape, axis, keepdims)
-        return np.broadcast_to(gg, av.shape) / count
+        gg = _expand_axes(np.asarray(g), shape, axis, keepdims)
+        return np.broadcast_to(gg, shape) / count
 
     return _node(ov, (a, grad))
 
@@ -429,7 +495,8 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     av = _value(a)
-    return _node(av.reshape(shape), (a, lambda g: g.reshape(av.shape)))
+    a_shape = av.shape
+    return _node(av.reshape(shape), (a, lambda g: g.reshape(a_shape)))
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
@@ -449,9 +516,10 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     av = _value(a)
+    a_shape = av.shape
     return _node(
         np.broadcast_to(av, tuple(shape)).copy(),
-        (a, lambda g: _unbroadcast(g, av.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
     )
 
 
@@ -471,18 +539,19 @@ def _is_basic_key(key) -> bool:
 def take(a, key) -> Tensor:
     """Indexing (ints, slices, index arrays); gradients scatter back.
 
-    A basic key selects each element at most once, so its gradient is a
-    plain assignment. Repeated indices in an index-array key accumulate
-    their gradients, which plain ``z[key] += g`` would silently drop.
+    A basic key selects each element at most once, so its gradient is the
+    slice itself, which the tape scatters into the input's gradient.
+    Repeated indices in an index-array key accumulate their gradients,
+    which plain ``z[key] += g`` would silently drop.
     """
     av = _value(a)
+    shape, dtype = av.shape, av.dtype
+    if _is_basic_key(key):
+        return _node(av[key], (a, lambda g: _Slice(shape, dtype, key, g)))
 
     def grad(g):
-        z = np.zeros_like(av)
-        if _is_basic_key(key):
-            z[key] = g
-        else:
-            np.add.at(z, key, g)
+        z = np.zeros(shape, dtype)
+        np.add.at(z, key, g)
         return z
 
     return _node(av[key], (a, grad))
@@ -502,9 +571,10 @@ def gather(a, index) -> Tensor:
             f"and {idx.shape}"
         )
     rows = np.arange(av.shape[0])[:, None]
+    shape, dtype = av.shape, av.dtype
 
     def grad(g):
-        z = np.zeros_like(av)
+        z = np.zeros(shape, dtype)
         np.add.at(z, (rows, idx), g)
         return z
 

@@ -1,13 +1,16 @@
 """The pretraining loop: schedules, AdamW, and the per-step procedure.
 
 One training step runs, in this order: augment the batch into two views;
-patch-mix each view under its own fresh permutation; push the first view's
-mix and the second view's original through the trained encoder with both
-heads (gradients on); push the first view, second view, and second view's
-mix through the momentum twin, projection only, gradients off; evaluate
-the three-part loss; update the encoder with AdamW; finally advance the
-momentum twin by EMA. The twin is read strictly before the optimizer
-update and written strictly after it.
+patch-mix each view under its own fresh permutation; push the first view,
+second view, and second view's mix through the momentum twin, projection
+only, gradients off; push the first view's mix and the second view's
+original through the trained encoder with both heads (gradients on);
+evaluate the three-part loss; update the encoder with AdamW; finally
+advance the momentum twin by EMA. The twin runs before the taped passes,
+so its transient arrays are freed before the tape's activations pile up;
+it is read strictly before the optimizer update and written strictly
+after it. No forward pass draws randomness, so their order changes no
+value.
 
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
@@ -276,6 +279,18 @@ def train_step(
     def cast(pb: po.PatchBatch) -> np.ndarray:
         return pb.patches.astype(dtype, copy=False)
 
+    # momentum branch, read before the optimizer touches the encoder and
+    # run before the tape is filled
+    mtv = enc.bind(state.momentum.params, None)
+
+    def momentum_project(patches: np.ndarray):
+        rep = enc.forward_backbone(vit, mtv, patches)
+        return enc.forward_project(vit, mtv, rep)
+
+    z_view1 = momentum_project(cast(pb1))
+    z_view2 = momentum_project(cast(pb2))
+    z_mix2 = momentum_project(cast(mixed2.patches))
+
     # gradient branch through the trained encoder
     tape = Tape()
     tv = enc.bind(state.encoder.params, tape)
@@ -286,17 +301,6 @@ def train_step(
 
     h_mix1 = predict(cast(mixed1.patches))
     h_view2 = predict(cast(pb2))
-
-    # momentum branch, read before the optimizer touches the encoder
-    mtv = enc.bind(state.momentum.params, None)
-
-    def momentum_project(patches: np.ndarray):
-        rep = enc.forward_backbone(vit, mtv, patches)
-        return enc.forward_project(vit, mtv, rep)
-
-    z_view1 = momentum_project(cast(pb1))
-    z_view2 = momentum_project(cast(pb2))
-    z_mix2 = momentum_project(cast(mixed2.patches))
 
     cb = ob.ContrastBatch(
         h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
@@ -349,14 +353,16 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
             f"{cfg.batch_size}"
         )
     encoder = enc.init_encoder(cfg.vit, _derive_rng(cfg.seed, _RNG_INIT, 0), cfg.dtype)
+    flat = encoder.params.flat
     return TrainState(
         config=cfg,
         step=0,
         epoch=0,
         encoder=encoder,
         momentum=enc.init_momentum(encoder),
-        opt_m=enc.Packed(encoder.params.shapes, np.zeros_like(encoder.params.flat)),
-        opt_v=enc.Packed(encoder.params.shapes, np.zeros_like(encoder.params.flat)),
+        # np.zeros leaves fresh pages unwritten, where zeros_like fills them
+        opt_m=enc.Packed(encoder.params.shapes, np.zeros(flat.shape, flat.dtype)),
+        opt_v=enc.Packed(encoder.params.shapes, np.zeros(flat.shape, flat.dtype)),
         decay=decay_mask(encoder.params),
         total_steps=cfg.epochs * steps_per_epoch,
         warmup_steps=cfg.warmup_epochs * steps_per_epoch,
@@ -397,14 +403,25 @@ def _encoder_from_blobs(vit_cfg, blobs, prefix: str) -> enc.EncoderParams:
     return enc.EncoderParams(vit_cfg, enc.pack(_strip(blobs, prefix)))
 
 
+# the meta keys that state_from_checkpoint cannot do without
+_STATE_META = ("precision", "step", "epoch", "total_steps", "warmup_steps")
+
+
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state``.
 
     The provided config must describe the same backbone and precision; loop
     counters, both parameter sets and the optimizer moments come from the
-    file.
+    file. A checkpoint whose meta lacks a loop counter or the precision
+    (one not written by ``save_state``) is a ``ValueError`` naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
+    missing = [k for k in _STATE_META if k not in meta]
+    if missing:
+        raise ValueError(
+            f"{path}: checkpoint meta lacks {', '.join(missing)}; it does not "
+            f"hold a training state"
+        )
     if vit_cfg != cfg.vit:
         raise ValueError(
             f"{path}: checkpoint backbone {vit_cfg} does not match the "

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -545,17 +547,20 @@ class TestLinear:
         targets = []
 
         class RecordingTape(ad.Tape):
-            def _accumulate(self, t, delta):
-                targets.append(t)
-                super()._accumulate(t, delta)
+            def _accumulate(self, key, delta):
+                targets.append(key)
+                super()._accumulate(key, delta)
 
         rng = np.random.default_rng(17)
         tape = RecordingTape()
         w, b = tape.var(rng.random((4, 3))), tape.var(rng.random(3))
         x = ad.Tensor(rng.random((2, 5, 4)))
-        tape.backward(ad.asum(ad.linear(x, w, b)))
-        assert all(t.tape is tape for t in targets)
-        assert {id(w), id(b)} <= {id(t) for t in targets}
+        out = ad.linear(x, w, b)
+        tape.backward(ad.asum(out))
+        # the keys of every tensor of this tape below the loss; x has none
+        taped = {w.key, b.key, out.key}
+        assert all(key in taped for key in targets)
+        assert {w.key, b.key} <= set(targets)
 
     def test_weight_must_be_2d(self):
         with pytest.raises(ValueError, match="2-D weight"):
@@ -576,3 +581,81 @@ class TestScalarOperands:
         x = ad.Tensor(np.ones(3, dtype=np.float32))
         assert op(x, 2.0).dtype == np.float32
         assert op(3, x).dtype == np.float32
+
+
+class TestGraphByKey:
+    def test_unread_activation_is_freed_when_dropped(self):
+        rng = np.random.default_rng(18)
+        tape = ad.Tape()
+        x, y = tape.var(rng.random((3, 4))), tape.var(rng.random((3, 4)))
+        h = ad.add(x, y)  # a residual sum that only a shape-only map follows
+        ref = weakref.ref(h.data)
+        out = ad.scale(h, 2.0)
+        del h
+        assert ref() is None
+        tape.backward(ad.asum(out))
+        np.testing.assert_array_equal(tape.grad(x), np.full((3, 4), 2.0))
+        np.testing.assert_array_equal(tape.grad(y), np.full((3, 4), 2.0))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda h: ad.add(h, 1.0),
+            lambda h: ad.sub(1.0, h),
+            lambda h: ad.mean(h, axis=0),
+            lambda h: ad.asum(h, axis=1, keepdims=True),
+            lambda h: ad.broadcast_to(h, (2, 3, 4)),
+            lambda h: ad.take(h, np.array([2, 0, 2])),
+            lambda h: ad.gather(h, np.array([[0, 3], [1, 1], [2, 0]])),
+        ],
+        ids=["add", "sub", "mean", "asum", "broadcast_to", "take", "gather"],
+    )
+    def test_shape_only_maps_keep_no_input(self, op):
+        tape = ad.Tape()
+        x = tape.var(np.arange(12.0).reshape(3, 4))
+        h = ad.scale(x, 1.5)
+        ref = weakref.ref(h.data)
+        out = op(h)
+        del h
+        assert ref() is None
+        tape.backward(ad.asum(out))
+        assert tape.grad(x).shape == (3, 4)
+
+    def test_shared_first_contribution_is_never_written(self):
+        rng = np.random.default_rng(19)
+        a0, b0, c, d, w = (rng.standard_normal((3, 4)) for _ in range(5))
+        tape = ad.Tape()
+        a, b = tape.var(a0), tape.var(b0)
+        p = ad.mul(a, d)  # a's third contribution
+        q = ad.mul(a, c)  # a's second contribution
+        s = ad.add(a, b)  # hands one gradient to a and b: their first
+        tape.backward(ad.asum(ad.mul(ad.add(ad.add(p, q), s), w)))
+        g = np.ones((3, 4)) * w
+        np.testing.assert_array_equal(tape.grad(b), g)
+        np.testing.assert_array_equal(tape.grad(a), (g + g * c) + g * d)
+
+    def test_slices_scatter_into_one_gradient(self):
+        rng = np.random.default_rng(20)
+        a0 = rng.standard_normal((3, 2, 5))
+        ws = [rng.standard_normal((2, 5)) for _ in range(3)]
+        tape = ad.Tape()
+        x = tape.var(a0)
+        parts = [ad.mul(ad.take(x, i), w) for i, w in enumerate(ws)]
+        full = ad.mul(x, 2.0)  # a dense contribution after the slices
+        tape.backward(ad.add(ad.asum(ad.concat(parts)), ad.asum(full)))
+        dense = []
+        for i, w in enumerate(ws):
+            z = np.zeros_like(a0)
+            z[i] = w
+            dense.append(z)
+        expect = np.full_like(a0, 2.0) + dense[2] + dense[1] + dense[0]
+        np.testing.assert_array_equal(tape.grad(x), expect)
+
+    def test_keys_restart_on_every_tape(self):
+        first, second = ad.Tape(), ad.Tape()
+        x = first.var(np.ones(2))
+        y = second.var(np.ones(2))
+        assert x.key == y.key
+        first.backward(ad.asum(ad.scale(x, 3.0)))
+        np.testing.assert_array_equal(first.grad(x), [3.0, 3.0])
+        np.testing.assert_array_equal(first.grad(y), np.zeros(2))

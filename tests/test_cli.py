@@ -408,6 +408,24 @@ class TestTrainAndEval:
         err = capsys.readouterr().err
         assert f"error: {bad}: {message}" in err
 
+    def test_resume_from_checkpoint_without_state_meta_is_usage_error(
+        self, trained, tmp_path, capsys
+    ):
+        _out, ckpt, _log = trained
+        vit_cfg, blobs, _meta = enc.read_checkpoint(ckpt)
+        bad = tmp_path / "no_meta.bin"
+        enc.write_checkpoint(bad, vit_cfg, blobs, {})
+        out = tmp_path / "run"
+        code = quiet_main(
+            ["pretrain", "--out", str(out)]
+            + ["--override", f"train.resume={bad}"]
+            + ["--override", "data.train_per_class=8"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: checkpoint meta lacks precision, step" in err
+        assert not (out / "train_log.csv").exists()
+
     def test_eval_without_checkpoint_is_usage_error(self, capsys):
         assert cli.main(["eval-knn"]) == 2
         assert "eval.checkpoint" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -425,22 +426,28 @@ class TestTrainStep:
             def __init__(self):
                 super().__init__()
                 self.deltas = []
+                self.outputs = []  # the dtype of every node's output
                 tapes.append(self)
 
-            def _accumulate(self, t, delta):
-                self.deltas.append(np.asarray(delta).dtype)
-                super()._accumulate(t, delta)
+            def _accumulate(self, key, delta):
+                self.deltas.append(delta.dtype)
+                super()._accumulate(key, delta)
 
-            def backward(self, loss):
-                self.nodes = list(self._nodes)  # backward consumes them
-                super().backward(loss)
+        node = ad._node
+
+        def recording_node(value, *edges):
+            out = node(value, *edges)
+            if isinstance(out.tape, RecordingTape):
+                out.tape.outputs.append(out.data.dtype)
+            return out
 
         monkeypatch.setattr(tr, "Tape", RecordingTape)
+        monkeypatch.setattr(ad, "_node", recording_node)
         state = tr.init_state(micro_config(precision="f32"), 8)
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
         (tape,) = tapes
-        outputs = {out.data.dtype for out, _backward in tape.nodes}
+        outputs = set(tape.outputs)
         assert outputs == {np.dtype(np.float32)}
         assert set(tape.deltas) == {np.dtype(np.float32)}
         for group in (
@@ -458,13 +465,28 @@ class TestTrainStep:
             def __init__(self):
                 super().__init__()
                 self.targets = []
+                self.keys = set()  # the key of every tensor of this tape
                 tapes.append(self)
 
-            def _accumulate(self, t, delta):
-                self.targets.append(t)
-                super()._accumulate(t, delta)
+            def var(self, data):
+                t = super().var(data)
+                self.keys.add(t.key)
+                return t
+
+            def _accumulate(self, key, delta):
+                self.targets.append(key)
+                super()._accumulate(key, delta)
+
+        node = ad._node
+
+        def recording_node(value, *edges):
+            out = node(value, *edges)
+            if isinstance(out.tape, RecordingTape):
+                out.tape.keys.add(out.key)
+            return out
 
         monkeypatch.setattr(tr, "Tape", RecordingTape)
+        monkeypatch.setattr(ad, "_node", recording_node)
         state = tr.init_state(micro_config(), 8)
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
@@ -472,7 +494,7 @@ class TestTrainStep:
         assert tape.targets
         # constants never get a delta: the patch inputs, the momentum twin's
         # outputs, the mix weights and scalars such as batch-norm eps
-        assert all(getattr(t, "tape", None) is tape for t in tape.targets)
+        assert all(key in tape.keys for key in tape.targets)
 
     def test_step_frees_its_tape_on_return(self, monkeypatch):
         refs = []
@@ -551,6 +573,25 @@ class TestTrainStep:
         assert report is not None
         assert nodes[0] <= 223 and len(calls) <= 466, (nodes, len(calls))
 
+    def test_step_peak_allocation_budget(self):
+        """Guards the memory a step keeps alive at once: the graph holds
+        only the arrays its gradient maps read, and the momentum twin runs
+        before the tape fills. A graph that keeps every node's output took
+        16.2 MiB here; this one takes 10.0 MiB."""
+        cfg = micro_config(batch_size=32)
+        state = tr.init_state(cfg, 32)
+        batch = micro_batch(32)
+        state, report = tr.train_step(state, batch)  # warm-up
+        assert report is not None
+        tracemalloc.start()
+        try:
+            state, report = tr.train_step(state, batch)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report is not None
+        assert peak <= 12 * 2**20, f"{peak / 2**20:.1f} MiB"
+
 
 class TestCheckpointing:
     def test_save_and_reload_round_trips(self, tmp_path):
@@ -614,6 +655,24 @@ class TestCheckpointing:
         b, rb = tr.train_step(b, micro_batch(seed=1))
         assert ra == rb
         assert_params_equal(a.encoder.params, b.encoder.params)
+
+    STATE_META = ("precision", "step", "epoch", "total_steps", "warmup_steps")
+
+    @pytest.mark.parametrize("dropped", [STATE_META, ("step", "warmup_steps")])
+    def test_incomplete_meta_rejected(self, tmp_path, dropped):
+        cfg = micro_config()
+        tr.save_state(tr.init_state(cfg, 8), tmp_path / "full.bin")
+        vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "full.bin")
+        meta = {k: v for k, v in meta.items() if k not in dropped}
+        path = tmp_path / "partial.bin"
+        enc.write_checkpoint(path, vit_cfg, blobs, meta)
+        with pytest.raises(ValueError) as err:
+            tr.state_from_checkpoint(path, cfg)
+        head, listed = str(err.value).split(" lacks ", 1)
+        assert head == f"{path}: checkpoint meta"
+        assert listed.split(";")[0].split(", ") == [
+            k for k in self.STATE_META if k in dropped
+        ]
 
     def test_precision_mismatch_rejected(self, tmp_path):
         cfg = micro_config()
