@@ -15,39 +15,10 @@ The package is organised as a small numpy library:
 - ``datasets``: CIFAR binary loading and synthetic blob generation
 - ``cli``: command-line entry points
 
-Submodules are imported lazily so that process-level knobs (thread counts)
-can be set by the CLI before numpy is first loaded.
+The package imports none of its submodules: import the one you need
+(``from patchmix import trainer``). So ``import patchmix.cli`` loads no
+numpy, and the CLI can set process-level knobs (thread counts) before
+numpy is first loaded.
 """
 
-from __future__ import annotations
-
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "patch_ops",
-    "mixing",
-    "autodiff",
-    "encoder",
-    "augment",
-    "objectives",
-    "trainer",
-    "evaluation",
-    "datasets",
-    "kvconfig",
-    "imgio",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -536,25 +536,32 @@ def _is_basic_key(key) -> bool:
     )
 
 
-def take(a, key) -> Tensor:
-    """Indexing (ints, slices, index arrays); gradients scatter back.
-
-    A basic key selects each element at most once, so its gradient is the
-    slice itself, which the tape scatters into the input's gradient.
-    Repeated indices in an index-array key accumulate their gradients,
-    which plain ``z[key] += g`` would silently drop.
-    """
-    av = _value(a)
+def _scatter_add(av: np.ndarray, key):
+    """The gradient map of ``av[key]`` for an advanced ``key``: a zero array
+    of ``av``'s shape and dtype with the gradient added at ``key``, so that
+    repeated indices accumulate, which plain ``z[key] += g`` would drop."""
     shape, dtype = av.shape, av.dtype
-    if _is_basic_key(key):
-        return _node(av[key], (a, lambda g: _Slice(shape, dtype, key, g)))
 
     def grad(g):
         z = np.zeros(shape, dtype)
         np.add.at(z, key, g)
         return z
 
-    return _node(av[key], (a, grad))
+    return grad
+
+
+def take(a, key) -> Tensor:
+    """Indexing (ints, slices, index arrays); gradients scatter back.
+
+    A basic key selects each element at most once, so its gradient is the
+    slice itself, which the tape scatters into the input's gradient; an
+    index-array key scatters through ``_scatter_add``.
+    """
+    av = _value(a)
+    if _is_basic_key(key):
+        shape, dtype = av.shape, av.dtype
+        return _node(av[key], (a, lambda g: _Slice(shape, dtype, key, g)))
+    return _node(av[key], (a, _scatter_add(av, key)))
 
 
 def gather(a, index) -> Tensor:
@@ -570,15 +577,8 @@ def gather(a, index) -> Tensor:
             f"gather expects a [N, C] array and [N, K] index, got {av.shape} "
             f"and {idx.shape}"
         )
-    rows = np.arange(av.shape[0])[:, None]
-    shape, dtype = av.shape, av.dtype
-
-    def grad(g):
-        z = np.zeros(shape, dtype)
-        np.add.at(z, (rows, idx), g)
-        return z
-
-    return _node(av[rows, idx], (a, grad))
+    key = (np.arange(av.shape[0])[:, None], idx)
+    return _node(av[key], (a, _scatter_add(av, key)))
 
 
 def l2_normalize(a, axis: int = -1) -> Tensor:
@@ -601,8 +601,6 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
 
 def stop_gradient(a) -> Tensor:
     """Detach from any tape; values are the same array, bit for bit."""
-    if isinstance(a, Tensor):
-        return Tensor(a.data, None)
     return Tensor(_value(a), None)
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 The only environment variable honored is PATCHMIX_THREADS (BLAS/OpenMP
 thread count); it must be applied before numpy is first imported, which
-is why this module and the package __init__ import lazily.
+is why this module imports the numerical modules inside the commands
+that use them and the package __init__ imports no submodule.
 """
 
 from __future__ import annotations
@@ -79,16 +80,6 @@ DEFAULTS: dict = {
     "check.step": 1e-3,
     "check.tolerance": 1e-4,
 }
-
-COMMANDS = (
-    "pretrain",
-    "eval-knn",
-    "eval-linear",
-    "mix-demo",
-    "oracle-check",
-    "grad-check",
-    "attn-dump",
-)
 
 
 def apply_thread_env() -> None:
@@ -614,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Patch-mixing contrastive pretraining and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", metavar="PATH", default=None)
         p.add_argument("--seed", metavar="U64", type=int, default=0)

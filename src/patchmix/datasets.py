@@ -65,15 +65,6 @@ class LabeledDataset:
     def count(self) -> int:
         return self.images.shape[0]
 
-    def subset(self, index: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            self.images[index],
-            self.labels[index],
-            self.split,
-            self.num_classes,
-            self.template_margin,
-        )
-
 
 def _reject_imagenet(path: Path) -> None:
     if "imagenet" in str(path).lower():
@@ -112,6 +103,8 @@ def load_cifar_binary(
     """
     if variant not in _LABEL_BYTES:
         raise ValueError(f"unknown variant {variant!r}; use cifar10 or cifar100")
+    if split not in (None, "train", "val", "test"):
+        raise ValueError(f"unknown split {split!r}; use train, val or test")
     path = Path(path)
     _reject_imagenet(path)
 

@@ -45,7 +45,7 @@ class FeatureBank:
         if f.shape[0] == 0:
             raise ValueError("feature bank is empty")
         norms = np.linalg.norm(f, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN row fails too
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(
                 f"feature rows must be unit-norm within 1e-6; row {worst} has "

@@ -39,6 +39,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -256,6 +257,18 @@ def naive_mix_oracle(
     return mixed
 
 
+# the rows of a plan text, in order, and the plan field each one holds
+_ROWS = {
+    "perm_forward": "perm.forward",
+    "perm_inverse": "perm.inverse",
+    "group_bounds": "group_bounds",
+    "source_map": "source_map",
+    "origin_targets": "origin_targets",
+    "mixed_targets": "mixed_targets",
+    "mixed_weights": "mixed_weights",
+}
+
+
 def _write_row(out: io.StringIO, name: str, arr: np.ndarray) -> None:
     flat = np.asarray(arr).reshape(-1)
     if flat.dtype.kind == "f":
@@ -270,18 +283,19 @@ def plan_to_text(plan: MixPlan) -> str:
     cfg = plan.config
     out = io.StringIO()
     out.write(f"mixplan {cfg.images} {cfg.groups} {cfg.tokens}\n")
-    _write_row(out, "perm_forward", plan.perm.forward)
-    _write_row(out, "perm_inverse", plan.perm.inverse)
-    _write_row(out, "group_bounds", plan.group_bounds)
-    _write_row(out, "source_map", plan.source_map)
-    _write_row(out, "origin_targets", plan.origin_targets)
-    _write_row(out, "mixed_targets", plan.mixed_targets)
-    _write_row(out, "mixed_weights", plan.mixed_weights)
+    for name, field in _ROWS.items():
+        _write_row(out, name, attrgetter(field)(plan))
     return out.getvalue()
 
 
 def plan_from_text(text: str) -> MixPlan:
-    """Parse ``plan_to_text`` output back into an equal plan."""
+    """Rebuild the plan of a ``plan_to_text`` block from its permutation.
+
+    The header and the two permutation rows define the plan, which
+    ``plan_mix`` derives again. Every other known row present must equal
+    the derived one, or a ``ValueError`` names it; unknown rows (such as
+    the ``group_gather`` row of older plans) are ignored.
+    """
     rows: dict[str, list[str]] = {}
     header: list[str] | None = None
     for line in text.strip().splitlines():
@@ -295,27 +309,25 @@ def plan_from_text(text: str) -> MixPlan:
     if header is None or len(header) != 3:
         raise ValueError("missing or malformed mixplan header line")
     n, m, t = (int(v) for v in header)
-    config = MixConfig(images=n, groups=m, tokens=t)
 
-    def ints(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def numbers(name: str, kind=int) -> np.ndarray:
         if name not in rows:
             raise ValueError(f"missing row {name!r} in mix plan text")
-        return np.array([int(v) for v in rows[name]], dtype=np.int64).reshape(shape)
+        try:
+            return np.array([kind(v) for v in rows[name]])
+        except ValueError:
+            raise ValueError(
+                f"row {name!r} of the mix plan text holds a non-{kind.__name__}"
+            ) from None
 
-    def floats(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in rows:
-            raise ValueError(f"missing row {name!r} in mix plan text")
-        return np.array([float(v) for v in rows[name]], dtype=np.float64).reshape(
-            shape
-        )
-
-    perm = Permutation(ints("perm_forward", (t,)), ints("perm_inverse", (t,)))
-    return MixPlan(
-        config=config,
-        perm=perm,
-        group_bounds=ints("group_bounds", (m + 1,)),
-        source_map=ints("source_map", (n, t)),
-        origin_targets=ints("origin_targets", (n, m)),
-        mixed_targets=ints("mixed_targets", (n, 2 * m - 1)),
-        mixed_weights=floats("mixed_weights", (n, 2 * m - 1)),
-    )
+    perm = Permutation(numbers("perm_forward"), numbers("perm_inverse"))
+    plan = plan_mix(MixConfig(images=n, groups=m, tokens=t), perm)
+    for name, field in _ROWS.items():
+        want = attrgetter(field)(plan).reshape(-1)
+        kind = float if want.dtype.kind == "f" else int
+        if name in rows and not np.array_equal(numbers(name, kind), want):
+            raise ValueError(
+                f"row {name!r} of the mix plan text contradicts the plan its "
+                f"permutation gives"
+            )
+    return plan

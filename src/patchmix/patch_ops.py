@@ -21,7 +21,6 @@ __all__ = [
     "unpatchify",
     "sample_permutation",
     "shuffle",
-    "unshuffle",
 ]
 
 
@@ -204,12 +203,3 @@ def shuffle(pb: PatchBatch, perm: Permutation) -> PatchBatch:
         )
     return pb.with_patches(pb.patches[:, perm.forward, :])
 
-
-def unshuffle(pb: PatchBatch, perm: Permutation) -> PatchBatch:
-    """Undo ``shuffle`` with the same permutation."""
-    if len(perm) != pb.tokens:
-        raise ValueError(
-            f"permutation length {len(perm)} does not match patch count "
-            f"{pb.tokens}"
-        )
-    return pb.with_patches(pb.patches[:, perm.inverse, :])

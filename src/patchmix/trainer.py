@@ -101,12 +101,25 @@ class TrainConfig:
                 f"mix count must lie in [1, batch size], got {self.mix_count} "
                 f"with batch {self.batch_size}"
             )
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):
+        # written as "not (ok)" so that a NaN fails every check
+        if not (self.base_lr >= 0):
+            raise ValueError(f"base lr must be >= 0, got {self.base_lr}")
+        if not (self.temperature > 0):
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if len(self.loss_weights) != 3 or not all(w >= 0 for w in self.loss_weights):
             raise ValueError(
                 f"loss weights must be three nonnegative reals, got "
                 f"{self.loss_weights}"
+            )
+        if not all(w >= 0 for w in self.weight_decay):
+            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if not all(0 <= mu <= 1 for mu in self.momentum_mu):
+            raise ValueError(
+                f"momentum mu must lie in [0, 1], got {self.momentum_mu}"
+            )
+        if self.grad_clip is not None and not (self.grad_clip > 0):
+            raise ValueError(
+                f"grad clip must be None (off) or positive, got {self.grad_clip}"
             )
         if self.precision not in ("f64", "f32"):
             raise ValueError(f"precision must be f64 or f32, got {self.precision!r}")
@@ -344,14 +357,20 @@ def train_step(
     return state, report
 
 
-def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
-    """Fresh state: seeded weights, twin equal to encoder, zero moments."""
+def _run_length(cfg: TrainConfig, dataset_size: int) -> tuple[int, int]:
+    """The (total, warmup) step counts of a run over ``dataset_size`` images."""
     steps_per_epoch = dataset_size // cfg.batch_size
     if steps_per_epoch < 1:
         raise ValueError(
             f"dataset of {dataset_size} images yields no full batch of "
             f"{cfg.batch_size}"
         )
+    return cfg.epochs * steps_per_epoch, cfg.warmup_epochs * steps_per_epoch
+
+
+def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
+    """Fresh state: seeded weights, twin equal to encoder, zero moments."""
+    total_steps, warmup_steps = _run_length(cfg, dataset_size)
     encoder = enc.init_encoder(cfg.vit, _derive_rng(cfg.seed, _RNG_INIT, 0), cfg.dtype)
     flat = encoder.params.flat
     return TrainState(
@@ -364,8 +383,8 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
         opt_m=enc.Packed(encoder.params.shapes, np.zeros(flat.shape, flat.dtype)),
         opt_v=enc.Packed(encoder.params.shapes, np.zeros(flat.shape, flat.dtype)),
         decay=decay_mask(encoder.params),
-        total_steps=cfg.epochs * steps_per_epoch,
-        warmup_steps=cfg.warmup_epochs * steps_per_epoch,
+        total_steps=total_steps,
+        warmup_steps=warmup_steps,
     )
 
 
@@ -399,8 +418,20 @@ def _strip(blobs: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
     return {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
 
 
-def _encoder_from_blobs(vit_cfg, blobs, prefix: str) -> enc.EncoderParams:
-    return enc.EncoderParams(vit_cfg, enc.pack(_strip(blobs, prefix)))
+def _read_set(path, blobs, prefix: str, shapes=None) -> enc.Packed:
+    """The parameter set written under ``prefix``, packed in its own order,
+    or in the layout ``shapes`` when given. A set that is absent, or whose
+    names and shapes differ from ``shapes``, is a ``ValueError`` naming
+    ``path``."""
+    arrays = _strip(blobs, prefix)
+    if not arrays:
+        raise ValueError(f"{path}: checkpoint holds no {prefix!r} parameter set")
+    if shapes is not None and {k: v.shape for k, v in arrays.items()} != shapes:
+        raise ValueError(
+            f"{path}: the checkpoint's {prefix!r} set does not match the "
+            f"encoder's names and shapes"
+        )
+    return enc.pack(arrays, shapes)
 
 
 # the meta keys that state_from_checkpoint cannot do without
@@ -413,7 +444,9 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     The provided config must describe the same backbone and precision; loop
     counters, both parameter sets and the optimizer moments come from the
     file. A checkpoint whose meta lacks a loop counter or the precision
-    (one not written by ``save_state``) is a ``ValueError`` naming the file.
+    (one not written by ``save_state``), that lacks one of the four
+    parameter sets, or whose twin or moments do not fit the encoder's
+    layout is a ``ValueError`` naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -432,17 +465,21 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint precision {meta['precision']} does not match "
             f"the configured precision {cfg.precision}"
         )
-    encoder = _encoder_from_blobs(vit_cfg, blobs, "theta.")
-    momentum = _encoder_from_blobs(vit_cfg, blobs, "xi.")
-    enc.check_twin(encoder, momentum)
+    encoder = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta."))
+    momentum = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "xi."))
+    try:
+        enc.check_twin(encoder, momentum)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    shapes = encoder.params.shapes
     return TrainState(
         config=cfg,
         step=int(meta["step"]),
         epoch=int(meta["epoch"]),
         encoder=encoder,
         momentum=momentum,
-        opt_m=enc.pack(_strip(blobs, "adam_m."), encoder.params.shapes),
-        opt_v=enc.pack(_strip(blobs, "adam_v."), encoder.params.shapes),
+        opt_m=_read_set(path, blobs, "adam_m.", shapes),
+        opt_v=_read_set(path, blobs, "adam_v.", shapes),
         decay=decay_mask(encoder.params),
         total_steps=int(meta["total_steps"]),
         warmup_steps=int(meta["warmup_steps"]),
@@ -454,9 +491,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
 def encoder_from_checkpoint(path) -> enc.EncoderParams:
     """The trained encoder of a checkpoint, with the backbone stored in it."""
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
-    if not _strip(blobs, "theta."):
-        raise ValueError(f"{path}: checkpoint holds no encoder parameters")
-    return _encoder_from_blobs(vit_cfg, blobs, "theta.")
+    return enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta."))
 
 
 def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:
@@ -496,7 +531,9 @@ def pretrain(
     without-replacement shuffle. The CSV log and periodic checkpoints land
     in ``out_dir``; resuming from a checkpoint replays the remaining epochs
     exactly as the uninterrupted run would have, and an existing log in
-    ``out_dir`` is first cut back to the checkpoint's step.
+    ``out_dir`` is first cut back to the checkpoint's step. A checkpoint
+    whose total or warmup step count differs from the one ``cfg`` and
+    ``data`` give is a ``ValueError`` naming it, raised before any step.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -505,6 +542,13 @@ def pretrain(
 
     if resume_from is not None:
         state = state_from_checkpoint(resume_from, cfg)
+        want = _run_length(cfg, n_total)
+        if (state.total_steps, state.warmup_steps) != want:
+            raise ValueError(
+                f"{resume_from}: the checkpoint's run has {state.total_steps} "
+                f"steps ({state.warmup_steps} warmup), but the configuration "
+                f"and data give {want[0]} ({want[1]} warmup)"
+            )
     else:
         state = init_state(cfg, n_total)
 

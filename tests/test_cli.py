@@ -140,6 +140,32 @@ class TestMainPlumbing:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
         assert os.environ["MKL_NUM_THREADS"] == "2"
 
+    def test_train_config_contract_is_usage_error(self, tmp_path, capsys):
+        code = quiet_main(
+            ["pretrain", "--out", str(tmp_path), "--override", "train.grad_clip=-1"]
+        )
+        assert code == 2
+        assert "grad clip" in capsys.readouterr().err
+        assert not (tmp_path / "train_log.csv").exists()
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        # PATCHMIX_THREADS only takes effect if numpy is not loaded yet
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys; sys.path.insert(0, sys.argv[1]); "
+                "import patchmix, patchmix.cli; "
+                "print(patchmix.cli.__file__); print('numpy' in sys.modules)",
+                src,
+            ],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        where, numpy_loaded = proc.stdout.split()
+        assert Path(where).resolve() == Path(cli.__file__).resolve()
+        assert numpy_loaded == "False"
+
     def test_resolved_config_echoed_on_every_run(self, capsys):
         code = cli.main(
             ["grad-check", "--seed", "5", "--override", "check.images=3"]
@@ -281,27 +307,28 @@ class TestMixDemo:
         assert "demo.format" in capsys.readouterr().err
 
 
+# the run of the ``trained`` fixture: 2 epochs of 2 steps, 1 of warmup
+TRAINED_OVERRIDES = [
+    "--override",
+    "train.epochs=2",
+    "--override",
+    "train.warmup_epochs=1",
+    "--override",
+    "train.batch_size=8",
+    "--override",
+    "train.mix_count=2",
+    "--override",
+    "data.train_per_class=8",
+    "--override",
+    "data.val_per_class=4",
+]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One tiny pretrain run shared by the evaluation command tests."""
     out = tmp_path_factory.mktemp("run")
-    args = [
-        "pretrain",
-        "--out",
-        str(out),
-        "--override",
-        "train.epochs=2",
-        "--override",
-        "train.warmup_epochs=1",
-        "--override",
-        "train.batch_size=8",
-        "--override",
-        "train.mix_count=2",
-        "--override",
-        "data.train_per_class=8",
-        "--override",
-        "data.val_per_class=4",
-    ]
+    args = ["pretrain", "--out", str(out)] + TRAINED_OVERRIDES
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(args)
@@ -424,6 +451,43 @@ class TestTrainAndEval:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {bad}: checkpoint meta lacks precision, step" in err
+        assert not (out / "train_log.csv").exists()
+
+    @pytest.mark.parametrize(
+        "fault", ["theta.", "xi.", "adam_m.", "adam_v.", "shape"]
+    )
+    def test_resume_from_checkpoint_with_a_bad_set_is_usage_error(
+        self, trained, tmp_path, capsys, fault
+    ):
+        _out, ckpt, _log = trained
+        vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
+        if fault == "shape":
+            blobs["adam_v.pos_embed"] = blobs["adam_v.pos_embed"][0]
+        else:
+            blobs = {k: v for k, v in blobs.items() if not k.startswith(fault)}
+        bad = tmp_path / "bad.bin"
+        enc.write_checkpoint(bad, vit_cfg, blobs, meta)
+        out = tmp_path / "run"
+        code = quiet_main(
+            ["pretrain", "--out", str(out), "--override", f"train.resume={bad}"]
+            + TRAINED_OVERRIDES
+        )
+        assert code == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+        assert not (out / "train_log.csv").exists()
+
+    def test_resume_with_another_run_length_is_usage_error(
+        self, trained, tmp_path, capsys
+    ):
+        _out, ckpt, _log = trained
+        out = tmp_path / "run"
+        code = quiet_main(
+            ["pretrain", "--out", str(out), "--override", f"train.resume={ckpt}"]
+            + TRAINED_OVERRIDES + ["--override", "train.epochs=4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: the checkpoint's run has 4 steps" in err
         assert not (out / "train_log.csv").exists()
 
     def test_eval_without_checkpoint_is_usage_error(self, capsys):

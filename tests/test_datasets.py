@@ -82,6 +82,13 @@ class TestCifarLoader:
         write_record10(g, 0, bytes(3072))
         assert ds.load_cifar_binary(g).split == "train"
 
+    @pytest.mark.parametrize("split", ["Train", "validation", ""])
+    def test_unknown_split_rejected(self, tmp_path, split):
+        write_record10(tmp_path / "test_batch.bin", 0, bytes(3072))
+        for path in (tmp_path, tmp_path / "test_batch.bin"):
+            with pytest.raises(ValueError, match=f"split {split!r}"):
+                ds.load_cifar_binary(path, split=split)
+
     def test_directory_train_split_concatenates_batches(self, tmp_path):
         for i in range(1, 6):
             write_record10(tmp_path / f"data_batch_{i}.bin", i % 10, bytes(3072))
@@ -149,13 +156,6 @@ class TestLabeledDataset:
     def test_label_count_checked(self):
         with pytest.raises(ValueError, match="one integer per image"):
             ds.LabeledDataset(np.zeros((2, 3, 4, 4)), np.array([0]), "train", 2)
-
-    def test_subset_slices_images_and_labels(self):
-        data = ds.synth_blobs(2, 4, 8, True, seed=3)
-        sub = data.subset(np.array([0, 3, 5]))
-        assert sub.count == 3
-        np.testing.assert_array_equal(sub.labels, data.labels[[0, 3, 5]])
-        assert sub.num_classes == 2
 
 
 class TestSynthBlobs:

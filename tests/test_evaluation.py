@@ -32,6 +32,12 @@ class TestFeatureBank:
         with pytest.raises(ValueError, match="row 1"):
             ev.FeatureBank(feats, np.zeros(3, dtype=np.int64), 1)
 
+    def test_non_finite_rows_rejected(self):
+        feats = np.eye(3)
+        feats[2, 0] = np.nan
+        with pytest.raises(ValueError, match="row 2 has norm nan"):
+            ev.FeatureBank(feats, np.zeros(3, dtype=np.int64), 1)
+
     def test_labels_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             ev.FeatureBank(np.eye(3), np.array([0, 1, 3]), 3)

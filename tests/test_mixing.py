@@ -212,6 +212,37 @@ class TestPlanText:
         with pytest.raises(ValueError):
             mx.plan_from_text("not a plan\n")
 
+    def test_permutation_rows_alone_define_the_plan(self):
+        plan = make_plan(5, 3, 11, seed=8)
+        lines = mx.plan_to_text(plan).splitlines(keepends=True)
+        back = mx.plan_from_text("".join(lines[:3]))  # header, perm rows
+        assert mx.plan_to_text(back) == mx.plan_to_text(plan)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["group_bounds", "source_map", "origin_targets", "mixed_targets",
+         "mixed_weights"],
+    )
+    def test_row_contradicting_the_permutation_rejected(self, row):
+        plan = make_plan(5, 3, 11, seed=8)
+        lines = mx.plan_to_text(plan).splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(row + " "))
+        name, first, rest = lines[at].split(" ", 2)
+        lines[at] = f"{name} {float(first) + 1:g} {rest}"
+        with pytest.raises(ValueError, match=f"row '{row}' .* contradicts"):
+            mx.plan_from_text("".join(lines))
+
+    def test_row_of_the_wrong_length_rejected(self):
+        plan = make_plan(5, 3, 11, seed=8)
+        text = mx.plan_to_text(plan).replace("mixed_targets ", "mixed_targets 0 ")
+        with pytest.raises(ValueError, match="'mixed_targets'"):
+            mx.plan_from_text(text)
+
+    def test_non_number_rejected(self):
+        text = mx.plan_to_text(make_plan(5, 3, 11, seed=8))
+        with pytest.raises(ValueError, match="'source_map' .* non-int"):
+            mx.plan_from_text(text.replace("source_map ", "source_map x "))
+
 
 class TestPropertyGrid:
     @pytest.mark.filterwarnings("ignore:batch size")

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import struct
 import tracemalloc
 import weakref
@@ -287,6 +288,32 @@ class TestConfigValidation:
     def test_precision_validated(self):
         with pytest.raises(ValueError, match="precision"):
             micro_config(precision="f16")
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("grad_clip", -1.0, "grad clip"),
+            ("grad_clip", 0.0, "grad clip"),
+            ("grad_clip", math.nan, "grad clip"),
+            ("base_lr", -1e-3, "base lr"),
+            ("base_lr", math.nan, "base lr"),
+            ("temperature", math.nan, "temperature"),
+            ("loss_weights", (1.0, math.nan, 1.0), "loss weights"),
+            ("weight_decay", (-0.04, 0.4), "weight decay"),
+            ("weight_decay", (0.04, math.nan), "weight decay"),
+            ("momentum_mu", (0.996, 1.5), "momentum mu"),
+            ("momentum_mu", (-0.1, 1.0), "momentum mu"),
+        ],
+    )
+    def test_out_of_contract_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            micro_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value", [("grad_clip", 1.0), ("momentum_mu", (0.0, 1.0))]
+    )
+    def test_values_at_the_contract_edge_accepted(self, field, value):
+        assert getattr(micro_config(**{field: value}), field) == value
 
 
 class TestInitState:
@@ -775,6 +802,36 @@ class TestLayout:
         with pytest.raises(ValueError, match="leading"):
             tr.state_from_checkpoint(tmp_path / "bad.bin", cfg)
 
+    def rewritten(self, tmp_path, edit):
+        """A fresh state's checkpoint with its blobs passed through ``edit``,
+        and the start of the message that names it."""
+        tr.save_state(tr.init_state(micro_config(), 8), tmp_path / "s.bin")
+        vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "s.bin")
+        bad = tmp_path / "bad.bin"
+        enc.write_checkpoint(bad, vit_cfg, edit(dict(blobs)), meta)
+        return bad, "^" + re.escape(f"{bad}: ")
+
+    @pytest.mark.parametrize("prefix", ["theta.", "xi.", "adam_m.", "adam_v."])
+    def test_missing_set_is_rejected_naming_the_file(self, tmp_path, prefix):
+        bad, named = self.rewritten(tmp_path, lambda blobs: {
+            k: v for k, v in blobs.items() if not k.startswith(prefix)
+        })
+        with pytest.raises(ValueError, match=named + ".*" + re.escape(repr(prefix))):
+            tr.state_from_checkpoint(bad, micro_config())
+        if prefix == "theta.":
+            with pytest.raises(ValueError, match=named):
+                tr.encoder_from_checkpoint(bad)
+
+    @pytest.mark.parametrize("prefix", ["xi.", "adam_m.", "adam_v."])
+    def test_mis_shaped_set_is_rejected_naming_the_file(self, tmp_path, prefix):
+        def shorten(blobs):
+            blobs[prefix + "pos_embed"] = blobs[prefix + "pos_embed"][:, :-1]
+            return blobs
+
+        bad, named = self.rewritten(tmp_path, shorten)
+        with pytest.raises(ValueError, match=named):
+            tr.state_from_checkpoint(bad, micro_config())
+
 
 class TestPretrain:
     def small_data(self, seed=0, per_class=4):
@@ -812,6 +869,19 @@ class TestPretrain:
         assert_params_equal(full.momentum.params, res.momentum.params)
         assert_params_equal(full.opt_m, res.opt_m)
         assert full.loss_history == res.loss_history
+
+    @pytest.mark.parametrize(
+        "change", [dict(epochs=4), dict(warmup_epochs=0), dict(batch_size=2)]
+    )
+    def test_resume_with_another_run_length_rejected(self, tmp_path, change):
+        cfg = micro_config(epochs=2, warmup_epochs=1)
+        final = tr.pretrain(cfg, self.small_data(), tmp_path / "a")
+        log = tmp_path / "a" / "train_log.csv"
+        before = (log.read_bytes(), final.read_bytes())
+        other = dataclasses.replace(cfg, **change)
+        with pytest.raises(ValueError, match=re.escape(f"{final}: ") + ".* give"):
+            tr.pretrain(other, self.small_data(), tmp_path / "a", resume_from=final)
+        assert (log.read_bytes(), final.read_bytes()) == before  # no step ran
 
     def test_resume_in_place_rewrites_log_from_checkpoint_step(self, tmp_path):
         cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
