@@ -54,7 +54,6 @@ DEFAULTS: dict = {
     "train.w_oto": 1.0,
     "train.precision": "f64",
     "train.checkpoint_every": 0,
-    "train.normalize_mix_weights": False,
     "train.resume": "",
     "aug.crop_area_min": 0.1,
     "aug.crop_area_max": 1.0,
@@ -225,7 +224,6 @@ def _train_config(cfg: dict, seed: int, vit):
         seed=seed,
         precision=cfg["train.precision"],
         checkpoint_every=cfg["train.checkpoint_every"],
-        normalize_mix_weights=cfg["train.normalize_mix_weights"],
         loss_weights=(cfg["train.w_mto"], cfg["train.w_mtm"], cfg["train.w_oto"]),
     )
 

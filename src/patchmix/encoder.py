@@ -48,6 +48,7 @@ __all__ = [
     "EncoderParams",
     "vit_tiny",
     "vit_micro",
+    "param_table",
     "init_encoder",
     "init_momentum",
     "bind",
@@ -68,10 +69,10 @@ __all__ = [
 class ViTConfig:
     """Backbone and head geometry.
 
-    ``validate`` enforces the training-time contract (at least one block,
-    head-divisible width, patch-divisible image). Degenerate depth-0
-    configs are constructible for tests, where the forward pass reduces to
-    embedding + final layer norm.
+    Construction enforces the training contract: at least one block, a
+    width the head count divides, an image the patch side divides, and
+    positive sizes. A geometry that cannot train cannot be built, whether
+    from a preset or from a checkpoint header.
     """
 
     image_side: int
@@ -85,6 +86,25 @@ class ViTConfig:
     head_out: int = 256
     ln_eps: float = 1e-6
     bn_eps: float = 1e-5
+
+    def __post_init__(self):
+        if self.image_side < 1 or self.patch_side < 1:
+            raise ValueError("image_side and patch_side must be positive")
+        if self.image_side % self.patch_side != 0:
+            raise ValueError(
+                f"image side {self.image_side} is not divisible by patch side "
+                f"{self.patch_side}"
+            )
+        if self.depth < 1:
+            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        if self.dim % self.heads != 0:
+            raise ValueError(
+                f"token dim {self.dim} is not divisible by head count {self.heads}"
+            )
+        if self.head_hidden < 1 or self.head_out < 1:
+            raise ValueError("head widths must be positive")
 
     @property
     def grid_side(self) -> int:
@@ -106,38 +126,18 @@ class ViTConfig:
     def mlp_dim(self) -> int:
         return int(self.dim * self.mlp_ratio)
 
-    def validate(self) -> "ViTConfig":
-        if self.image_side < 1 or self.patch_side < 1:
-            raise ValueError("image_side and patch_side must be positive")
-        if self.image_side % self.patch_side != 0:
-            raise ValueError(
-                f"image side {self.image_side} is not divisible by patch side "
-                f"{self.patch_side}"
-            )
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
-        if self.dim % self.heads != 0:
-            raise ValueError(
-                f"token dim {self.dim} is not divisible by head count {self.heads}"
-            )
-        if self.head_hidden < 1 or self.head_out < 1:
-            raise ValueError("head widths must be positive")
-        return self
-
 
 def vit_tiny(image_side: int = 32, channels: int = 3, **overrides) -> ViTConfig:
     """ViT-Tiny with 2-pixel patches: 12 blocks, 3 heads, width 192."""
     kw = dict(patch_side=2, channels=channels, depth=12, heads=3, dim=192)
-    return ViTConfig(image_side, **(kw | overrides)).validate()
+    return ViTConfig(image_side, **(kw | overrides))
 
 
 def vit_micro(image_side: int = 8, channels: int = 3, **overrides) -> ViTConfig:
     """Test-scale backbone: 2 blocks, 2 heads, width 32, slim heads."""
     kw = dict(patch_side=2, channels=channels, depth=2, heads=2, dim=32,
               head_hidden=256, head_out=64)
-    return ViTConfig(image_side, **(kw | overrides)).validate()
+    return ViTConfig(image_side, **(kw | overrides))
 
 
 # elements per slice of a whole-set update, so that its operands and
@@ -208,25 +208,12 @@ def _trunc_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> None
         out[...] = draw
 
 
-def _filled(spec: Mapping[str, tuple], rng: np.random.Generator, dtype) -> Packed:
-    """A set from name -> (shape, fill), filled in name order so the draws
-    keep their order; a fill of None is a truncated-normal draw."""
-    out = Packed({name: shape for name, (shape, _) in spec.items()}, dtype=dtype)
-    for name, (_, fill) in spec.items():
-        if fill is None:
-            _trunc_normal(rng, out[name], 0.02)
-        else:
-            out[name].fill(fill)
-    return out
-
-
-def init_encoder(
-    config: ViTConfig, rng: np.random.Generator, dtype=np.float64
-) -> EncoderParams:
-    """Initialise all weights: truncated normal (std 0.02) for matrices and
+def param_table(config: ViTConfig) -> dict[str, tuple[tuple, float | None]]:
+    """The encoder's parameters as name -> (shape, fill), in the order they
+    are drawn and packed: truncated normal (fill None) for matrices and
     tokens, zeros for biases, ones/zeros for norm gains and shifts."""
     d = config.dim
-    p: dict[str, tuple] = {}  # name -> (shape, fill); the draws go in this order
+    p: dict[str, tuple] = {}
 
     def tn(*shape):
         return shape, None
@@ -272,7 +259,21 @@ def init_encoder(
     p["pred.bn1.gamma"] = ones(hid)
     p["pred.bn1.beta"] = zeros(hid)
     p["pred.fc2.w"] = tn(hid, out)
-    return EncoderParams(config, _filled(p, rng, dtype))
+    return p
+
+
+def init_encoder(
+    config: ViTConfig, rng: np.random.Generator, dtype=np.float64
+) -> EncoderParams:
+    """Initialise all weights as ``param_table`` lays them out, in its order."""
+    table = param_table(config)
+    out = Packed({name: shape for name, (shape, _) in table.items()}, dtype=dtype)
+    for name, (_, fill) in table.items():
+        if fill is None:
+            _trunc_normal(rng, out[name], 0.02)
+        else:
+            out[name].fill(fill)
+    return EncoderParams(config, out)
 
 
 def momentum_tracks(name: str) -> bool:

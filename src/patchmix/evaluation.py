@@ -80,11 +80,9 @@ def extract_features(
     return feats / np.linalg.norm(feats, axis=1, keepdims=True)
 
 
-def build_bank(
-    params: enc.EncoderParams, dataset, batch_size: int = 256
-) -> FeatureBank:
+def build_bank(params: enc.EncoderParams, dataset) -> FeatureBank:
     """Feature bank for a LabeledDataset."""
-    feats = extract_features(params, dataset.images, batch_size)
+    feats = extract_features(params, dataset.images)
     return FeatureBank(feats, dataset.labels, dataset.num_classes)
 
 

@@ -9,10 +9,9 @@ denominator), and the positive entries are picked out and averaged.
   images its groups were sourced from; every positive weighs 1/(N*M).
 - mix-to-mix: each mixed prediction is compared against the other view's
   mixed targets; positives are the 2M-1 cyclic neighbours that share
-  source images, weighted by the shared-source fraction (weights are used
-  unnormalised, summing to M per row; a normalised variant is available
-  behind a flag). Duplicate target indices, which occur when the window
-  wraps around a small batch, each contribute their own weight.
+  source images, weighted by the shared-source fraction (weights sum to M
+  per row). Duplicate target indices, which occur when the window wraps
+  around a small batch, each contribute their own weight.
 - origin-to-origin: standard InfoNCE with diagonal positives.
 
 The total objective detaches every momentum-branch input itself, so its
@@ -115,17 +114,13 @@ def loss_mto(h_mix1, z_view2, y_mto: np.ndarray, tau: float) -> Tensor:
 
 
 def loss_mtm(
-    h_mix1,
-    z_mix2,
-    y_mtm: np.ndarray,
-    w_mtm: np.ndarray,
-    tau: float,
-    normalize_weights: bool = False,
+    h_mix1, z_mix2, y_mtm: np.ndarray, w_mtm: np.ndarray, tau: float
 ) -> Tensor:
     """Mix-to-mix loss: weighted negative log-probability over the window.
 
-    Weights are applied as given (rows summing to M); pass
-    ``normalize_weights`` to divide them by M for the normalised ablation.
+    Weights are applied as given (rows summing to M). Rows normalised to
+    sum to 1 give this loss times 1/M: a mix-to-mix term weight of 1/M in
+    ``loss_total``.
     """
     y = np.asarray(y_mtm, dtype=np.int64)
     w = np.asarray(w_mtm, dtype=np.float64)
@@ -133,9 +128,6 @@ def loss_mtm(
         raise ValueError(
             f"target shape {y.shape} does not match weight shape {w.shape}"
         )
-    if normalize_weights:
-        m = (y.shape[1] + 1) // 2
-        w = w / m
     sim = cosine_sim_matrix(h_mix1, z_mix2)
     logp = ad.log_softmax(ad.scale(sim, 1.0 / tau), axis=1)
     picked = ad.mul(ad.gather(logp, y), w.astype(logp.dtype, copy=False))
@@ -154,7 +146,6 @@ def loss_oto(h_view2, z_view1, tau: float) -> Tensor:
 
 def loss_total(
     cb: ContrastBatch,
-    normalize_weights: bool = False,
     term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> tuple[LossReport, Tensor]:
     """Total objective; returns the per-part report and the scalar tensor.
@@ -178,7 +169,6 @@ def loss_total(
         plan.mixed_targets,
         plan.mixed_weights,
         tau,
-        normalize_weights=normalize_weights,
     )
     oto = loss_oto(cb.h_view2, ad.stop_gradient(cb.z_view1), tau)
     total = ad.add(

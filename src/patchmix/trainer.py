@@ -77,13 +77,10 @@ class TrainConfig:
     temperature: float = 0.2
     weight_decay: tuple[float, float] = (0.04, 0.4)
     momentum_mu: tuple[float, float] = (0.996, 1.0)
-    betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     grad_clip: float | None = None
     seed: int = 0
     precision: str = "f64"
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = final only
-    normalize_mix_weights: bool = False
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
@@ -121,6 +118,11 @@ class TrainConfig:
             raise ValueError(
                 f"grad clip must be None (off) or positive, got {self.grad_clip}"
             )
+        if self.checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint every must be >= 0 (0: final only), got "
+                f"{self.checkpoint_every}"
+            )
         if self.precision not in ("f64", "f32"):
             raise ValueError(f"precision must be f64 or f32, got {self.precision!r}")
 
@@ -144,7 +146,7 @@ class TrainState:
     total_steps: int
     warmup_steps: int
     loss_history: list[tuple] = field(default_factory=list)
-    aborted: int = 0  # steps aborted on a bad loss; they leave no log row
+    aborted: int = 0  # steps aborted by train_step's rule; they leave no log row
 
 
 def _derive_rng(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -253,11 +255,12 @@ def train_step(
 ) -> tuple[TrainState, ob.LossReport | None]:
     """Advance one step on one batch; see the module docstring for the order.
 
-    On a non-finite loss, or a ``ValueError`` from the loss (such as a
-    zero-norm embedding row), the step is aborted: a diagnostic is logged,
-    the step's graph is discarded, the report is None, and ``state.aborted``
-    is increased. The rest of the state is untouched: nothing writes to it
-    before the loss is known to be finite.
+    One rule decides a step: it is aborted when the embeddings entering the
+    loss or the loss itself are not finite, or when the loss raises a
+    ``ValueError`` (such as a zero-norm embedding row). An aborted step
+    logs a diagnostic, discards its graph, returns a report of None and
+    increases ``state.aborted``; the rest of the state is untouched, since
+    nothing writes to it before the loss is known to be finite.
     """
     cfg = state.config
     vit = cfg.vit
@@ -315,15 +318,11 @@ def train_step(
     h_mix1 = predict(cast(mixed1.patches))
     h_view2 = predict(cast(pb2))
 
-    cb = ob.ContrastBatch(
-        h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
-    )
     try:
-        report, total = ob.loss_total(
-            cb,
-            normalize_weights=cfg.normalize_mix_weights,
-            term_weights=cfg.loss_weights,
+        cb = ob.ContrastBatch(
+            h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
         )
+        report, total = ob.loss_total(cb, term_weights=cfg.loss_weights)
         abort = None
         if not math.isfinite(report.l_total):
             abort = f"non-finite loss {report!r}, state unchanged"
@@ -346,7 +345,6 @@ def train_step(
     optimizer_update(
         state.encoder.params.flat, grad, lr, wd,
         (state.opt_m.flat, state.opt_v.flat), step + 1, state.decay,
-        cfg.betas, cfg.adam_eps,
     )
     enc.ema_update(state.encoder, state.momentum, mu)
 
@@ -434,6 +432,13 @@ def _read_set(path, blobs, prefix: str, shapes=None) -> enc.Packed:
     return enc.pack(arrays, shapes)
 
 
+def _read_encoder(path, vit_cfg: enc.ViTConfig, blobs) -> enc.EncoderParams:
+    """The trained encoder written under ``theta.``, checked against and
+    packed in the layout ``enc.param_table`` gives ``vit_cfg``."""
+    shapes = {name: shape for name, (shape, _) in enc.param_table(vit_cfg).items()}
+    return enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta.", shapes))
+
+
 # the meta keys that state_from_checkpoint cannot do without
 _STATE_META = ("precision", "step", "epoch", "total_steps", "warmup_steps")
 
@@ -445,8 +450,9 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     counters, both parameter sets and the optimizer moments come from the
     file. A checkpoint whose meta lacks a loop counter or the precision
     (one not written by ``save_state``), that lacks one of the four
-    parameter sets, or whose twin or moments do not fit the encoder's
-    layout is a ``ValueError`` naming the file.
+    parameter sets, whose encoder does not fit its backbone's layout, or
+    whose twin or moments do not fit the encoder's is a ``ValueError``
+    naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -465,7 +471,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint precision {meta['precision']} does not match "
             f"the configured precision {cfg.precision}"
         )
-    encoder = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta."))
+    encoder = _read_encoder(path, vit_cfg, blobs)
     momentum = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "xi."))
     try:
         enc.check_twin(encoder, momentum)
@@ -489,9 +495,11 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
 
 
 def encoder_from_checkpoint(path) -> enc.EncoderParams:
-    """The trained encoder of a checkpoint, with the backbone stored in it."""
+    """The trained encoder of a checkpoint, with the backbone stored in it;
+    a ``theta.`` set that does not fit that backbone is a ``ValueError``
+    naming the file."""
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
-    return enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta."))
+    return _read_encoder(path, vit_cfg, blobs)
 
 
 def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:

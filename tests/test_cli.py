@@ -15,6 +15,7 @@ import pytest
 
 from patchmix import autodiff as ad
 from patchmix import cli
+from patchmix import datasets as ds
 from patchmix import encoder as enc
 from patchmix import kvconfig as kv
 from patchmix import mixing as mx
@@ -81,13 +82,13 @@ class TestResolveConfig:
             None,
             [
                 "train.base_lr=0.01",
-                "train.normalize_mix_weights=true",
+                "aug.color_ops=false",
                 "train.epochs=3",
                 "model.preset=tiny",
             ],
         )
         assert cfg["train.base_lr"] == 0.01
-        assert cfg["train.normalize_mix_weights"] is True
+        assert cfg["aug.color_ops"] is False
         assert cfg["train.epochs"] == 3
         assert cfg["model.preset"] == "tiny"
 
@@ -147,6 +148,42 @@ class TestMainPlumbing:
         assert code == 2
         assert "grad clip" in capsys.readouterr().err
         assert not (tmp_path / "train_log.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("train.checkpoint_every=-1", "checkpoint every must be >= 0"),
+            ("train.normalize_mix_weights=true", "unknown config key"),
+            ("model.preset=small", "unknown model.preset 'small'"),
+            ("model.heads=5", "token dim 32 is not divisible by head count 5"),
+            ("data.kind=cifar10", "data.kind=cifar10 requires data.path"),
+        ],
+    )
+    def test_bad_pretrain_setting_is_usage_error(
+        self, tmp_path, capsys, override, message
+    ):
+        code = quiet_main(["pretrain", "--out", str(tmp_path), "--override", override])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "train_log.csv").exists()
+
+    def test_pretrain_on_cifar_binaries_with_the_tiny_preset(self, tmp_path):
+        data = tmp_path / "data_batch_1.bin"
+        ds.export_cifar_binary(ds.synth_blobs(2, 4, 32, True, seed=0), data)
+        model = dict(patch_side=8, depth=1, dim=12, head_hidden=16, head_out=8)
+        overrides = [f"model.{k}={v}" for k, v in model.items()] + [
+            "model.preset=tiny", "data.kind=cifar10", f"data.path={data}",
+            "train.batch_size=4", "train.epochs=1", "train.warmup_epochs=0",
+            "train.mix_count=2",
+        ]
+        out = tmp_path / "run"
+        args = ["pretrain", "--out", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        assert quiet_main(args) == 0
+        vit_cfg, _blobs, meta = enc.read_checkpoint(out / "checkpoint_final.bin")
+        assert vit_cfg == enc.vit_tiny(32, 3, **model)
+        assert meta["step"] == 2
 
     def test_importing_the_cli_loads_no_numpy(self):
         # PATCHMIX_THREADS only takes effect if numpy is not loaded yet
@@ -434,6 +471,35 @@ class TestTrainAndEval:
         assert quiet_main(["eval-knn"] + eval_overrides(bad)) == 2
         err = capsys.readouterr().err
         assert f"error: {bad}: {message}" in err
+
+    @pytest.mark.parametrize("fault", ["untrainable_header", "missing_block"])
+    def test_checkpoint_that_cannot_build_its_encoder_is_usage_error(
+        self, trained, tmp_path, capsys, fault
+    ):
+        _out, ckpt, _log = trained
+        bad = tmp_path / "bad.bin"
+        if fault == "missing_block":
+            vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
+            blobs = {k: v for k, v in blobs.items()
+                     if not k.startswith("theta.blocks.1.")}
+            enc.write_checkpoint(bad, vit_cfg, blobs, meta)
+            message = "the checkpoint's 'theta.' set does not match"
+        else:
+            raw = ckpt.read_bytes()
+            start = len(enc.CHECKPOINT_MAGIC) + 8
+            version, hlen = struct.unpack_from("<II", raw, len(enc.CHECKPOINT_MAGIC))
+            header = json.loads(raw[start : start + hlen])
+            header["config"]["heads"] = 5
+            head = json.dumps(header).encode()
+            raw = (enc.CHECKPOINT_MAGIC + struct.pack("<II", version, len(head))
+                   + head + raw[start + hlen : -4])
+            bad.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+            message = (
+                "malformed checkpoint header: "
+                "ValueError('token dim 32 is not divisible by head count 5')"
+            )
+        assert quiet_main(["eval-knn"] + eval_overrides(bad)) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
     def test_resume_from_checkpoint_without_state_meta_is_usage_error(
         self, trained, tmp_path, capsys

@@ -45,9 +45,23 @@ class TestViTConfig:
 
     def test_validate_rejects_bad_divisibility(self):
         with pytest.raises(ValueError):
-            enc.vit_micro(9).validate()
+            enc.vit_micro(9)
         with pytest.raises(ValueError):
-            enc.vit_micro(8, dim=30, heads=4).validate()
+            enc.vit_micro(8, dim=30, heads=4)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(depth=0), "depth must be >= 1"),
+            (dict(heads=0), "heads must be >= 1"),
+            (dict(head_out=0), "head widths"),
+        ],
+        ids=["depth_0", "heads_0", "head_out_0"],
+    )
+    def test_untrainable_geometry_rejected_at_construction(self, change, message):
+        fields = dataclasses.asdict(enc.vit_micro(8)) | change
+        with pytest.raises(ValueError, match=message):
+            enc.ViTConfig(**fields)
 
     def test_preset_overrides(self):
         cfg = enc.vit_micro(16, depth=3, dim=64)
@@ -70,6 +84,17 @@ class TestInit:
         params = micro_params(seed=5)
         w = params.params["blocks.0.attn.qkv.w"]
         assert np.abs(w).max() <= 2.0 * 0.02 + 1e-12
+
+    def test_layout_is_the_param_table(self):
+        cfg = enc.vit_micro(8)
+        params = enc.init_encoder(cfg, np.random.default_rng(0)).params
+        table = enc.param_table(cfg)
+        assert list(params.shapes.items()) == [
+            (name, shape) for name, (shape, _) in table.items()
+        ]
+        for name, (_, fill) in table.items():
+            if fill is not None:
+                assert np.all(params[name] == fill), name
 
     def test_deterministic_under_seed(self):
         a, b = micro_params(seed=3), micro_params(seed=3)
@@ -372,8 +397,11 @@ class TestCheckpoint:
               "meta": {}, "blobs": []}, "unexpected keyword argument 'colour'"),
             ({"config": {"image_side": 8, "patch_side": 2},
               "meta": {}, "blobs": [["a", [1], "<i8"]]}, "KeyError"),
+            ({"config": {"image_side": 8, "patch_side": 2, "heads": 5, "dim": 32},
+              "meta": {}, "blobs": []},
+             "token dim 32 is not divisible by head count 5"),
         ],
-        ids=["no_config", "unknown_config_key", "unknown_dtype"],
+        ids=["no_config", "unknown_config_key", "unknown_dtype", "untrainable"],
     )
     def test_malformed_header_rejected(self, tmp_path, header, error):
         path = tmp_path / "bad.bin"

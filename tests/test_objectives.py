@@ -131,31 +131,24 @@ class TestProperties:
             assert report.l_mto >= 0 and report.l_mtm >= 0
             assert report.l_oto >= 0 and report.l_total >= 0
 
-    def test_normalize_weights_divides_by_m(self):
-        cb = batch(8, 4, seed=5)
-        plain = ob.loss_mtm(
-            cb.h_mix1,
-            cb.z_mix2,
-            cb.plan.mixed_targets,
-            cb.plan.mixed_weights,
-            0.2,
-        )
-        normed = ob.loss_mtm(
-            cb.h_mix1,
-            cb.z_mix2,
-            cb.plan.mixed_targets,
-            cb.plan.mixed_weights,
-            0.2,
-            normalize_weights=True,
-        )
-        assert abs(float(normed.data) - float(plain.data) / 4) <= 1e-12
-
     def test_term_weights_select_single_loss(self):
         cb = batch(5, 2, seed=9)
         report, total = ob.loss_total(cb, term_weights=(0.0, 0.0, 1.0))
         assert abs(float(total.data) - report.l_oto) <= 1e-15
         # raw per-term values are still reported
         assert report.l_mto > 0 and report.l_mtm > 0
+
+    def test_mix_to_mix_weight_one_over_m_is_the_normalised_loss(self):
+        # weights divided by M, so that each row sums to 1, give the same
+        # objective as the term weight 1/M
+        cb = batch(8, 4, seed=5)
+        _, total = ob.loss_total(cb, term_weights=(0.0, 1.0 / 4, 0.0))
+        plan = cb.plan
+        normed = ob.loss_mtm(
+            cb.h_mix1, cb.z_mix2, plan.mixed_targets, plan.mixed_weights / 4, 0.2
+        )
+        np.testing.assert_allclose(plan.mixed_weights.sum(axis=1), 4.0)
+        assert abs(float(total.data) - float(normed.data)) <= 1e-12
 
     def test_default_weights_total_is_plain_sum(self):
         cb = batch(5, 2, seed=10)

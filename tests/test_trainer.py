@@ -303,6 +303,7 @@ class TestConfigValidation:
             ("weight_decay", (0.04, math.nan), "weight decay"),
             ("momentum_mu", (0.996, 1.5), "momentum mu"),
             ("momentum_mu", (-0.1, 1.0), "momentum mu"),
+            ("checkpoint_every", -1, "checkpoint every"),
         ],
     )
     def test_out_of_contract_value_rejected(self, field, value, message):
@@ -414,6 +415,38 @@ class TestTrainStep:
         assert state.loss_history == [] and state.aborted == 1
         for label, packed in state_sets(state).items():
             assert packed.flat.tobytes() == before[label], label
+
+    def test_non_finite_embeddings_abort_without_side_effects(self):
+        state = tr.init_state(micro_config(), 8)
+        state.encoder.params["patch_embed.w"][0, 0] = math.nan
+        before = {label: p.flat.tobytes() for label, p in state_sets(state).items()}
+        state, report = tr.train_step(state, micro_batch())
+        assert report is None
+        assert state.step == 0
+        assert state.loss_history == [] and state.aborted == 1
+        for label, packed in state_sets(state).items():
+            assert packed.flat.tobytes() == before[label], label
+
+    def test_clipped_step_hands_adamw_the_gradient_at_the_clip_norm(
+        self, monkeypatch
+    ):
+        grads = []
+        real_opt = tr.optimizer_update
+
+        def spy_opt(theta, grad, *args):
+            grads.append(grad.copy())
+            return real_opt(theta, grad, *args)
+
+        monkeypatch.setattr(tr, "optimizer_update", spy_opt)
+        clip = 1e-3
+        for cfg in (micro_config(), micro_config(grad_clip=clip)):
+            _, report = tr.train_step(tr.init_state(cfg, 8), micro_batch())
+            assert report is not None
+        unclipped, clipped = grads
+        norm = math.sqrt(float((unclipped * unclipped).sum()))
+        assert norm > clip
+        assert abs(math.sqrt(float((clipped * clipped).sum())) - clip) <= 1e-12 * clip
+        np.testing.assert_allclose(clipped, unclipped * (clip / norm), rtol=1e-12)
 
     def test_mu_one_freezes_twin(self):
         cfg = micro_config(momentum_mu=(1.0, 1.0))
@@ -822,6 +855,25 @@ class TestLayout:
             with pytest.raises(ValueError, match=named):
                 tr.encoder_from_checkpoint(bad)
 
+    @pytest.mark.parametrize("fault", ["missing_block", "mis_shaped", "extra"])
+    def test_encoder_off_its_backbone_layout_is_rejected(self, tmp_path, fault):
+        def edit(blobs):
+            if fault == "missing_block":
+                return {k: v for k, v in blobs.items()
+                        if not k.startswith("theta.blocks.1.")}
+            if fault == "mis_shaped":
+                blobs["theta.norm.g"] = blobs["theta.norm.g"][:-1]
+            else:
+                blobs["theta.blocks.2.ln1.g"] = blobs["theta.norm.g"]
+            return blobs
+
+        bad, named = self.rewritten(tmp_path, edit)
+        message = named + ".*" + re.escape("'theta.'")
+        with pytest.raises(ValueError, match=message):
+            tr.encoder_from_checkpoint(bad)
+        with pytest.raises(ValueError, match=message):
+            tr.state_from_checkpoint(bad, micro_config())
+
     @pytest.mark.parametrize("prefix", ["xi.", "adam_m.", "adam_v."])
     def test_mis_shaped_set_is_rejected_naming_the_file(self, tmp_path, prefix):
         def shorten(blobs):
@@ -928,6 +980,19 @@ class TestPretrain:
         lines = full_log.splitlines(keepends=True)
         expect = lines[:1] + [ln for ln in lines[1:] if int(ln.split(b",")[0]) >= 6]
         assert log.read_bytes() == b"".join(expect)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
+    def test_diverging_run_aborts_its_steps_and_finishes(self, tmp_path):
+        # the first steps blow the weights up, after which every embedding
+        # is non-finite: each such step is aborted and counted, not raised
+        cfg = micro_config(base_lr=1e200, epochs=3)
+        final = tr.pretrain(cfg, self.small_data(), tmp_path)
+        state = tr.state_from_checkpoint(final, cfg)
+        with open(tmp_path / "train_log.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert state.aborted > 0
+        assert len(rows) == state.step == len(state.loss_history)
+        assert state.step + state.aborted == 3 * 2
 
     def test_loss_decreases_on_easy_data(self, tmp_path):
         cfg = micro_config(
