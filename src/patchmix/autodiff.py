@@ -37,8 +37,9 @@ that adds the bias in place, so a forward pass keeps one array per
 projection instead of two. Its values and gradients are those of
 ``add(matmul(a, w), b)``, bit for bit.
 
-Values are 64-bit floats by default; 32-bit arrays pass through unchanged
-for callers that opt in, with correspondingly looser gradient checks.
+A primitive computes in the dtype of its operands: 32-bit arrays (the
+trainer's default precision) stay 32-bit, and a mix of 32- and 64-bit
+arrays computes in 64 bits. Gradient checks run at 64-bit precision.
 """
 
 from __future__ import annotations

@@ -67,14 +67,20 @@ class FeatureBank:
 def extract_features(
     params: enc.EncoderParams, images: np.ndarray, batch_size: int = 256
 ) -> np.ndarray:
-    """Backbone class-token representations, L2-normalised, heads unused."""
+    """Backbone class-token representations, L2-normalised, heads unused.
+
+    The patches are cast once to the encoder's precision, so an f32
+    encoder computes in f32 and returns f32 rows; for an f64 encoder the
+    cast is a no-op.
+    """
     cfg = params.config
+    dtype = params.params.flat.dtype
     tv = enc.bind(params.params, None)
     chunks = []
     for lo in range(0, images.shape[0], batch_size):
         batch = po.ImageBatch(images[lo : lo + batch_size])
-        pb = po.patchify(batch, cfg.patch_side)
-        rep = enc.forward_backbone(cfg, tv, pb)
+        patches = po.patchify(batch, cfg.patch_side).patches
+        rep = enc.forward_backbone(cfg, tv, patches.astype(dtype, copy=False))
         chunks.append(rep.data)
     feats = np.concatenate(chunks, axis=0)
     return feats / np.linalg.norm(feats, axis=1, keepdims=True)
@@ -164,10 +170,10 @@ def attention_maps(params: enc.EncoderParams, image: np.ndarray) -> np.ndarray:
 
     Returns [heads, grid, grid]; entries are the softmax mass the class
     token places on each patch, so a map sums to at most 1 (the remainder
-    is the class token's own share).
+    is the class token's own share). Computed in the encoder's precision.
     """
     cfg = params.config
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image, dtype=params.params.flat.dtype)
     if img.ndim == 3:
         img = img[None]
     pb = po.patchify(po.ImageBatch(img), cfg.patch_side)

@@ -15,7 +15,11 @@ value.
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
 the identical stream without serialising generator state, and the whole
-trajectory is reproducible bit for bit at 64-bit precision.
+trajectory is reproducible bit for bit, in either precision, on one
+machine and BLAS build. Training computes in 32-bit floats by default
+(augmentation stays in 64 bits and each view is cast once); 64-bit
+precision is the reference path, for bit-level comparison with earlier
+runs.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class TrainConfig:
     momentum_mu: tuple[float, float] = (0.996, 1.0)
     grad_clip: float | None = None
     seed: int = 0
-    precision: str = "f64"
+    precision: str = "f32"  # f64: the bit-exact reference path
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = final only
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 

@@ -373,7 +373,8 @@ def test_criterion_09_ablation_direction(smoke_m2, smoke_ablation):
 # -------------------------------------------------- determinism and data
 
 
-def test_criterion_10_determinism_and_resume(tmp_path):
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_criterion_10_determinism_and_resume(tmp_path, precision):
     cfg = tr.TrainConfig(
         vit=enc.vit_micro(8),
         epochs=4,
@@ -382,6 +383,7 @@ def test_criterion_10_determinism_and_resume(tmp_path):
         batch_size=4,
         mix_count=2,
         seed=0,
+        precision=precision,
         checkpoint_every=2,
     )
     data = ds.synth_blobs(2, 4, 8, True, seed=0)
@@ -412,8 +414,8 @@ def test_criterion_10_determinism_and_resume(tmp_path):
     check(
         "10",
         logs_equal and resumed_equal,
-        "equal seeds give byte-identical logs; mid-run resume reproduces "
-        "the full trajectory exactly",
+        f"{precision}: equal seeds give byte-identical logs; mid-run resume "
+        "reproduces the full trajectory exactly",
     )
 
 

@@ -19,6 +19,7 @@ from patchmix import datasets as ds
 from patchmix import encoder as enc
 from patchmix import kvconfig as kv
 from patchmix import mixing as mx
+from patchmix import trainer as tr
 
 # small demo/check batches legitimately trigger the duplicate-window notice
 pytestmark = pytest.mark.filterwarnings("ignore:batch size")
@@ -91,6 +92,12 @@ class TestResolveConfig:
         assert cfg["aug.color_ops"] is False
         assert cfg["train.epochs"] == 3
         assert cfg["model.preset"] == "tiny"
+
+    def test_precision_default_is_the_trainer_default(self):
+        # a literal, not a lookup: importing the CLI must not load numpy
+        fields = {f.name: f for f in dataclasses.fields(tr.TrainConfig)}
+        assert cli.DEFAULTS["train.precision"] == fields["precision"].default
+        assert cli.DEFAULTS["train.precision"] == "f32"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -292,9 +299,20 @@ class TestGradCheck:
         assert "xi_branch: gradients identically zero ok" in out
         assert "FAIL" not in out
 
-    def test_f32_mode_warns(self, capsys):
-        cli.main(["grad-check", "--override", "train.precision=f32"])
-        assert "warning: f32" in capsys.readouterr().out
+    def test_precision_setting_changes_nothing_but_its_echo(self, capsys):
+        # grad-check runs in f64 whatever train.precision says
+        outputs = []
+        for precision in ("f32", "f64"):
+            assert cli.main(
+                ["grad-check", "--override", f"train.precision={precision}"]
+            ) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        f32, f64 = outputs
+        assert len(f32) == len(f64)
+        assert [(a, b) for a, b in zip(f32, f64) if a != b] == [
+            ("train.precision=f32", "train.precision=f64")
+        ]
+        assert not any("warning" in line for line in f32)
 
     def test_detects_gradient_leak_into_momentum_branch(self, monkeypatch, capsys):
         monkeypatch.setattr(ad, "stop_gradient", lambda t: t)
@@ -436,17 +454,17 @@ class TestTrainAndEval:
     def test_resume_under_other_precision_is_usage_error(
         self, trained, tmp_path, capsys
     ):
-        _out, ckpt, _log = trained
+        _out, ckpt, _log = trained  # trained under the default, f32
         code = quiet_main(
             ["pretrain", "--out", str(tmp_path)]
             + ["--override", f"train.resume={ckpt}"]
-            + ["--override", "train.precision=f32"]
+            + ["--override", "train.precision=f64"]
             + ["--override", "data.train_per_class=8"]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "checkpoint precision f64" in err
-        assert "configured precision f32" in err
+        assert "checkpoint precision f32" in err
+        assert "configured precision f64" in err
         assert not (tmp_path / "train_log.csv").exists()
 
     @pytest.mark.parametrize("fault", ["flipped_byte", "short_prefix", "no_config"])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from patchmix import autodiff as ad
 from patchmix import datasets as ds
 from patchmix import encoder as enc
 from patchmix import evaluation as ev
+from patchmix import patch_ops as po
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -148,6 +150,11 @@ def micro_params():
 
 
 @pytest.fixture(scope="module")
+def micro_params_f32():
+    return enc.init_encoder(enc.vit_micro(8), np.random.default_rng(7), np.float32)
+
+
+@pytest.fixture(scope="module")
 def tiny_data():
     return ds.synth_blobs(2, 8, 8, True, seed=11, noise_sigma=0.05)
 
@@ -160,6 +167,47 @@ class TestFeatureExtraction:
             np.linalg.norm(full, axis=1), 1.0, atol=1e-12
         )
         np.testing.assert_allclose(full, chunked, atol=1e-12)
+
+    def test_f64_encoder_features_are_the_backbone_run_as_is(
+        self, micro_params, tiny_data
+    ):
+        # the cast to the encoder's precision is a no-op in f64
+        cfg = micro_params.config
+        pb = po.patchify(po.ImageBatch(tiny_data.images), cfg.patch_side)
+        tv = enc.bind(micro_params.params, None)
+        rep = enc.forward_backbone(cfg, tv, pb).data
+        expected = rep / np.linalg.norm(rep, axis=1, keepdims=True)
+        feats = ev.extract_features(micro_params, tiny_data.images)
+        assert feats.dtype == np.float64
+        assert feats.tobytes() == expected.tobytes()
+
+    def test_f32_encoder_computes_in_f32(
+        self, micro_params_f32, tiny_data, monkeypatch
+    ):
+        params = micro_params_f32
+        outputs = set()  # the dtype of every primitive's output
+        node = ad._node
+
+        def recording_node(value, *edges):
+            out = node(value, *edges)
+            outputs.add(out.data.dtype)
+            return out
+
+        monkeypatch.setattr(ad, "_node", recording_node)
+        feats = ev.extract_features(params, tiny_data.images)
+        monkeypatch.undo()
+        assert outputs == {np.dtype(np.float32)}
+        assert feats.dtype == np.float32
+        bank = ev.FeatureBank(feats, tiny_data.labels, tiny_data.num_classes)
+        assert bank.count == tiny_data.count
+        # the same weights in f64 give features within f32 rounding
+        wide = enc.EncoderParams(
+            params.config,
+            enc.Packed(params.params.shapes, params.params.flat.astype(np.float64)),
+        )
+        np.testing.assert_allclose(
+            feats, ev.extract_features(wide, tiny_data.images), atol=1e-5
+        )
 
     def test_build_bank_carries_labels(self, micro_params, tiny_data):
         bank = ev.build_bank(micro_params, tiny_data)
@@ -177,6 +225,10 @@ class TestAttentionMaps:
         assert np.all(maps >= 0.0)
         sums = maps.reshape(cfg.heads, -1).sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-12)
+
+    def test_f32_encoder_maps_are_f32(self, micro_params_f32):
+        img = np.random.default_rng(9).random((3, 8, 8))
+        assert ev.attention_maps(micro_params_f32, img).dtype == np.float32
 
     def test_deterministic(self, micro_params):
         rng = np.random.default_rng(10)
