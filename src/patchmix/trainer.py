@@ -14,12 +14,15 @@ value.
 
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
-the identical stream without serialising generator state, and the whole
+the identical stream without serialising generator state (a checkpoint
+records its seed, and resuming under another is rejected), and the whole
 trajectory is reproducible bit for bit, in either precision, on one
 machine and BLAS build. Training computes in 32-bit floats by default
 (augmentation stays in 64 bits and each view is cast once); 64-bit
 precision is the reference path, for bit-level comparison with earlier
-runs.
+runs. The CSV log is written from the loss history that a checkpoint
+carries, so a resumed run leaves the log of the uninterrupted one. A run
+whose weights turn non-finite stops with an error.
 """
 
 from __future__ import annotations
@@ -444,19 +447,22 @@ def _read_encoder(path, vit_cfg: enc.ViTConfig, blobs) -> enc.EncoderParams:
 
 
 # the meta keys that state_from_checkpoint cannot do without
-_STATE_META = ("precision", "step", "epoch", "total_steps", "warmup_steps")
+_STATE_META = (
+    "precision", "step", "epoch", "total_steps", "warmup_steps", "loss_history",
+    "seed",
+)
 
 
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state``.
 
-    The provided config must describe the same backbone and precision; loop
-    counters, both parameter sets and the optimizer moments come from the
-    file. A checkpoint whose meta lacks a loop counter or the precision
-    (one not written by ``save_state``), that lacks one of the four
-    parameter sets, whose encoder does not fit its backbone's layout, or
-    whose twin or moments do not fit the encoder's is a ``ValueError``
-    naming the file.
+    The provided config must describe the same backbone, precision and
+    seed; loop counters, the loss history, both parameter sets and the
+    optimizer moments come from the file. A checkpoint whose meta lacks a
+    loop counter, the loss history, the precision or the seed (one not
+    written by ``save_state``), that lacks one of the four parameter sets,
+    whose encoder does not fit its backbone's layout, or whose twin or
+    moments do not fit the encoder's is a ``ValueError`` naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -474,6 +480,11 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
         raise ValueError(
             f"{path}: checkpoint precision {meta['precision']} does not match "
             f"the configured precision {cfg.precision}"
+        )
+    if meta["seed"] != cfg.seed:
+        raise ValueError(
+            f"{path}: checkpoint seed {meta['seed']} does not match the "
+            f"configured seed {cfg.seed}"
         )
     encoder = _read_encoder(path, vit_cfg, blobs)
     momentum = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "xi."))
@@ -493,7 +504,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
         decay=decay_mask(encoder.params),
         total_steps=int(meta["total_steps"]),
         warmup_steps=int(meta["warmup_steps"]),
-        loss_history=[tuple(row) for row in meta.get("loss_history", [])],
+        loss_history=[tuple(row) for row in meta["loss_history"]],
         aborted=int(meta.get("aborted", 0)),  # older checkpoints lack it
     )
 
@@ -506,46 +517,34 @@ def encoder_from_checkpoint(path) -> enc.EncoderParams:
     return _read_encoder(path, vit_cfg, blobs)
 
 
-def _append_csv(path: Path, rows: list[tuple], write_header: bool) -> None:
-    with open(path, "a", newline="") as f:
+def _write_log(path: Path, mode: str, rows: list[tuple]) -> None:
+    """Write loss-history ``rows`` to the CSV log: mode "w" starts the file
+    with its header, mode "a" appends."""
+    with open(path, mode, newline="") as f:
         writer = csv.writer(f)
-        if write_header:
+        if mode == "w":
             writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row[0]] + [format(v, ".17g") for v in row[1:]]
-            )
+        writer.writerows([r[0]] + [format(v, ".17g") for v in r[1:]] for r in rows)
 
 
-def _truncate_csv(path: Path, step: int) -> None:
-    """Keep the header and the complete rows of steps before ``step``.
-
-    Rows are matched by their step value, not counted, because aborted
-    steps write no row. A line without its newline, the remnant of an
-    interrupted append, is dropped whatever its cut step number reads.
-    """
-    with open(path, newline="") as f:
-        lines = [ln for ln in f.read().splitlines(keepends=True) if ln.endswith("\n")]
-    kept = lines[:1] + [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < step]
-    with open(path, "w", newline="") as f:
-        f.writelines(kept)
-
-
-def pretrain(
-    cfg: TrainConfig,
-    data,
-    out_dir,
-    resume_from=None,
-) -> Path:
+def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
     """Run the full loop over a LabeledDataset; returns the final checkpoint.
 
     Each epoch visits floor(dataset / batch) full batches of a fresh
     without-replacement shuffle. The CSV log and periodic checkpoints land
-    in ``out_dir``; resuming from a checkpoint replays the remaining epochs
-    exactly as the uninterrupted run would have, and an existing log in
-    ``out_dir`` is first cut back to the checkpoint's step. A checkpoint
-    whose total or warmup step count differs from the one ``cfg`` and
-    ``data`` give is a ``ValueError`` naming it, raised before any step.
+    in ``out_dir``. The log is written from ``state.loss_history``: a new
+    file holds the header and the rows the state starts with (the
+    checkpoint's, on resume), and each epoch appends its own. So a resumed
+    run leaves the uninterrupted run's log, whatever ``out_dir`` held. A
+    checkpoint whose total or warmup step count differs from the one
+    ``cfg`` and ``data`` give is a ``ValueError`` naming it, raised before
+    any step.
+
+    A step aborted while a weight is non-finite ends the run, since an
+    aborted step leaves the weights as they are and every later step would
+    abort too: the epoch's completed steps are logged, no final checkpoint
+    is written, and a ``ValueError`` names the step. A step aborted with
+    finite weights is skipped and counted.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -566,23 +565,21 @@ def pretrain(
 
     steps_per_epoch = n_total // cfg.batch_size
     csv_path = out_dir / "train_log.csv"
-    if resume_from is None:
-        csv_path.unlink(missing_ok=True)
-    elif csv_path.exists():
-        _truncate_csv(csv_path, state.step)
+    _write_log(csv_path, "w", state.loss_history)
 
     for epoch in range(state.epoch, cfg.epochs):
         order = _derive_rng(cfg.seed, _RNG_ORDER, epoch).permutation(n_total)
-        epoch_rows: list[tuple] = []
+        first = len(state.loss_history)
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch = po.ImageBatch(images[idx])
-            state, report = train_step(state, batch)
-            if report is not None:
-                epoch_rows.append(state.loss_history[-1])
-        # an empty log is one whose header an interrupted append cut
-        has_header = csv_path.exists() and csv_path.stat().st_size > 0
-        _append_csv(csv_path, epoch_rows, write_header=not has_header)
+            state, report = train_step(state, po.ImageBatch(images[idx]))
+            if report is None and not np.isfinite(state.encoder.params.flat).all():
+                _write_log(csv_path, "a", state.loss_history[first:])
+                raise ValueError(
+                    f"step {state.step} aborted with non-finite weights: the "
+                    f"run has diverged"
+                )
+        _write_log(csv_path, "a", state.loss_history[first:])
         state.epoch = epoch + 1
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_state(state, out_dir / f"checkpoint_epoch{epoch + 1:04d}.bin")

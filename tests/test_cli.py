@@ -93,10 +93,13 @@ class TestResolveConfig:
         assert cfg["train.epochs"] == 3
         assert cfg["model.preset"] == "tiny"
 
-    def test_precision_default_is_the_trainer_default(self):
+    def test_defaults_are_the_trainer_defaults(self):
+        # every train.* and aug.* default builds the TrainConfig that leaves
+        # all but the run length at the trainer's defaults
+        vit = enc.vit_micro(8)
+        built = cli._train_config(cli.resolve_config(None, []), 0, vit)
+        assert built == tr.TrainConfig(vit, epochs=10, warmup_epochs=1)
         # a literal, not a lookup: importing the CLI must not load numpy
-        fields = {f.name: f for f in dataclasses.fields(tr.TrainConfig)}
-        assert cli.DEFAULTS["train.precision"] == fields["precision"].default
         assert cli.DEFAULTS["train.precision"] == "f32"
 
     def test_unknown_key_rejected(self):
@@ -466,6 +469,31 @@ class TestTrainAndEval:
         assert "checkpoint precision f32" in err
         assert "configured precision f64" in err
         assert not (tmp_path / "train_log.csv").exists()
+
+    def test_resume_under_other_seed_is_usage_error(
+        self, trained, tmp_path, capsys
+    ):
+        _out, ckpt, _log = trained  # trained under the default seed, 0
+        code = quiet_main(
+            ["pretrain", "--out", str(tmp_path), "--seed", "1"]
+            + ["--override", f"train.resume={ckpt}"]
+            + TRAINED_OVERRIDES
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: checkpoint seed 0 does not match the " in err
+        assert "configured seed 1" in err
+        assert not (tmp_path / "train_log.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
+    def test_diverging_run_is_usage_error(self, tmp_path, capsys):
+        code = quiet_main(
+            ["pretrain", "--out", str(tmp_path)]
+            + TRAINED_OVERRIDES + ["--override", "train.base_lr=1e200"]
+        )
+        assert code == 2
+        assert "the run has diverged" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint_final.bin").exists()
 
     @pytest.mark.parametrize("fault", ["flipped_byte", "short_prefix", "no_config"])
     def test_bad_checkpoint_is_usage_error(self, trained, tmp_path, capsys, fault):

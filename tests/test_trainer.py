@@ -732,9 +732,14 @@ class TestCheckpointing:
         assert ra == rb
         assert_params_equal(a.encoder.params, b.encoder.params)
 
-    STATE_META = ("precision", "step", "epoch", "total_steps", "warmup_steps")
+    STATE_META = (
+        "precision", "step", "epoch", "total_steps", "warmup_steps",
+        "loss_history", "seed",
+    )
 
-    @pytest.mark.parametrize("dropped", [STATE_META, ("step", "warmup_steps")])
+    @pytest.mark.parametrize(
+        "dropped", [STATE_META, ("step", "warmup_steps"), ("loss_history",)]
+    )
     def test_incomplete_meta_rejected(self, tmp_path, dropped):
         cfg = micro_config()
         tr.save_state(tr.init_state(cfg, 8), tmp_path / "full.bin")
@@ -755,6 +760,15 @@ class TestCheckpointing:
         tr.save_state(tr.init_state(cfg, 8), tmp_path / "s.bin")
         with pytest.raises(ValueError, match="precision f64 .* precision f32"):
             tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(precision="f32"))
+
+    def test_seed_mismatch_rejected(self, tmp_path):
+        tr.save_state(tr.init_state(micro_config(seed=5), 8), tmp_path / "s.bin")
+        message = re.escape(
+            f"{tmp_path / 's.bin'}: checkpoint seed 5 does not match the "
+            f"configured seed 0"
+        )
+        with pytest.raises(ValueError, match=message):
+            tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(seed=0))
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_version_1_checkpoint_loads(self, tmp_path, precision):
@@ -915,6 +929,18 @@ class TestPretrain:
         assert len(rows) == 1 + 2
         assert [r[0] for r in rows[1:]] == ["0", "1"]
 
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_log_parses_back_to_the_loss_history(self, tmp_path, precision):
+        # the log is written from the history, so it must hold it exactly
+        cfg = micro_config(precision=precision)
+        final = tr.pretrain(cfg, self.small_data(), tmp_path)
+        with open(tmp_path / "train_log.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        parsed = [(int(r[0]), *map(float, r[1:])) for r in rows]
+        history = tr.state_from_checkpoint(final, cfg).loss_history
+        assert len(parsed) == 4
+        assert parsed == history
+
     def test_two_runs_produce_identical_logs(self, tmp_path):
         cfg = micro_config()
         tr.pretrain(cfg, self.small_data(), tmp_path / "a")
@@ -937,6 +963,10 @@ class TestPretrain:
         assert_params_equal(full.momentum.params, res.momentum.params)
         assert_params_equal(full.opt_m, res.opt_m)
         assert full.loss_history == res.loss_history
+        # into an empty directory, the log too is the uninterrupted run's
+        for name in ("train_log.csv", "checkpoint_final.bin"):
+            full_bytes = (tmp_path / "full" / name).read_bytes()
+            assert (tmp_path / "res" / name).read_bytes() == full_bytes, name
 
     @pytest.mark.parametrize(
         "change", [dict(epochs=4), dict(warmup_epochs=0), dict(batch_size=2)]
@@ -952,12 +982,15 @@ class TestPretrain:
         assert (log.read_bytes(), final.read_bytes()) == before  # no step ran
 
     def test_resume_in_place_rewrites_log_from_checkpoint_step(self, tmp_path):
-        cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
+        cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=1)
         tr.pretrain(cfg, self.small_data(), tmp_path)
         full_log = (tmp_path / "train_log.csv").read_bytes()
-        mid = tmp_path / "checkpoint_epoch0002.bin"
-        tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
-        assert (tmp_path / "train_log.csv").read_bytes() == full_log
+        final = (tmp_path / "checkpoint_final.bin").read_bytes()
+        for epoch in (1, 2, 3):
+            mid = tmp_path / f"checkpoint_epoch{epoch:04d}.bin"
+            tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
+            assert (tmp_path / "train_log.csv").read_bytes() == full_log, epoch
+            assert (tmp_path / "checkpoint_final.bin").read_bytes() == final, epoch
 
     def test_resume_in_place_from_a_version_1_checkpoint(self, tmp_path):
         cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
@@ -993,22 +1026,40 @@ class TestPretrain:
         log.write_bytes(full_log[:9])  # "step,l_mt", cut inside the header
         mid = tmp_path / "full" / "checkpoint_epoch0003.bin"
         tr.pretrain(cfg, self.small_data(), tmp_path / "res", resume_from=mid)
-        lines = full_log.splitlines(keepends=True)
-        expect = lines[:1] + [ln for ln in lines[1:] if int(ln.split(b",")[0]) >= 6]
-        assert log.read_bytes() == b"".join(expect)
+        assert log.read_bytes() == full_log
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
-    def test_diverging_run_aborts_its_steps_and_finishes(self, tmp_path):
-        # the first steps blow the weights up, after which every embedding
-        # is non-finite: each such step is aborted and counted, not raised
-        cfg = micro_config(base_lr=1e200, epochs=3)
+    def test_diverging_run_stops_with_an_error(self, tmp_path):
+        # steps 0 and 1 blow the weights up mid-epoch; step 2 is aborted on
+        # non-finite weights, and so would every later step be
+        cfg = micro_config(base_lr=1e200, epochs=3, batch_size=2)
+        with pytest.raises(ValueError, match=r"^step 2 .* the run has diverged$"):
+            tr.pretrain(cfg, self.small_data(), tmp_path)
+        with open(tmp_path / "train_log.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert tuple(rows[0]) == tr.CSV_COLUMNS
+        assert [r[0] for r in rows[1:]] == ["0", "1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
+
+    def test_abort_with_finite_weights_is_skipped_and_the_run_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        real, calls = tr.ob.loss_total, []
+
+        def poisoned_once(cb, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                return ob.LossReport(math.nan, math.nan, math.nan, math.nan), None
+            return real(cb, **kwargs)
+
+        monkeypatch.setattr(tr.ob, "loss_total", poisoned_once)
+        cfg = micro_config(epochs=3)
         final = tr.pretrain(cfg, self.small_data(), tmp_path)
         state = tr.state_from_checkpoint(final, cfg)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
-        assert state.aborted > 0
-        assert len(rows) == state.step == len(state.loss_history)
-        assert state.step + state.aborted == 3 * 2
+        assert (state.step, state.aborted, state.epoch) == (5, 1, 3)
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
 
     def test_loss_decreases_on_easy_data(self, tmp_path):
         cfg = micro_config(
