@@ -22,7 +22,8 @@ array: the optimizer and the EMA act on the array, the forward pass and the
 checkpoint on the names. The heads only ever run in training mode and are
 discarded after pretraining, so their batch norms normalise by the batch
 statistics and keep no running statistics: an encoder is one parameter
-set. The twin's names lead the encoder's.
+set. Every set is built in, or read into, a ``layout`` of ``param_table``;
+the twin's layout, the tracked names, is the leading part of the encoder's.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "vit_tiny",
     "vit_micro",
     "param_table",
+    "layout",
     "init_encoder",
     "init_momentum",
     "bind",
@@ -57,7 +59,6 @@ __all__ = [
     "forward_heads",
     "ema_update",
     "momentum_tracks",
-    "check_twin",
     "blocks",
     "write_checkpoint",
     "read_checkpoint",
@@ -175,11 +176,9 @@ class Packed(dict):
         return {name: view.shape for name, view in self.items()}
 
 
-def pack(arrays: Mapping[str, np.ndarray], shapes: Mapping | None = None) -> Packed:
-    """Copy ``arrays`` into one new contiguous array, laid out by ``shapes``
-    (default: the arrays' own names and shapes, in their order)."""
-    if shapes is None:
-        shapes = {name: np.shape(arr) for name, arr in arrays.items()}
+def pack(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> Packed:
+    """Copy the ``arrays`` that ``shapes`` names into one new contiguous
+    array, laid out by ``shapes``."""
     dtype = np.result_type(*arrays.values()) if arrays else np.float64
     out = Packed(shapes, dtype=dtype)
     for name, view in out.items():
@@ -262,13 +261,26 @@ def param_table(config: ViTConfig) -> dict[str, tuple[tuple, float | None]]:
     return p
 
 
+def momentum_tracks(name: str) -> bool:
+    """Whether a parameter belongs to the momentum twin: all but the
+    prediction head, which ``param_table`` puts last."""
+    return not name.startswith("pred.")
+
+
+def layout(config: ViTConfig, twin: bool = False) -> dict[str, tuple]:
+    """The encoder's parameter set as name -> shape, in ``param_table``
+    order; with ``twin``, the momentum twin's: the tracked names, which
+    lead that order."""
+    return {name: shape for name, (shape, _) in param_table(config).items()
+            if not twin or momentum_tracks(name)}
+
+
 def init_encoder(
     config: ViTConfig, rng: np.random.Generator, dtype=np.float64
 ) -> EncoderParams:
-    """Initialise all weights as ``param_table`` lays them out, in its order."""
-    table = param_table(config)
-    out = Packed({name: shape for name, (shape, _) in table.items()}, dtype=dtype)
-    for name, (_, fill) in table.items():
+    """Initialise all weights in ``layout(config)``, drawn in its order."""
+    out = Packed(layout(config), dtype=dtype)
+    for name, (_, fill) in param_table(config).items():
         if fill is None:
             _trunc_normal(rng, out[name], 0.02)
         else:
@@ -276,29 +288,11 @@ def init_encoder(
     return EncoderParams(config, out)
 
 
-def momentum_tracks(name: str) -> bool:
-    """Whether a parameter belongs to the momentum twin."""
-    return not name.startswith("pred.")
-
-
-def check_twin(encoder: EncoderParams, twin: EncoderParams) -> None:
-    """Raise unless the twin's names and shapes are the encoder's leading
-    ones, in order: ``ema_update`` pairs them by position."""
-    mine = list(twin.params.shapes.items())
-    if mine != list(encoder.params.shapes.items())[: len(mine)]:
-        raise ValueError(
-            "the momentum twin's params are not the encoder's leading "
-            "params (names, shapes and order)"
-        )
-
-
 def init_momentum(encoder: EncoderParams) -> EncoderParams:
-    """Copy the tracked subset; the twin starts equal to the encoder."""
-    twin = EncoderParams(encoder.config, pack(
-        {k: v for k, v in encoder.params.items() if momentum_tracks(k)}
-    ))
-    check_twin(encoder, twin)
-    return twin
+    """Copy the tracked part into the twin's layout; the twin starts equal
+    to the encoder."""
+    config = encoder.config
+    return EncoderParams(config, pack(encoder.params, layout(config, twin=True)))
 
 
 def ema_update(
@@ -307,8 +301,10 @@ def ema_update(
     """One exponential-moving-average step: xi' = mu * xi + (1 - mu) * theta.
 
     Applied in place to every tracked parameter, as one array; returns the
-    twin. ``mu`` must lie in [0, 1]; mu=1 leaves the twin bit-identical,
-    mu=0 copies the encoder.
+    twin. The twin is paired with the encoder by position, which is right
+    because both sets are laid out by ``layout`` and the twin's layout is
+    the leading part of the encoder's. ``mu`` must lie in [0, 1]; mu=1
+    leaves the twin bit-identical, mu=0 copies the encoder.
     """
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"momentum coefficient must lie in [0, 1], got {mu}")

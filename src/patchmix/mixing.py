@@ -55,7 +55,6 @@ __all__ = [
     "apply_mix",
     "naive_mix_oracle",
     "plan_to_text",
-    "plan_from_text",
 ]
 
 
@@ -287,47 +286,3 @@ def plan_to_text(plan: MixPlan) -> str:
         _write_row(out, name, attrgetter(field)(plan))
     return out.getvalue()
 
-
-def plan_from_text(text: str) -> MixPlan:
-    """Rebuild the plan of a ``plan_to_text`` block from its permutation.
-
-    The header and the two permutation rows define the plan, which
-    ``plan_mix`` derives again. Every other known row present must equal
-    the derived one, or a ``ValueError`` names it; unknown rows (such as
-    the ``group_gather`` row of older plans) are ignored.
-    """
-    rows: dict[str, list[str]] = {}
-    header: list[str] | None = None
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "mixplan":
-            header = parts[1:]
-        else:
-            rows[parts[0]] = parts[1:]
-    if header is None or len(header) != 3:
-        raise ValueError("missing or malformed mixplan header line")
-    n, m, t = (int(v) for v in header)
-
-    def numbers(name: str, kind=int) -> np.ndarray:
-        if name not in rows:
-            raise ValueError(f"missing row {name!r} in mix plan text")
-        try:
-            return np.array([kind(v) for v in rows[name]])
-        except ValueError:
-            raise ValueError(
-                f"row {name!r} of the mix plan text holds a non-{kind.__name__}"
-            ) from None
-
-    perm = Permutation(numbers("perm_forward"), numbers("perm_inverse"))
-    plan = plan_mix(MixConfig(images=n, groups=m, tokens=t), perm)
-    for name, field in _ROWS.items():
-        want = attrgetter(field)(plan).reshape(-1)
-        kind = float if want.dtype.kind == "f" else int
-        if name in rows and not np.array_equal(numbers(name, kind), want):
-            raise ValueError(
-                f"row {name!r} of the mix plan text contradicts the plan its "
-                f"permutation gives"
-            )
-    return plan

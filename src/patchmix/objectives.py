@@ -136,12 +136,10 @@ def loss_mtm(
 
 
 def loss_oto(h_view2, z_view1, tau: float) -> Tensor:
-    """Origin-to-origin InfoNCE with diagonal positives."""
-    sim = cosine_sim_matrix(h_view2, z_view1)
-    n = sim.data.shape[0]
-    logp = ad.log_softmax(ad.scale(sim, 1.0 / tau), axis=1)
-    diag = ad.gather(logp, np.arange(n, dtype=np.int64)[:, None])
-    return _check_finite("loss_oto", ad.neg(ad.mean(diag)))
+    """Origin-to-origin InfoNCE with diagonal positives: the mix-to-origin
+    loss whose one positive per row is the image itself."""
+    n = len(h_view2.data if isinstance(h_view2, Tensor) else h_view2)
+    return loss_mto(h_view2, z_view1, np.arange(n)[:, None], tau)
 
 
 def loss_total(

@@ -209,6 +209,11 @@ def decay_mask(params: enc.Packed) -> np.ndarray:
     )
 
 
+# AdamW's moment decay rates and the offset of its denominator
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 def optimizer_update(
     theta: np.ndarray,
     grad: np.ndarray,
@@ -217,17 +222,16 @@ def optimizer_update(
     moments: tuple[np.ndarray, np.ndarray],
     step: int,
     decay: np.ndarray,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
 ) -> np.ndarray:
-    """One AdamW step over a whole parameter array, in place.
+    """One AdamW step over a whole parameter array, in place, with
+    ``ADAM_BETAS`` and ``ADAM_EPS``.
 
     ``grad``, both moments and the boolean ``decay`` mask share the layout
     of ``theta``. Decoupled weight decay (theta -= lr * wd * theta) applies
     alongside the adaptive step where ``decay`` is set; ``step`` is 1-based
     for the bias correction.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
     for b in enc.blocks(theta.size):
@@ -236,7 +240,7 @@ def optimizer_update(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if wd != 0.0:
             np.add(update, wd * t, out=update, where=decay[b])
         t -= lr * update
@@ -418,32 +422,19 @@ def save_state(state: TrainState, path) -> None:
     enc.write_checkpoint(path, state.config.vit, _state_blobs(state), meta)
 
 
-def _strip(blobs: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    """The blobs written under ``prefix`` by ``_state_blobs``, prefix removed."""
-    return {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
-
-
-def _read_set(path, blobs, prefix: str, shapes=None) -> enc.Packed:
-    """The parameter set written under ``prefix``, packed in its own order,
-    or in the layout ``shapes`` when given. A set that is absent, or whose
-    names and shapes differ from ``shapes``, is a ``ValueError`` naming
-    ``path``."""
-    arrays = _strip(blobs, prefix)
+def _read_set(path, blobs, prefix: str, shapes: dict[str, tuple]) -> enc.Packed:
+    """The parameter set written under ``prefix`` by ``_state_blobs``, packed
+    in the layout ``shapes``. A set that is absent, or whose names and
+    shapes differ from ``shapes``, is a ``ValueError`` naming ``path``."""
+    arrays = {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
     if not arrays:
         raise ValueError(f"{path}: checkpoint holds no {prefix!r} parameter set")
-    if shapes is not None and {k: v.shape for k, v in arrays.items()} != shapes:
+    if {k: v.shape for k, v in arrays.items()} != shapes:
         raise ValueError(
             f"{path}: the checkpoint's {prefix!r} set does not match the "
-            f"encoder's names and shapes"
+            f"names and shapes of its layout"
         )
     return enc.pack(arrays, shapes)
-
-
-def _read_encoder(path, vit_cfg: enc.ViTConfig, blobs) -> enc.EncoderParams:
-    """The trained encoder written under ``theta.``, checked against and
-    packed in the layout ``enc.param_table`` gives ``vit_cfg``."""
-    shapes = {name: shape for name, (shape, _) in enc.param_table(vit_cfg).items()}
-    return enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta.", shapes))
 
 
 # the meta keys that state_from_checkpoint cannot do without
@@ -458,11 +449,12 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
 
     The provided config must describe the same backbone, precision and
     seed; loop counters, the loss history, both parameter sets and the
-    optimizer moments come from the file. A checkpoint whose meta lacks a
-    loop counter, the loss history, the precision or the seed (one not
-    written by ``save_state``), that lacks one of the four parameter sets,
-    whose encoder does not fit its backbone's layout, or whose twin or
-    moments do not fit the encoder's is a ``ValueError`` naming the file.
+    optimizer moments come from the file, each read by name into its
+    ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
+    meta lacks a loop counter, the loss history, the precision or the seed
+    (one not written by ``save_state``), or whose parameter sets do not
+    each hold exactly the names and shapes of their layout, is a
+    ``ValueError`` naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -486,19 +478,15 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint seed {meta['seed']} does not match the "
             f"configured seed {cfg.seed}"
         )
-    encoder = _read_encoder(path, vit_cfg, blobs)
-    momentum = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "xi."))
-    try:
-        enc.check_twin(encoder, momentum)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    shapes = encoder.params.shapes
+    shapes = enc.layout(vit_cfg)
+    encoder = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta.", shapes))
+    twin = _read_set(path, blobs, "xi.", enc.layout(vit_cfg, twin=True))
     return TrainState(
         config=cfg,
         step=int(meta["step"]),
         epoch=int(meta["epoch"]),
         encoder=encoder,
-        momentum=momentum,
+        momentum=enc.EncoderParams(vit_cfg, twin),
         opt_m=_read_set(path, blobs, "adam_m.", shapes),
         opt_v=_read_set(path, blobs, "adam_v.", shapes),
         decay=decay_mask(encoder.params),
@@ -514,7 +502,9 @@ def encoder_from_checkpoint(path) -> enc.EncoderParams:
     a ``theta.`` set that does not fit that backbone is a ``ValueError``
     naming the file."""
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
-    return _read_encoder(path, vit_cfg, blobs)
+    return enc.EncoderParams(
+        vit_cfg, _read_set(path, blobs, "theta.", enc.layout(vit_cfg))
+    )
 
 
 def _write_log(path: Path, mode: str, rows: list[tuple]) -> None:
@@ -540,11 +530,12 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
     ``cfg`` and ``data`` give is a ``ValueError`` naming it, raised before
     any step.
 
-    A step aborted while a weight is non-finite ends the run, since an
-    aborted step leaves the weights as they are and every later step would
-    abort too: the epoch's completed steps are logged, no final checkpoint
-    is written, and a ``ValueError`` names the step. A step aborted with
-    finite weights is skipped and counted.
+    A run stops as soon as the encoder holds a non-finite weight, checked
+    after every step, completed or aborted: the epoch's completed steps are
+    logged, no checkpoint is written, and a ``ValueError`` names the last
+    completed step. So no checkpoint ever holds a diverged encoder, and a
+    resume from one written before this rule stops at its first step. A
+    step aborted with finite weights is skipped and counted.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -572,12 +563,12 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
         first = len(state.loss_history)
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            state, report = train_step(state, po.ImageBatch(images[idx]))
-            if report is None and not np.isfinite(state.encoder.params.flat).all():
+            state, _ = train_step(state, po.ImageBatch(images[idx]))
+            if not np.isfinite(state.encoder.params.flat).all():
                 _write_log(csv_path, "a", state.loss_history[first:])
                 raise ValueError(
-                    f"step {state.step} aborted with non-finite weights: the "
-                    f"run has diverged"
+                    f"step {state.step - 1} left non-finite weights: the run "
+                    f"has diverged"
                 )
         _write_log(csv_path, "a", state.loss_history[first:])
         state.epoch = epoch + 1

@@ -19,6 +19,7 @@ from patchmix import datasets as ds
 from patchmix import encoder as enc
 from patchmix import kvconfig as kv
 from patchmix import mixing as mx
+from patchmix import patch_ops as po
 from patchmix import trainer as tr
 
 # small demo/check batches legitimately trigger the duplicate-window notice
@@ -342,8 +343,9 @@ class TestMixDemo:
         for stem in ("orig", "shuffled", "smix", "mixed"):
             for i in range(3):
                 assert (tmp_path / f"{stem}_{i:03d}.ppm").exists()
-        plan = mx.plan_from_text((tmp_path / "plan.txt").read_text())
-        assert plan.config.images == 3 and plan.config.groups == 3
+        perm = po.sample_permutation(16, np.random.default_rng(0))
+        plan = mx.plan_mix(mx.MixConfig(3, 3, 16), perm)
+        assert (tmp_path / "plan.txt").read_text() == mx.plan_to_text(plan)
 
     def test_single_group_mix_equals_original(self, tmp_path):
         assert self.run_demo(tmp_path, "--override", "demo.groups=1") == 0

@@ -260,18 +260,14 @@ class TestMomentum:
         mine, theirs = twin.params, params.params
         assert list(mine) == list(theirs)[: len(mine)]
         np.testing.assert_array_equal(mine.flat, theirs.flat[: mine.flat.size])
-        enc.check_twin(params, twin)
 
-    def test_twin_that_is_not_a_prefix_is_rejected(self):
-        params = micro_params()
-        names = sorted(params.params, key=enc.momentum_tracks)  # pred.* first
-        shuffled = enc.EncoderParams(
-            params.config, enc.pack({k: params.params[k] for k in names})
-        )
-        with pytest.raises(ValueError, match="leading params"):
-            enc.init_momentum(shuffled)
-        with pytest.raises(ValueError, match="leading params"):
-            enc.check_twin(shuffled, enc.init_momentum(params))
+    def test_twin_layout_leads_the_encoder_layout(self):
+        cfg = enc.vit_micro(8)
+        full = list(enc.layout(cfg).items())
+        twin = list(enc.layout(cfg, twin=True).items())
+        assert 0 < len(twin) < len(full)
+        assert full[: len(twin)] == twin
+        assert all(name.startswith("pred.") for name, _ in full[len(twin) :])
 
     def test_mu_out_of_range_rejected(self):
         params = micro_params()
@@ -283,14 +279,14 @@ class TestMomentum:
 class TestPacked:
     def test_pack_copies_into_one_array(self):
         arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2, np.float32)}
-        packed = enc.pack(arrays)
+        packed = enc.pack(arrays, {"a": (2, 3), "b": (2,)})
         assert packed.flat.shape == (8,) and packed.flat.dtype == np.float64
         np.testing.assert_array_equal(packed.flat, [0, 1, 2, 3, 4, 5, 1, 1])
         assert packed["a"].base is packed.flat
         assert not np.shares_memory(packed["a"], arrays["a"])
 
     def test_empty_set_packs(self):
-        assert enc.pack({}).flat.size == 0
+        assert enc.pack({}, {}).flat.size == 0
 
 
 class TestCheckpoint:

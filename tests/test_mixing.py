@@ -187,61 +187,24 @@ class TestApplyMix:
 
 
 class TestPlanText:
-    def test_round_trip(self):
+    def test_each_row_holds_its_field(self):
         plan = make_plan(5, 3, 11, seed=8)
-        text = mx.plan_to_text(plan)
-        back = mx.plan_from_text(text)
-        assert back.config == plan.config
-        np.testing.assert_array_equal(back.perm.forward, plan.perm.forward)
-        np.testing.assert_array_equal(back.source_map, plan.source_map)
-        np.testing.assert_array_equal(back.mixed_targets, plan.mixed_targets)
-        np.testing.assert_allclose(
-            back.mixed_weights, plan.mixed_weights, rtol=0, atol=0
-        )
-
-    def test_ignores_group_gather_row_of_older_plans(self):
-        # older plan files carry a group_gather row; it is read and ignored
-        plan = make_plan(5, 3, 11, seed=8)
-        legacy = mx.plan_to_text(plan) + "group_gather " + " ".join(
-            str(v) for v in mx.flat_group_gather(5, 3)
-        ) + "\n"
-        back = mx.plan_from_text(legacy)
-        assert mx.plan_to_text(back) == mx.plan_to_text(plan)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            mx.plan_from_text("not a plan\n")
-
-    def test_permutation_rows_alone_define_the_plan(self):
-        plan = make_plan(5, 3, 11, seed=8)
-        lines = mx.plan_to_text(plan).splitlines(keepends=True)
-        back = mx.plan_from_text("".join(lines[:3]))  # header, perm rows
-        assert mx.plan_to_text(back) == mx.plan_to_text(plan)
-
-    @pytest.mark.parametrize(
-        "row",
-        ["group_bounds", "source_map", "origin_targets", "mixed_targets",
-         "mixed_weights"],
-    )
-    def test_row_contradicting_the_permutation_rejected(self, row):
-        plan = make_plan(5, 3, 11, seed=8)
-        lines = mx.plan_to_text(plan).splitlines(keepends=True)
-        at = next(i for i, ln in enumerate(lines) if ln.startswith(row + " "))
-        name, first, rest = lines[at].split(" ", 2)
-        lines[at] = f"{name} {float(first) + 1:g} {rest}"
-        with pytest.raises(ValueError, match=f"row '{row}' .* contradicts"):
-            mx.plan_from_text("".join(lines))
-
-    def test_row_of_the_wrong_length_rejected(self):
-        plan = make_plan(5, 3, 11, seed=8)
-        text = mx.plan_to_text(plan).replace("mixed_targets ", "mixed_targets 0 ")
-        with pytest.raises(ValueError, match="'mixed_targets'"):
-            mx.plan_from_text(text)
-
-    def test_non_number_rejected(self):
-        text = mx.plan_to_text(make_plan(5, 3, 11, seed=8))
-        with pytest.raises(ValueError, match="'source_map' .* non-int"):
-            mx.plan_from_text(text.replace("source_map ", "source_map x "))
+        fields = {
+            "perm_forward": plan.perm.forward,
+            "perm_inverse": plan.perm.inverse,
+            "group_bounds": plan.group_bounds,
+            "source_map": plan.source_map,
+            "origin_targets": plan.origin_targets,
+            "mixed_targets": plan.mixed_targets,
+            "mixed_weights": plan.mixed_weights,
+        }
+        header, *rows = mx.plan_to_text(plan).splitlines()
+        assert header == "mixplan 5 3 11"
+        assert [row.split()[0] for row in rows] == list(fields)
+        for row, field in zip(rows, fields.values()):
+            # floats are written at .17g, so they parse back bit for bit
+            values = np.array(row.split()[1:], dtype=field.dtype)
+            assert values.tobytes() == field.reshape(-1).tobytes(), row
 
 
 class TestPropertyGrid:

@@ -69,7 +69,8 @@ def rewrite_as_version1(src, dst) -> None:
         elif prefix == "xi_buf.":
             part = {k: v for k, v in stats.items() if enc.momentum_tracks(k)}
         else:
-            part = tr._strip(blobs, prefix)
+            part = {k[len(prefix):]: v for k, v in blobs.items()
+                    if k.startswith(prefix)}
         ordered.update({prefix + k: v for k, v in part.items()})
     tag = "<f4" if dtype == np.float32 else "<f8"
     header = json.dumps({
@@ -152,8 +153,7 @@ class TestDecayExempt:
         assert not tr.decay_exempt(name)
 
 
-def reference_adamw(params, grads, lr, wd, moments, step, betas=(0.9, 0.999),
-                    eps=1e-8):
+def reference_adamw(params, grads, lr, wd, moments, step, betas, eps):
     """AdamW over a name -> array dict, one name at a time: the per-name
     loop that ``optimizer_update`` replaced, kept as its oracle."""
     b1, b2 = betas
@@ -182,7 +182,10 @@ def assert_bits_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
 
 class TestOptimizer:
     def setup_method(self):
-        self.params = enc.pack({"layer.w": np.ones((2, 2)), "layer.b": np.ones(2)})
+        self.params = enc.pack(
+            {"layer.w": np.ones((2, 2)), "layer.b": np.ones(2)},
+            {"layer.w": (2, 2), "layer.b": (2,)},
+        )
         self.moments = (np.zeros(6), np.zeros(6))
 
     def update(self, grad, lr, wd, step=1):
@@ -211,7 +214,7 @@ class TestOptimizer:
 
     def test_first_step_is_unit_scaled(self):
         # grad of theta^2/2 at theta=1 is 1; bias-corrected Adam moves ~lr
-        params = enc.pack({"x.w": np.array([1.0])})
+        params = enc.pack({"x.w": np.array([1.0])}, {"x.w": (1,)})
         moments = (np.zeros(1), np.zeros(1))
         tr.optimizer_update(
             params.flat, np.array([1.0]), 0.1, 0.0, moments, 1,
@@ -250,10 +253,10 @@ class TestOptimizer:
                 for k, v in params.items()
             }
             grad = np.concatenate([g.ravel() for g in grads.values()])
-            tr.optimizer_update(
-                params.flat, grad, 1e-2, wd, moments, step, decay, (0.9, 0.99)
+            tr.optimizer_update(params.flat, grad, 1e-2, wd, moments, step, decay)
+            reference_adamw(
+                ref, grads, 1e-2, wd, ref_moments, step, tr.ADAM_BETAS, tr.ADAM_EPS
             )
-            reference_adamw(ref, grads, 1e-2, wd, ref_moments, step, (0.9, 0.99))
             assert_bits_equal(params, ref)
         for flat, by_name in zip(moments, ref_moments):
             assert_bits_equal(enc.Packed(params.shapes, flat), by_name)
@@ -365,7 +368,8 @@ class TestTrainStep:
         # exactly ema(theta_new, xi_old)
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
-        xi_old = enc.EncoderParams(cfg.vit, enc.pack(state.momentum.params))
+        twin = state.momentum.params
+        xi_old = enc.EncoderParams(cfg.vit, enc.pack(twin, twin.shapes))
         mu = tr.schedule(
             0, state.total_steps, 0, cfg.momentum_mu[0], cfg.momentum_mu[1], "cosine"
         )
@@ -818,6 +822,9 @@ def assert_packed(packed: enc.Packed):
     assert start == flat.__array_interface__["data"][0] + flat.nbytes
 
 
+XI_MISMATCH = "the checkpoint's 'xi.' set does not match"
+
+
 class TestLayout:
     def test_fresh_state_is_packed(self):
         state = tr.init_state(micro_config(), 8)
@@ -857,13 +864,34 @@ class TestLayout:
         assert_packed(tr.encoder_from_checkpoint(tmp_path / "s.bin").params)
 
     def test_twin_that_is_not_a_prefix_is_rejected(self, tmp_path):
+        bad, named = self.rewritten(tmp_path, lambda blobs: {
+            k: v for k, v in blobs.items() if k != "xi.patch_embed.w"
+        })
+        with pytest.raises(ValueError, match=named + re.escape(XI_MISMATCH)):
+            tr.state_from_checkpoint(bad, micro_config())
+
+    def test_twin_holding_the_prediction_head_is_rejected(self, tmp_path):
+        def add_pred(blobs):
+            pred = {k: v for k, v in blobs.items() if k.startswith("theta.pred.")}
+            return blobs | {"xi." + k[len("theta."):]: v for k, v in pred.items()}
+
+        bad, named = self.rewritten(tmp_path, add_pred)
+        with pytest.raises(ValueError, match=named + re.escape(XI_MISMATCH)):
+            tr.state_from_checkpoint(bad, micro_config())
+
+    def test_twin_stored_in_another_order_loads(self, tmp_path):
         cfg = micro_config()
-        tr.save_state(tr.init_state(cfg, 8), tmp_path / "s.bin")
+        state, _ = tr.train_step(tr.init_state(cfg, 8), micro_batch())
+        tr.save_state(state, tmp_path / "s.bin")
         vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "s.bin")
-        del blobs["xi.patch_embed.w"]
-        enc.write_checkpoint(tmp_path / "bad.bin", vit_cfg, blobs, meta)
-        with pytest.raises(ValueError, match="leading"):
-            tr.state_from_checkpoint(tmp_path / "bad.bin", cfg)
+        twin = [k for k in blobs if k.startswith("xi.")]
+        reordered = {k: v for k, v in blobs.items() if k not in twin}
+        reordered |= {k: blobs[k] for k in reversed(twin)}
+        enc.write_checkpoint(tmp_path / "r.bin", vit_cfg, reordered, meta)
+        loaded = tr.state_from_checkpoint(tmp_path / "r.bin", cfg).momentum.params
+        assert_packed(loaded)
+        assert list(loaded) == list(state.momentum.params)
+        assert loaded.flat.tobytes() == state.momentum.params.flat.tobytes()
 
     def rewritten(self, tmp_path, edit):
         """A fresh state's checkpoint with its blobs passed through ``edit``,
@@ -1030,16 +1058,43 @@ class TestPretrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
     def test_diverging_run_stops_with_an_error(self, tmp_path):
-        # steps 0 and 1 blow the weights up mid-epoch; step 2 is aborted on
-        # non-finite weights, and so would every later step be
+        # step 1 leaves non-finite weights mid-epoch, so the run stops there
         cfg = micro_config(base_lr=1e200, epochs=3, batch_size=2)
-        with pytest.raises(ValueError, match=r"^step 2 .* the run has diverged$"):
+        with pytest.raises(ValueError, match=r"^step 1 .* the run has diverged$"):
             tr.pretrain(cfg, self.small_data(), tmp_path)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert tuple(rows[0]) == tr.CSV_COLUMNS
         assert [r[0] for r in rows[1:]] == ["0", "1"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
+    def test_weights_turned_non_finite_at_an_epoch_end_leave_no_checkpoint(
+        self, tmp_path
+    ):
+        # step 1 ends epoch 1 with non-finite weights; the epoch's checkpoint
+        # would hold them, so none is written
+        cfg = tr.TrainConfig(enc.vit_micro(8), base_lr=1e200, epochs=3,
+                             warmup_epochs=1, batch_size=4, checkpoint_every=1)
+        with pytest.raises(ValueError, match=r"^step 1 .* the run has diverged$"):
+            tr.pretrain(cfg, ds.synth_blobs(2, 4, 8, True, seed=0), tmp_path)
+        with open(tmp_path / "train_log.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [r[0] for r in rows[1:]] == ["0", "1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_resume_from_a_diverged_checkpoint_stops_at_its_first_step(
+        self, tmp_path
+    ):
+        cfg = micro_config(epochs=3)
+        state, _ = tr.train_step(tr.init_state(cfg, 8), micro_batch())
+        state.encoder.params["norm.g"][0] = np.inf
+        tr.save_state(state, tmp_path / "old.bin")
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"^step 0 .* the run has diverged$"):
+            tr.pretrain(cfg, self.small_data(), out, resume_from=tmp_path / "old.bin")
+        assert sorted(p.name for p in out.iterdir()) == ["train_log.csv"]
 
     def test_abort_with_finite_weights_is_skipped_and_the_run_finishes(
         self, tmp_path, monkeypatch
