@@ -23,7 +23,10 @@ The first contribution to a key is kept as given, and may be shared with
 another key; the second makes a fresh sum that the tape owns, and later
 ones are added into that sum in place. A basic-key ``take`` contributes a
 slice, which is scattered into the owned sum instead of being widened to
-a full array of zeros first.
+a full array of zeros first. The zeros a first slice is scattered into
+are laid out in the sliced array's stride order, so the gradient of a
+slice of a transposed view (the encoder's q/k/v split) transposes back to
+a contiguous array, which ``reshape`` passes on as a view.
 The sweep consumes the graph: it pops the nodes off the tape, so every
 gradient map and the arrays it holds are freed as soon as its node has
 run, and the tape keeps only the gradients of its leaves.
@@ -36,6 +39,21 @@ tape the same way.
 that adds the bias in place, so a forward pass keeps one array per
 projection instead of two. Its values and gradients are those of
 ``add(matmul(a, w), b)``, bit for bit.
+
+``gelu``, ``layer_norm`` and ``softmax`` build their temporaries in place,
+forward and backward, under one rule: a primitive writes only into arrays
+it made itself, and performs the operations of the plain expression in
+its order, except that the operands of a ``+`` or ``*`` may swap (IEEE
+addition and multiplication are commutative bit for bit). So values and
+gradients are those of the plain expressions, bit for bit. What their
+gradient maps keep:
+
+- ``gelu``: on a tape, only its derivative ``d = Phi(x) + x * phi(x)``,
+  computed in the forward pass; the map is ``g * d``, one array. An
+  untaped call computes no derivative.
+- ``layer_norm``: the normalised input, the inverse deviations and the
+  gain. Forward and backward each make two full-size arrays.
+- ``softmax``: its output. Forward and backward each make one.
 
 A primitive computes in the dtype of its operands: 32-bit arrays (the
 trainer's default precision) stay 32-bit, and a mix of 32- and 64-bit
@@ -125,15 +143,21 @@ class Tensor:
 
 class _Slice(NamedTuple):
     """A gradient that is zero outside ``[index]`` of an array of
-    ``shape`` and ``dtype``, where it is ``values``."""
+    ``shape`` and ``dtype``, where it is ``values``. ``order`` lists the
+    axes of the sliced array from the largest stride to the smallest."""
 
     shape: tuple[int, ...]
     dtype: np.dtype
+    order: tuple[int, ...]
     index: object
     values: np.ndarray
 
     def dense(self) -> np.ndarray:
-        z = np.zeros(self.shape, self.dtype)
+        """The full gradient, laid out in memory as the sliced array was, so
+        that the gradient of a transposed view transposes back to a
+        contiguous array."""
+        z = np.zeros([self.shape[i] for i in self.order], self.dtype)
+        z = z.transpose(np.argsort(self.order))
         z[self.index] = self.values
         return z
 
@@ -401,24 +425,42 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit, exact form x * Phi(x)."""
+    """Gaussian error linear unit, exact form x * Phi(x).
+
+    On a tape, the derivative Phi(x) + x * phi(x) is computed here and is
+    the one array the node keeps; an untaped call computes none.
+    """
     av = _value(a)
-    cdf = 0.5 * (1.0 + _erf(av * _INV_SQRT2))
-
-    def grad(g):
-        pdf = np.exp(-0.5 * av * av) * _INV_SQRT2PI
-        return g * (cdf + av * pdf)
-
-    return _node(av * cdf, (a, grad))
+    cdf = av * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = av * cdf
+    if not (isinstance(a, Tensor) and a.tape is not None):
+        return _node(out)
+    d = -0.5 * av
+    d *= av
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= av
+    d += cdf
+    return _node(out, (a, lambda g: g * d))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max subtraction along ``axis``)."""
     av = _value(a)
-    shifted = av - av.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    return _node(s, (a, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
+    s = av - av.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+
+    def grad(g):
+        gs = g * s
+        np.subtract(g, gs.sum(axis=axis, keepdims=True), out=gs)
+        gs *= s
+        return gs
+
+    return _node(s, (a, grad))
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -434,20 +476,31 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalise over the last axis, then apply elementwise gain and bias."""
     av, gv, bv = _value(a), _value(gain), _value(bias)
     mu = av.mean(axis=-1, keepdims=True)
-    xc = av - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = av - mu
+    sq = xhat * xhat
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat *= inv
+    if np.result_type(xhat, gv, bv) == xhat.dtype:
+        out = np.multiply(xhat, gv, out=sq)
+        out += bv
+    else:  # a wider gain or bias promotes the output
+        out = xhat * gv + bv
 
     def grad_a(g):
         dxhat = g * gv
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return inv * (dxhat - m1 - xhat * m2)
+        t = dxhat * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        dxhat -= m1
+        np.multiply(xhat, m2, out=t)
+        dxhat -= t
+        dxhat *= inv
+        return dxhat
 
     g_shape, b_shape = gv.shape, bv.shape
     return _node(
-        xhat * gv + bv,
+        out,
         (gain, lambda g: _unbroadcast(g * xhat, g_shape)),
         (bias, lambda g: _unbroadcast(g, b_shape)),
         (a, grad_a),
@@ -561,7 +614,8 @@ def take(a, key) -> Tensor:
     av = _value(a)
     if _is_basic_key(key):
         shape, dtype = av.shape, av.dtype
-        return _node(av[key], (a, lambda g: _Slice(shape, dtype, key, g)))
+        order = tuple(sorted(range(av.ndim), key=lambda i: -abs(av.strides[i])))
+        return _node(av[key], (a, lambda g: _Slice(shape, dtype, order, key, g)))
     return _node(av[key], (a, _scatter_add(av, key)))
 
 

@@ -437,6 +437,19 @@ def _read_set(path, blobs, prefix: str, shapes: dict[str, tuple]) -> enc.Packed:
     return enc.pack(arrays, shapes)
 
 
+def _read_encoder(path, blobs, vit_cfg: enc.ViTConfig) -> enc.EncoderParams:
+    """The ``theta.`` set, read by ``_read_set`` into ``layout(vit_cfg)``. A
+    non-finite weight is a ``ValueError`` naming ``path``: the run that
+    wrote it had diverged, and every step from it would abort."""
+    params = _read_set(path, blobs, "theta.", enc.layout(vit_cfg))
+    if not np.isfinite(params.flat).all():
+        raise ValueError(
+            f"{path}: the checkpoint's encoder holds non-finite weights; the "
+            f"run that wrote it had diverged"
+        )
+    return enc.EncoderParams(vit_cfg, params)
+
+
 # the meta keys that state_from_checkpoint cannot do without
 _STATE_META = (
     "precision", "step", "epoch", "total_steps", "warmup_steps", "loss_history",
@@ -452,9 +465,9 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     optimizer moments come from the file, each read by name into its
     ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
     meta lacks a loop counter, the loss history, the precision or the seed
-    (one not written by ``save_state``), or whose parameter sets do not
-    each hold exactly the names and shapes of their layout, is a
-    ``ValueError`` naming the file.
+    (one not written by ``save_state``), whose parameter sets do not each
+    hold exactly the names and shapes of their layout, or whose encoder
+    holds a non-finite weight, is a ``ValueError`` naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -479,7 +492,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"configured seed {cfg.seed}"
         )
     shapes = enc.layout(vit_cfg)
-    encoder = enc.EncoderParams(vit_cfg, _read_set(path, blobs, "theta.", shapes))
+    encoder = _read_encoder(path, blobs, vit_cfg)
     twin = _read_set(path, blobs, "xi.", enc.layout(vit_cfg, twin=True))
     return TrainState(
         config=cfg,
@@ -499,12 +512,10 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
 
 def encoder_from_checkpoint(path) -> enc.EncoderParams:
     """The trained encoder of a checkpoint, with the backbone stored in it;
-    a ``theta.`` set that does not fit that backbone is a ``ValueError``
-    naming the file."""
+    a ``theta.`` set that does not fit that backbone, or that holds a
+    non-finite weight, is a ``ValueError`` naming the file."""
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
-    return enc.EncoderParams(
-        vit_cfg, _read_set(path, blobs, "theta.", enc.layout(vit_cfg))
-    )
+    return _read_encoder(path, blobs, vit_cfg)
 
 
 def _write_log(path: Path, mode: str, rows: list[tuple]) -> None:
@@ -533,9 +544,9 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
     A run stops as soon as the encoder holds a non-finite weight, checked
     after every step, completed or aborted: the epoch's completed steps are
     logged, no checkpoint is written, and a ``ValueError`` names the last
-    completed step. So no checkpoint ever holds a diverged encoder, and a
-    resume from one written before this rule stops at its first step. A
-    step aborted with finite weights is skipped and counted.
+    completed step. So no checkpoint ever holds a diverged encoder, and one
+    written before this rule is rejected when it is read. A step aborted
+    with finite weights is skipped and counted.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

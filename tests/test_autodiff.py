@@ -1,7 +1,11 @@
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+
+from scipy.special import erf
 
 from patchmix import autodiff as ad
 
@@ -659,3 +663,148 @@ class TestGraphByKey:
         first.backward(ad.asum(ad.scale(x, 3.0)))
         np.testing.assert_array_equal(first.grad(x), [3.0, 3.0])
         np.testing.assert_array_equal(first.grad(y), np.zeros(2))
+
+
+# The expressions gelu, softmax and layer_norm computed before they built
+# their temporaries in place; the rewrite performs the same operations in
+# the same order (or swaps the operands of a + or a *), so it must agree
+# with these bit for bit. Each returns the value and the input gradients
+# for an output gradient g.
+
+
+def reference_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, [g * (cdf + x * pdf)]
+
+
+def reference_softmax(x, g, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+    return s, [s * (g - (g * s).sum(axis=axis, keepdims=True))]
+
+
+def reference_layer_norm(x, gain, bias, g, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gain + bias, [
+        inv * (dxhat - m1 - xhat * m2),
+        (g * xhat).sum(axis=lead),
+        g.sum(axis=lead),
+    ]
+
+
+class TestInPlacePrimitives:
+    CASES = {
+        "gelu": (ad.gelu, reference_gelu, 1),
+        "softmax_last": (
+            lambda x: ad.softmax(x, axis=-1),
+            lambda x, g: reference_softmax(x, g, -1), 1,
+        ),
+        "softmax_first": (
+            lambda x: ad.softmax(x, axis=0),
+            lambda x, g: reference_softmax(x, g, 0), 1,
+        ),
+        "layer_norm": (ad.layer_norm, reference_layer_norm, 3),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(7, 33), (2, 5, 33), (2, 3, 4, 33)])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_values_and_gradients_equal_the_reference(self, name, shape, dtype):
+        op, reference, arity = self.CASES[name]
+        rng = np.random.default_rng([len(shape), arity])
+        points = [(rng.standard_normal(shape) * 3).astype(dtype)]
+        points += [rng.standard_normal(shape[-1]).astype(dtype) for _ in range(arity - 1)]
+        g = rng.standard_normal(shape).astype(dtype)
+        tape = ad.Tape()
+        xs = [tape.var(p) for p in points]
+        out = op(*xs)
+        tape.backward(ad.asum(ad.mul(out, g)))  # hands op the gradient g
+        value, grads = reference(*points, g)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, value)
+        np.testing.assert_array_equal(op(*map(ad.Tensor, points)).data, value)
+        for x, expect in zip(xs, grads):
+            assert tape.grad(x).dtype == dtype
+            np.testing.assert_array_equal(tape.grad(x), expect)
+
+    def test_layer_norm_with_a_wider_gain_and_bias_computes_in_their_dtype(self):
+        rng = np.random.default_rng(25)
+        points = [rng.standard_normal((2, 5, 33)).astype(np.float32)]
+        points += [rng.standard_normal(33), rng.standard_normal(33)]
+        g = rng.standard_normal((2, 5, 33))
+        tape = ad.Tape()
+        xs = [tape.var(p) for p in points]
+        out = ad.layer_norm(*xs)
+        tape.backward(ad.asum(ad.mul(out, g)))
+        value, grads = reference_layer_norm(*points, g)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, value)
+        for x, expect in zip(xs, grads):
+            np.testing.assert_array_equal(tape.grad(x), expect)
+
+    def test_taped_gelu_keeps_one_array_besides_its_output(self):
+        tape = ad.Tape()
+        x = tape.var(np.random.default_rng(21).standard_normal((64, 256)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            h = ad.scale(x, 1.0)  # an input that only gelu reads afterwards
+            y = ad.gelu(h)
+            del h
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # the output and the derivative; the input and Phi(x) are freed
+        assert 2 * x.data.nbytes <= held < 2.25 * x.data.nbytes, held
+        tape.backward(ad.asum(y))
+
+    def test_untaped_gelu_computes_no_derivative(self):
+        x = ad.Tensor(np.random.default_rng(22).standard_normal((64, 256)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            y = ad.gelu(x)
+            held, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert y.tape is None
+        # Phi(x) and the output at once; a derivative would be a third array
+        assert peak < 2.25 * x.data.nbytes, peak
+        assert x.data.nbytes <= held < 1.25 * x.data.nbytes, held
+
+    @pytest.mark.parametrize(
+        "make,key",
+        [
+            # a slice of a transposed view, as the encoder splits q, k and v
+            (lambda x: ad.transpose(x, (2, 0, 1)), np.s_[1]),
+            (lambda x: ad.transpose(x, (1, 2, 0)), np.s_[:, 1:, ::-1]),
+            (lambda x: x, np.s_[1:]),
+        ],
+        ids=["transposed_int", "transposed_slices", "leaf"],
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_slice_gradient_keeps_the_source_layout(self, make, key, order):
+        a = np.asarray(np.random.default_rng(23).standard_normal((3, 4, 5)), order=order)
+        tape = ad.Tape()
+        x = tape.var(a)
+        src = make(x)
+        part = ad.take(src, key)
+        w = np.random.default_rng(24).standard_normal(part.shape)
+        tape.backward(ad.asum(ad.mul(part, w)))
+        expect = np.zeros_like(src.data)
+        expect[key] = w
+        grad = tape.grad(x)
+        # laid out as the leaf is, so undoing the transpose leaves no copy
+        assert grad.flags.c_contiguous == (order == "C")
+        assert grad.flags.f_contiguous == (order == "F")
+        np.testing.assert_array_equal(make(ad.Tensor(grad)).data, expect)

@@ -568,7 +568,7 @@ class TestTrainAndEval:
         assert not (out / "train_log.csv").exists()
 
     @pytest.mark.parametrize(
-        "fault", ["theta.", "xi.", "adam_m.", "adam_v.", "shape"]
+        "fault", ["theta.", "xi.", "adam_m.", "adam_v.", "shape", "non_finite"]
     )
     def test_resume_from_checkpoint_with_a_bad_set_is_usage_error(
         self, trained, tmp_path, capsys, fault
@@ -577,6 +577,8 @@ class TestTrainAndEval:
         vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
         if fault == "shape":
             blobs["adam_v.pos_embed"] = blobs["adam_v.pos_embed"][0]
+        elif fault == "non_finite":
+            blobs["theta.norm.g"] = np.full_like(blobs["theta.norm.g"], np.nan)
         else:
             blobs = {k: v for k, v in blobs.items() if not k.startswith(fault)}
         bad = tmp_path / "bad.bin"

@@ -660,17 +660,20 @@ class TestTrainStep:
 
     def test_step_peak_allocation_budget(self):
         """Guards the memory a step keeps alive at once: the graph holds
-        only the arrays its gradient maps read, and the momentum twin runs
-        before the tape fills. In f64, a graph that keeps every node's
-        output took 16.2 MiB here; this one takes 10.0 MiB."""
+        only the arrays its gradient maps read, a taped GELU keeps one array,
+        layer norm, softmax and the GELU gradient build their temporaries in
+        place, and the momentum twin runs before the tape fills. In f64, a
+        graph that keeps every node's output took 16.2 MiB here, one whose
+        GELU keeps two arrays and whose primitives allocate every temporary
+        10.0 MiB; this one takes 8.8 MiB, and the budget is 1.2x that."""
         peak = self.second_step_peak_mib("f64")
-        assert peak <= 12, f"{peak:.1f} MiB"
+        assert peak <= 10.5, f"{peak:.1f} MiB"
 
     def test_f32_step_peak_allocation_budget(self):
-        """The same step in f32 takes 5.2 MiB; the budget keeps the f64
-        case's 1.2x headroom."""
+        """The same step in f32 takes 4.6 MiB (5.2 MiB before the in-place
+        primitives); the budget keeps the f64 case's 1.2x headroom."""
         peak = self.second_step_peak_mib("f32")
-        assert peak <= 6.25, f"{peak:.1f} MiB"
+        assert peak <= 5.5, f"{peak:.1f} MiB"
 
 
 class TestCheckpointing:
@@ -932,6 +935,20 @@ class TestLayout:
         with pytest.raises(ValueError, match=message):
             tr.state_from_checkpoint(bad, micro_config())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_encoder_is_rejected_naming_the_file(self, tmp_path, value):
+        def spoil(blobs):
+            blobs["theta.blocks.0.mlp.fc1.w"] = blobs["theta.blocks.0.mlp.fc1.w"].copy()
+            blobs["theta.blocks.0.mlp.fc1.w"][3, 2] = value
+            return blobs
+
+        bad, named = self.rewritten(tmp_path, spoil)
+        message = named + "the checkpoint's encoder holds non-finite weights"
+        with pytest.raises(ValueError, match=message):
+            tr.encoder_from_checkpoint(bad)
+        with pytest.raises(ValueError, match=message):
+            tr.state_from_checkpoint(bad, micro_config())
+
     @pytest.mark.parametrize("prefix", ["xi.", "adam_m.", "adam_v."])
     def test_mis_shaped_set_is_rejected_naming_the_file(self, tmp_path, prefix):
         def shorten(blobs):
@@ -1083,18 +1100,21 @@ class TestPretrain:
         assert [r[0] for r in rows[1:]] == ["0", "1"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.csv"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_resume_from_a_diverged_checkpoint_stops_at_its_first_step(
-        self, tmp_path
+    def test_resume_from_a_diverged_checkpoint_is_rejected_on_load(
+        self, tmp_path, monkeypatch
     ):
         cfg = micro_config(epochs=3)
         state, _ = tr.train_step(tr.init_state(cfg, 8), micro_batch())
         state.encoder.params["norm.g"][0] = np.inf
-        tr.save_state(state, tmp_path / "old.bin")
+        old = tmp_path / "old.bin"
+        tr.save_state(state, old)
+        steps = []
+        monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(a))
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=r"^step 0 .* the run has diverged$"):
-            tr.pretrain(cfg, self.small_data(), out, resume_from=tmp_path / "old.bin")
-        assert sorted(p.name for p in out.iterdir()) == ["train_log.csv"]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{old}: ") + ".*non-finite"):
+            tr.pretrain(cfg, self.small_data(), out, resume_from=old)
+        assert steps == []
+        assert list(out.iterdir()) == []  # no log, no row
 
     def test_abort_with_finite_weights_is_skipped_and_the_run_finishes(
         self, tmp_path, monkeypatch
