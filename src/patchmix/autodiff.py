@@ -38,21 +38,30 @@ tape the same way.
 ``linear`` records a biased projection ``a @ w + b`` as a single node
 that adds the bias in place, so a forward pass keeps one array per
 projection instead of two. Its values and gradients are those of
-``add(matmul(a, w), b)``, bit for bit.
+``add(matmul(a, w), b)``, bit for bit. ``norm_linear`` records a pre-norm
+projection ``linear(layer_norm(a, gain, bias), w, b)`` as the two nodes of
+that composition, values and gradients bit for bit, but its weight's
+gradient map rebuilds the projection's input ``y`` instead of keeping it.
 
-``gelu``, ``layer_norm`` and ``softmax`` build their temporaries in place,
-forward and backward, under one rule: a primitive writes only into arrays
-it made itself, and performs the operations of the plain expression in
-its order, except that the operands of a ``+`` or ``*`` may swap (IEEE
-addition and multiplication are commutative bit for bit). So values and
-gradients are those of the plain expressions, bit for bit. What their
-gradient maps keep:
+``gelu``, ``layer_norm``, ``norm_linear`` and ``softmax`` build their
+temporaries in place, forward and backward, under one rule: a primitive
+writes only into arrays it made itself, and performs the operations of
+the plain expression in its order, except that the operands of a ``+``
+or ``*`` may swap (IEEE addition and multiplication are commutative bit
+for bit). So values and gradients are those of the plain expressions,
+bit for bit. What their gradient maps keep:
 
 - ``gelu``: on a tape, only its derivative ``d = Phi(x) + x * phi(x)``,
   computed in the forward pass; the map is ``g * d``, one array. An
   untaped call computes no derivative.
 - ``layer_norm``: the normalised input, the inverse deviations and the
   gain. Forward and backward each make two full-size arrays.
+- ``norm_linear``: what ``layer_norm`` keeps, plus the bias and the
+  weight; not ``y``, which the weight's gradient map rebuilds from the
+  normalised input, the gain and the bias with the forward's operations
+  (``xhat * gain``, then ``+= bias``), one full-size array made per
+  backward visit. The normalisation's gain, bias and input gradients
+  share the one ``g @ w.T`` that is ``y``'s gradient.
 - ``softmax``: its output. Forward and backward each make one.
 
 A primitive computes in the dtype of its operands: 32-bit arrays (the
@@ -88,6 +97,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "layer_norm",
+    "norm_linear",
     "mean",
     "asum",
     "transpose",
@@ -347,6 +357,13 @@ def linear(a, w, b) -> Tensor:
     gradients equal that composition's bit for bit. The bias may not
     promote the product's dtype.
     """
+    av = _value(a)
+    return _project(a, w, b, lambda: av)
+
+
+def _project(a, w, b, input_again: Callable[[], np.ndarray]) -> Tensor:
+    """The node of ``linear(a, w, b)``, whose weight gradient reads the
+    input's value from ``input_again()``."""
     av, wv, bv = _value(a), _value(w), _value(b)
     if wv.ndim != 2:
         raise ValueError(f"linear needs a 2-D weight, got shape {wv.shape}")
@@ -359,7 +376,7 @@ def linear(a, w, b) -> Tensor:
     return _node(
         ov,
         (a, lambda g: g @ wv.T),
-        (w, lambda g: av.reshape(-1, k).T @ g.reshape(-1, n)),
+        (w, lambda g: input_again().reshape(-1, k).T @ g.reshape(-1, n)),
         (b, lambda g: _unbroadcast(g, b_shape)),
     )
 
@@ -472,8 +489,19 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     )
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalise over the last axis, then apply elementwise gain and bias."""
+def _affine(xhat: np.ndarray, gv, bv, out: np.ndarray | None = None) -> np.ndarray:
+    """``xhat * gain + bias``, written into ``out`` (or a new array) unless a
+    wider gain or bias promotes it."""
+    if np.result_type(xhat, gv, bv) != xhat.dtype:
+        return xhat * gv + bv
+    out = np.multiply(xhat, gv, out=out)
+    out += bv
+    return out
+
+
+def _layer_norm(a, gain, bias, eps: float):
+    """The node of ``layer_norm``, and the arrays ``_affine`` rebuilds its
+    value from: the normalised input, the gain and the bias."""
     av, gv, bv = _value(a), _value(gain), _value(bias)
     mu = av.mean(axis=-1, keepdims=True)
     xhat = av - mu
@@ -481,11 +509,6 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
     var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    if np.result_type(xhat, gv, bv) == xhat.dtype:
-        out = np.multiply(xhat, gv, out=sq)
-        out += bv
-    else:  # a wider gain or bias promotes the output
-        out = xhat * gv + bv
 
     def grad_a(g):
         dxhat = g * gv
@@ -499,12 +522,29 @@ def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
         return dxhat
 
     g_shape, b_shape = gv.shape, bv.shape
-    return _node(
-        out,
+    out = _node(
+        _affine(xhat, gv, bv, out=sq),
         (gain, lambda g: _unbroadcast(g * xhat, g_shape)),
         (bias, lambda g: _unbroadcast(g, b_shape)),
         (a, grad_a),
     )
+    return out, (xhat, gv, bv)
+
+
+def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
+    """Normalise over the last axis, then apply elementwise gain and bias."""
+    return _layer_norm(a, gain, bias, eps)[0]
+
+
+def norm_linear(a, gain, bias, w, b, eps: float = 1e-6) -> Tensor:
+    """``linear(layer_norm(a, gain, bias, eps), w, b)``, recorded as that
+    composition's two nodes, but keeping the normalised input instead of
+    the projection's input ``y``: the weight's gradient map rebuilds ``y``
+    with the forward's operations, so the pair holds one full-size array
+    fewer. Values and gradients equal the composition's bit for bit.
+    """
+    y, parts = _layer_norm(a, gain, bias, eps)
+    return _project(y, w, b, lambda: _affine(*parts))
 
 
 def _expand_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):

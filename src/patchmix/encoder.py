@@ -6,9 +6,11 @@ blocks of multi-head self-attention and a GELU MLP, and a final layer
 norm; the class-token row is the representation. Since nothing else is
 read after the last block, that block attends from the class token alone
 and its MLP and the final norm see only that row. Every biased
-projection is one ``autodiff.linear`` node, and the queries, keys and
-values of a block are views of its one qkv array, split by head without
-a copy.
+projection is one ``autodiff.linear`` node; a block's pre-norm layer
+norms and the projections they feed are ``autodiff.norm_linear`` calls,
+which keep the normalised input but not the norm's output. The queries,
+keys and values of a block are views of its one qkv array, split by head
+without a copy.
 
 Two MLP heads sit on top, mirroring momentum-contrastive practice: a
 3-layer projection (hidden 4096 by default, output 256) whose final batch
@@ -362,8 +364,10 @@ def forward_backbone(
         # queries, the MLP and the final norm run on it alone; every token
         # still gives keys and values. Captured attention needs all rows.
         rows = 1 if i == config.depth - 1 and not capture_attention else tk
-        y = ad.layer_norm(h, tv[pre + "ln1.g"], tv[pre + "ln1.b"], config.ln_eps)
-        qkv = ad.linear(y, tv[pre + "attn.qkv.w"], tv[pre + "attn.qkv.b"])
+        qkv = ad.norm_linear(
+            h, tv[pre + "ln1.g"], tv[pre + "ln1.b"],
+            tv[pre + "attn.qkv.w"], tv[pre + "attn.qkv.b"], config.ln_eps,
+        )
         # [3, n, heads, T+1, dh]: q, k and v are views of the one array
         qkv = ad.transpose(ad.reshape(qkv, (n, tk, 3, heads, dh)), (2, 0, 3, 1, 4))
         q, k, v = qkv[0, :, :, :rows], qkv[1], qkv[2]
@@ -375,8 +379,10 @@ def forward_backbone(
         proj = ad.linear(ctx, tv[pre + "attn.out.w"], tv[pre + "attn.out.b"])
         h = ad.add(h if rows == tk else h[:, :rows], proj)
 
-        y = ad.layer_norm(h, tv[pre + "ln2.g"], tv[pre + "ln2.b"], config.ln_eps)
-        m = ad.gelu(ad.linear(y, tv[pre + "mlp.fc1.w"], tv[pre + "mlp.fc1.b"]))
+        m = ad.gelu(ad.norm_linear(
+            h, tv[pre + "ln2.g"], tv[pre + "ln2.b"],
+            tv[pre + "mlp.fc1.w"], tv[pre + "mlp.fc1.b"], config.ln_eps,
+        ))
         m = ad.linear(m, tv[pre + "mlp.fc2.w"], tv[pre + "mlp.fc2.b"])
         h = ad.add(h, m)
 

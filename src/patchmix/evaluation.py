@@ -105,13 +105,22 @@ def knn_classify(
     predicted class maximises the summed vote, with exact ties resolved
     toward the smaller class index (argmax convention). Queries are
     normalised defensively, so any positive per-row rescaling of raw
-    features leaves predictions unchanged. Returns (predictions, accuracy)
-    with accuracy None when no labels are given.
+    features leaves predictions unchanged; a zero or non-finite row has no
+    direction and is rejected. Returns (predictions, accuracy) with
+    accuracy None when no labels are given.
     """
     if not 1 <= k <= bank.count:
         raise ValueError(f"k must lie in [1, {bank.count}], got {k}")
     q = np.asarray(queries, dtype=np.float64)
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    norms = np.linalg.norm(q, axis=1)
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"query rows must have a finite, non-zero norm; row {row} has "
+            f"norm {norms[row]:.8f}"
+        )
+    q = q / norms[:, None]
     sims = q @ bank.features.T  # [Nq, Ntrain]
 
     if k < bank.count:

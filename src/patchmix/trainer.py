@@ -314,8 +314,9 @@ def train_step(
         rep = enc.forward_backbone(vit, mtv, patches)
         return enc.forward_project(vit, mtv, rep)
 
+    view2 = cast(pb2)  # read by both branches
     z_view1 = momentum_project(cast(pb1))
-    z_view2 = momentum_project(cast(pb2))
+    z_view2 = momentum_project(view2)
     z_mix2 = momentum_project(cast(mixed2.patches))
 
     # gradient branch through the trained encoder
@@ -327,7 +328,7 @@ def train_step(
         return enc.forward_heads(vit, tv, rep)[1]
 
     h_mix1 = predict(cast(mixed1.patches))
-    h_view2 = predict(cast(pb2))
+    h_view2 = predict(view2)
 
     try:
         cb = ob.ContrastBatch(

@@ -348,6 +348,13 @@ def _sweep_cases():
             rng.random((2, 3, d)), rng.random(d) + 0.5, rng.random(d)
         ]
 
+    def norm_linear(rng):
+        d = int(rng.integers(2, 5))
+        return ad.norm_linear, [
+            rng.random((2, 3, d)), rng.random(d) + 0.5, rng.random(d),
+            rng.random((d, 3)), rng.random(3),
+        ]
+
     def reduction(op):
         def case(rng):
             axis = [None, 1, (0, 2), -1][int(rng.integers(0, 4))]
@@ -404,6 +411,7 @@ def _sweep_cases():
         "softmax": [along_axis(ad.softmax)],
         "log_softmax": [along_axis(ad.log_softmax)],
         "layer_norm": [layer_norm],
+        "norm_linear": [norm_linear],
         "mean": [reduction(ad.mean)],
         "asum": [reduction(ad.asum)],
         "transpose": [transpose],
@@ -434,7 +442,7 @@ TAKE_KEYS = [
 ]
 SWEEP = _sweep_cases()
 # layer norm's curvature limits the central difference, as in TestNormalization
-SWEEP_TOL = {"layer_norm": 1e-5}
+SWEEP_TOL = {"layer_norm": 1e-5, "norm_linear": 1e-5}
 NOT_PRIMITIVES = {
     "Tensor", "Tape", "GradCheckResult", "stop_gradient", "check_gradients"
 }
@@ -808,3 +816,83 @@ class TestInPlacePrimitives:
         assert grad.flags.c_contiguous == (order == "C")
         assert grad.flags.f_contiguous == (order == "F")
         np.testing.assert_array_equal(make(ad.Tensor(grad)).data, expect)
+
+
+class TestNormLinear:
+    """``norm_linear`` is ``linear(layer_norm(a, gain, bias), w, b)`` bit for
+    bit, but keeps the normalised input and not the projection's input."""
+
+    @staticmethod
+    def run(fn, points, g, taped=True):
+        tape = ad.Tape() if taped else None
+        ts = [tape.var(p) if taped else ad.Tensor(p) for p in points]
+        out = fn(*ts)
+        if not taped:
+            assert out.tape is None
+            return [out.data]
+        tape.backward(ad.asum(ad.mul(out, g)))
+        return [out.data] + [tape.grad(t) for t in ts]
+
+    @staticmethod
+    def composed(a, gain, bias, w, b, eps=1e-6):
+        return ad.linear(ad.layer_norm(a, gain, bias, eps), w, b)
+
+    @staticmethod
+    def points(shape, dtypes):
+        rng = np.random.default_rng([len(shape), 5])
+        d = shape[-1]
+        shapes = [shape, (d,), (d,), (d, 12), (12,)]
+        return [
+            (rng.standard_normal(s) * 3).astype(dt) for s, dt in zip(shapes, dtypes)
+        ], rng.standard_normal(shape[:-1] + (12,))
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(7, 33), (2, 5, 33), (2, 3, 4, 33)])
+    def test_value_and_gradients_equal_the_composition(self, shape, dtype, taped):
+        points, g = self.points(shape, [dtype] * 5)
+        g = g.astype(dtype)
+        fused = self.run(ad.norm_linear, points, g, taped)
+        composed = self.run(self.composed, points, g, taped)
+        assert len(fused) == (6 if taped else 1)
+        for got, want in zip(fused, composed):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_wider_gain_and_bias_compute_what_the_composition_does(self):
+        f32, f64 = np.float32, np.float64
+        points, g = self.points((2, 5, 33), [f32, f64, f64, f32, f32])
+        fused = self.run(ad.norm_linear, points, g)
+        composed = self.run(self.composed, points, g)
+        assert fused[0].dtype == np.float64
+        for got, want in zip(fused, composed):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_rejects_what_the_composition_rejects(self):
+        points, _ = self.points((2, 5, 33), [np.float32] * 4 + [np.float64])
+        for fn in (ad.norm_linear, self.composed):
+            with pytest.raises(ValueError, match="promote"):
+                fn(*points)
+            with pytest.raises(ValueError, match="2-D weight"):
+                fn(*points[:3], np.ones((2, 33, 4)), np.ones(4))
+
+    def test_taped_call_keeps_the_normalised_input_not_the_affine_output(self):
+        rng = np.random.default_rng(26)
+        tape = ad.Tape()
+        x = tape.var(rng.standard_normal((64, 256)))
+        gain, bias = tape.var(rng.standard_normal(256)), tape.var(rng.standard_normal(256))
+        w, b = tape.var(rng.standard_normal((256, 256))), tape.var(rng.standard_normal(256))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            h = ad.scale(x, 1.0)  # an input that only norm_linear reads afterwards
+            out = ad.norm_linear(h, gain, bias, w, b)
+            del h
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # the output and the normalised input; the input and y are freed (the
+        # composition also keeps y, a third array of this size)
+        assert 2 * x.data.nbytes <= held < 2.25 * x.data.nbytes, held
+        tape.backward(ad.asum(out))

@@ -115,6 +115,17 @@ class TestKnn:
         _, acc = ev.knn_classify(axis_bank(), np.eye(3), k=1)
         assert acc is None
 
+    @pytest.mark.parametrize(
+        "value,norm", [(0.0, "0.00000000"), (np.nan, "nan"), (np.inf, "inf")]
+    )
+    def test_query_without_a_direction_rejected(self, value, norm):
+        # normalised, such a row is NaN and would be predicted as class 0
+        q = np.eye(3)
+        q[1] = value
+        q[2] = 0.0
+        with pytest.raises(ValueError, match=f"row 1 has norm {norm}"):
+            ev.knn_classify(axis_bank(), q, k=1, query_labels=[0, 1, 2])
+
 
 class TestLinearProbe:
     def test_separable_features_reach_high_accuracy(self):
