@@ -199,13 +199,25 @@ class EncoderParams:
 
 def _trunc_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> None:
     """Fill ``out`` with Normal(0, std) draws in 64 bits, resampling those
-    outside two deviations."""
-    draw = out if out.dtype == np.float64 else np.empty(out.shape)
+    outside two deviations.
+
+    The stream order fixes every value: standard normals for the whole
+    tensor, scaled by ``std``, then redraw rounds over the entries still out
+    of range, in ascending flat order, one ``rng.normal(0, std, k)`` call per
+    round for its k entries. Only the first scan reads the whole tensor; a
+    round checks just the values it drew.
+    """
+    direct = out.dtype == np.float64 and out.flags.c_contiguous
+    draw = out if direct else np.empty(out.shape)
     rng.standard_normal(out=draw)  # the stream of rng.normal(0.0, 1.0)
     draw *= std
-    while (bad := np.abs(draw) > 2.0 * std).any():
-        draw[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-    if draw is not out:
+    flat = draw.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
+    if not direct:
         out[...] = draw
 
 
@@ -430,7 +442,7 @@ def forward_heads(
 
 
 CHECKPOINT_MAGIC = b"PMIXCKPT"
-_CHECKPOINT_VERSION = 2  # version 1 (no checksum) is still read
+_CHECKPOINT_VERSION = 2
 _DTYPE_TAGS = {"<f8": np.dtype("<f8"), "<f4": np.dtype("<f4")}
 
 
@@ -486,10 +498,10 @@ def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:
     """Inverse of ``write_checkpoint``; returns (config, blobs, meta).
 
     The blobs are read-only views of the one buffer the file is read into.
-    A version-1 file, which has no checksum, still reads: its batch-norm
-    buffer blobs and ``bn_momentum`` are dropped. A short prefix, a header
-    that does not parse or lacks a field, a truncated blob and a checksum
-    mismatch each raise a ``ValueError`` naming ``path``.
+    A short prefix, a version other than 2 (version 1, which had no
+    checksum, is not read), a header that does not parse or lacks a field,
+    a truncated blob, stray bytes and a checksum mismatch each raise a
+    ``ValueError`` naming ``path``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -499,17 +511,14 @@ def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:
     if len(data) < start:
         raise ValueError(f"{path}: truncated checkpoint header")
     version, hlen = struct.unpack_from("<II", data, len(CHECKPOINT_MAGIC))
-    if version not in (1, _CHECKPOINT_VERSION):
+    if version != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    end = len(data) - (4 if version >= 2 else 0)  # where the blobs must stop
+    end = len(data) - 4  # where the blobs must stop: the checksum follows
     if start + hlen > end:
         raise ValueError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(data[start : start + hlen].decode("utf-8"))
-        fields = dict(header["config"])
-        if version == 1:
-            fields.pop("bn_momentum", None)
-        config = ViTConfig(**fields)
+        config = ViTConfig(**header["config"])
         specs = [(name, tuple(shape), _DTYPE_TAGS[tag])
                  for name, shape, tag in header["blobs"]]
         meta = header["meta"]
@@ -523,11 +532,8 @@ def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:
             raise ValueError(f"{path}: truncated blob {name!r}")
         blobs[name] = np.frombuffer(data, dtype, count, offset).reshape(shape)
         offset += count * dtype.itemsize
-    if version == 1:
-        blobs = {k: v for k, v in blobs.items()
-                 if not k.startswith(("theta_buf.", "xi_buf."))}
-    elif offset != end:
+    if offset != end:
         raise ValueError(f"{path}: {end - offset} stray bytes after the last blob")
-    elif zlib.crc32(memoryview(data)[:end]) != struct.unpack_from("<I", data, end)[0]:
+    if zlib.crc32(memoryview(data)[:end]) != struct.unpack_from("<I", data, end)[0]:
         raise ValueError(f"{path}: checksum mismatch, the checkpoint is corrupted")
     return config, blobs, meta

@@ -4,7 +4,8 @@ Each test prints a single ``criterion NN: PASS|FAIL (detail)`` line before
 asserting, so a verbose run reads as a checklist. The learning-based
 criteria (08, 09) share one set of pretraining runs through module-scoped
 fixtures; their configuration is frozen here on purpose, since changing
-it invalidates the recorded pass rates.
+it invalidates the recorded pass rates. They carry the ``slow`` marker:
+``-m "not slow"`` leaves them out of a quick run.
 """
 
 import math
@@ -336,6 +337,7 @@ def smoke_ablation():
     return m3, oto
 
 
+@pytest.mark.slow
 def test_criterion_08_smoke_learning(smoke_m2):
     runs, elapsed = smoke_m2
     passed = sum(
@@ -353,6 +355,7 @@ def test_criterion_08_smoke_learning(smoke_m2):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_ablation_direction(smoke_m2, smoke_ablation):
     runs_m2, _ = smoke_m2
     m3, oto = smoke_ablation

@@ -520,6 +520,29 @@ class TestTrainAndEval:
         err = capsys.readouterr().err
         assert f"error: {bad}: {message}" in err
 
+    def test_version_1_checkpoint_is_rejected(self, tmp_path, capsys):
+        # a version-1 file: a header with bn_momentum, and no checksum
+        fields = dataclasses.asdict(enc.vit_micro(8)) | {"bn_momentum": 0.9}
+        header = json.dumps(
+            {"version": 1, "config": fields, "meta": {}, "blobs": []}
+        ).encode()
+        old = tmp_path / "v1.bin"
+        old.write_bytes(
+            enc.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header
+        )
+        message = f"{old}: unsupported checkpoint version 1"
+        with pytest.raises(ValueError) as err:
+            enc.read_checkpoint(old)
+        assert str(err.value) == message
+        assert quiet_main(["eval-knn"] + eval_overrides(old)) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        out = tmp_path / "run"
+        code = quiet_main(["pretrain", "--out", str(out),
+                           "--override", f"train.resume={old}"] + TRAINED_OVERRIDES)
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "train_log.csv").exists()
+
     @pytest.mark.parametrize("fault", ["untrainable_header", "missing_block"])
     def test_checkpoint_that_cannot_build_its_encoder_is_usage_error(
         self, trained, tmp_path, capsys, fault

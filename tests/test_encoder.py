@@ -21,13 +21,26 @@ def micro_batch(n: int = 2, seed: int = 1) -> po.PatchBatch:
     return po.patchify(po.ImageBatch(rng.random((n, 3, 8, 8))), 2)
 
 
-def raw_checkpoint(version: int, header: dict, payload: bytes = b"") -> bytes:
-    """A checkpoint file's bytes, written by hand: a CRC-32 trailer from
-    version 2 on."""
+def reference_trunc_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> int:
+    """The full-rescan truncated normal: after every redraw round it scans
+    the whole tensor again. Draws in a 64-bit buffer, copies it into ``out``
+    and returns the number of redraw rounds."""
+    draw = np.empty(out.shape)
+    rng.standard_normal(out=draw)
+    draw *= std
+    rounds = 0
+    while (bad := np.abs(draw) > 2.0 * std).any():
+        draw[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        rounds += 1
+    out[...] = draw
+    return rounds
+
+
+def raw_checkpoint(header: dict) -> bytes:
+    """A version-2 checkpoint file's bytes, written by hand, with no blobs."""
     head = json.dumps(header).encode()
-    raw = enc.CHECKPOINT_MAGIC + struct.pack("<II", version, len(head)) + head
-    raw += payload
-    return raw + struct.pack("<I", zlib.crc32(raw)) if version >= 2 else raw
+    raw = enc.CHECKPOINT_MAGIC + struct.pack("<II", 2, len(head)) + head
+    return raw + struct.pack("<I", zlib.crc32(raw))
 
 
 class TestViTConfig:
@@ -100,6 +113,44 @@ class TestInit:
         a, b = micro_params(seed=3), micro_params(seed=3)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize(
+        "config",
+        [enc.vit_micro(8), enc.vit_tiny(16, depth=2, head_hidden=1024)],
+        ids=["micro", "tiny"],
+    )
+    def test_equals_full_rescan_reference_bit_for_bit(self, config, dtype):
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            flat = enc.init_encoder(config, rng, dtype).params.flat
+            ref = enc.Packed(enc.layout(config), dtype=dtype)
+            for name, (_, fill) in enc.param_table(config).items():
+                if fill is None:
+                    reference_trunc_normal(ref_rng, ref[name], 0.02)
+                else:
+                    ref[name].fill(fill)
+            assert flat.tobytes() == ref.flat.tobytes(), seed
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+    def test_redraw_rounds_on_a_large_tensor(self):
+        out, ref = np.empty((256, 256)), np.empty((256, 256))
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        enc._trunc_normal(rng, out, 0.02)
+        rounds = reference_trunc_normal(ref_rng, ref, 0.02)
+        assert rounds >= 3  # the path that redraws a redrawn entry runs
+        assert out.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.abs(out).max() <= 2.0 * 0.02
+
+    def test_non_contiguous_f64_view_gets_the_reference_values(self):
+        base = np.full((64, 96), 7.0)
+        view = base[:, ::2]  # every other column, not C-contiguous
+        ref = np.empty(view.shape)
+        enc._trunc_normal(np.random.default_rng(1), view, 0.02)
+        reference_trunc_normal(np.random.default_rng(1), ref, 0.02)
+        np.testing.assert_array_equal(view, ref)
+        assert np.all(base[:, 1::2] == 7.0)  # the columns between are untouched
 
 
 class TestForward:
@@ -401,7 +452,7 @@ class TestCheckpoint:
     )
     def test_malformed_header_rejected(self, tmp_path, header, error):
         path = tmp_path / "bad.bin"
-        path.write_bytes(raw_checkpoint(2, header))
+        path.write_bytes(raw_checkpoint(header))
         message = re.escape(f"{path}: malformed checkpoint header")
         with pytest.raises(ValueError, match=message):
             enc.read_checkpoint(path)
@@ -410,31 +461,12 @@ class TestCheckpoint:
 
     def test_unreadable_header_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        raw = bytearray(raw_checkpoint(1, {"config": {}, "meta": {}, "blobs": []}))
+        raw = bytearray(raw_checkpoint({"config": {}, "meta": {}, "blobs": []}))
         raw[16] = 0xFF  # not UTF-8, not JSON
         path.write_bytes(raw)
         message = re.escape(f"{path}: malformed checkpoint header")
         with pytest.raises(ValueError, match=message):
             enc.read_checkpoint(path)
-
-    def test_version_1_reads_without_buffers_or_bn_momentum(self, tmp_path):
-        cfg = enc.vit_micro(8)
-        fields = dataclasses.asdict(cfg) | {"bn_momentum": 0.9}
-        blobs = [["theta.a", [2], "<f8"], ["theta_buf.proj.bn1.mean", [3], "<f8"],
-                 ["xi.a", [2], "<f4"], ["xi_buf.proj.bn1.mean", [3], "<f4"]]
-        payload = (np.array([1.0, 2.0]).tobytes() + np.zeros(3).tobytes()
-                   + np.array([3.0, 4.0], np.float32).tobytes()
-                   + np.zeros(3, np.float32).tobytes())
-        path = tmp_path / "v1.bin"
-        path.write_bytes(raw_checkpoint(
-            1, {"version": 1, "config": fields, "meta": {"step": 3}, "blobs": blobs},
-            payload,
-        ))
-        config, back, meta = enc.read_checkpoint(path)
-        assert config == cfg and meta == {"step": 3}
-        assert list(back) == ["theta.a", "xi.a"]
-        np.testing.assert_array_equal(back["theta.a"], [1.0, 2.0])
-        assert back["xi.a"].dtype == np.float32
 
     def test_blobs_are_read_only_views(self, tmp_path):
         params = micro_params()

@@ -2,10 +2,8 @@ import copy
 import csv
 import dataclasses
 import gc
-import json
 import math
 import re
-import struct
 import tracemalloc
 import weakref
 
@@ -48,41 +46,6 @@ def assert_params_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
     assert a.keys() == b.keys()
     for k in a:
         np.testing.assert_array_equal(a[k], b[k], err_msg=k)
-
-
-def rewrite_as_version1(src, dst) -> None:
-    """Write the checkpoint ``src`` as its version-1 file: no checksum, and
-    batch-norm running statistics (at their initial values) after each
-    encoder's parameters, with ``bn_momentum`` in the config."""
-    vit, blobs, meta = enc.read_checkpoint(src)
-    dtype = blobs["theta.cls_token"].dtype
-    hid, out = vit.head_hidden, vit.head_out
-    stats = {}
-    for bn, width in {"proj.bn1": hid, "proj.bn2": hid, "proj.bn3": out,
-                      "pred.bn1": hid, "pred.bn2": out}.items():
-        stats[bn + ".mean"] = np.zeros(width, dtype)
-        stats[bn + ".var"] = np.ones(width, dtype)
-    ordered = {}
-    for prefix in ("theta.", "theta_buf.", "xi.", "xi_buf.", "adam_m.", "adam_v."):
-        if prefix == "theta_buf.":
-            part = stats
-        elif prefix == "xi_buf.":
-            part = {k: v for k, v in stats.items() if enc.momentum_tracks(k)}
-        else:
-            part = {k[len(prefix):]: v for k, v in blobs.items()
-                    if k.startswith(prefix)}
-        ordered.update({prefix + k: v for k, v in part.items()})
-    tag = "<f4" if dtype == np.float32 else "<f8"
-    header = json.dumps({
-        "version": 1,
-        "config": dataclasses.asdict(vit) | {"bn_momentum": 0.9},
-        "meta": meta,
-        "blobs": [[k, list(v.shape), tag] for k, v in ordered.items()],
-    }).encode()
-    payload = b"".join(v.astype(tag).tobytes() for v in ordered.values())
-    with open(dst, "wb") as f:
-        f.write(enc.CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)))
-        f.write(header + payload)
 
 
 class TestSchedule:
@@ -783,23 +746,6 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match=message):
             tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(seed=0))
 
-    @pytest.mark.parametrize("precision", ["f64", "f32"])
-    def test_version_1_checkpoint_loads(self, tmp_path, precision):
-        cfg = micro_config(precision=precision)
-        state = tr.init_state(cfg, 8)
-        state, _ = tr.train_step(state, micro_batch())
-        tr.save_state(state, tmp_path / "v2.bin")
-        rewrite_as_version1(tmp_path / "v2.bin", tmp_path / "v1.bin")
-        loaded = tr.state_from_checkpoint(tmp_path / "v1.bin", cfg)
-        assert (loaded.step, loaded.aborted) == (state.step, state.aborted)
-        assert loaded.loss_history == state.loss_history
-        for label, packed in state_sets(loaded).items():
-            assert list(packed) == list(state_sets(state)[label]), label
-            assert packed.flat.tobytes() == state_sets(state)[label].flat.tobytes()
-        encoder = tr.encoder_from_checkpoint(tmp_path / "v1.bin")
-        assert encoder.config == cfg.vit
-        assert encoder.params.flat.tobytes() == state.encoder.params.flat.tobytes()
-
     def test_backbone_mismatch_rejected(self, tmp_path):
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
@@ -1042,17 +988,6 @@ class TestPretrain:
             tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
             assert (tmp_path / "train_log.csv").read_bytes() == full_log, epoch
             assert (tmp_path / "checkpoint_final.bin").read_bytes() == final, epoch
-
-    def test_resume_in_place_from_a_version_1_checkpoint(self, tmp_path):
-        cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
-        tr.pretrain(cfg, self.small_data(), tmp_path)
-        full_log = (tmp_path / "train_log.csv").read_bytes()
-        final = (tmp_path / "checkpoint_final.bin").read_bytes()
-        mid = tmp_path / "checkpoint_epoch0002.bin"
-        rewrite_as_version1(mid, mid)
-        tr.pretrain(cfg, self.small_data(), tmp_path, resume_from=mid)
-        assert (tmp_path / "train_log.csv").read_bytes() == full_log
-        assert (tmp_path / "checkpoint_final.bin").read_bytes() == final
 
     def test_resume_drops_a_row_cut_inside_its_step(self, tmp_path):
         cfg = micro_config(epochs=6, warmup_epochs=1, checkpoint_every=3)
