@@ -35,6 +35,17 @@ records nothing more. A graph that will never be differentiated (an
 aborted training step) is dropped with ``discard``, which consumes the
 tape the same way.
 
+The tape writes only into arrays it made, with one exception: a leaf
+attached with ``var_into(data, grad)`` keeps no gradient of its own, and
+the sweep adds each contribution to it in place into the caller's array
+``grad``, in the order the contributions arrive. So ``grad`` ends as its
+prior value plus the gradient: for a leaf with one contribution, the same
+sum, bit for bit, as ``prior + tape.grad(leaf)``, save that a ``-0.0`` of
+the prior outside a sliced contribution keeps its sign, as in a sum the
+tape owns. The trainer adds its second taped pass's gradient into the
+first pass's flat gradient this way, with no per-leaf array and no second
+copy.
+
 ``linear`` records a biased projection ``a @ w + b`` as a single node
 that adds the bias in place, so a forward pass keeps one array per
 projection instead of two. Its values and gradients are those of
@@ -175,7 +186,7 @@ class _Slice(NamedTuple):
 class Tape:
     """Execution-ordered record of primitives, replayed backwards for grads."""
 
-    __slots__ = ("_nodes", "_grads", "_owned", "_keys")
+    __slots__ = ("_nodes", "_grads", "_owned", "_into", "_keys")
 
     def __init__(self):
         # (output key, [(input key, vjp), ...]) per primitive, in execution
@@ -183,6 +194,7 @@ class Tape:
         self._nodes: list[tuple[int, list[tuple[int, Callable]]]] | None = []
         self._grads: dict[int, np.ndarray] = {}
         self._owned: set[int] = set()  # keys whose gradient the tape made
+        self._into: dict[int, np.ndarray] = {}  # leaves of var_into
         self._keys = count()
 
     def var(self, data) -> Tensor:
@@ -191,12 +203,38 @@ class Tape:
             raise ValueError(_CONSUMED)
         return Tensor(data, self)
 
+    def var_into(self, data, grad: np.ndarray) -> Tensor:
+        """Attach a leaf variable, like ``var``, whose gradient is added
+        into the caller's array ``grad`` instead of being kept.
+
+        ``backward`` adds each contribution to the leaf in place into
+        ``grad`` (cast to its dtype), in the order they arrive, so ``grad``
+        ends as its prior value plus the leaf's gradient, and the tape keeps
+        no gradient for the leaf; ``grad(t)`` then raises.
+        """
+        t = self.var(data)
+        if grad.shape != t.data.shape:
+            raise ValueError(
+                f"gradient array of shape {grad.shape} does not fit a leaf of "
+                f"shape {t.data.shape}"
+            )
+        self._into[t.key] = grad
+        return t
+
     def _accumulate(self, key: int, delta):
         """Add one contribution (an array or a ``_Slice``) to a gradient.
 
-        Only an array the tape made is written in place: a first
-        contribution is stored as given and may be shared with another key.
+        Only an array the tape made, or one given to ``var_into``, is written
+        in place: a first contribution is stored as given and may be shared
+        with another key.
         """
+        into = self._into.get(key)
+        if into is not None:
+            if isinstance(delta, _Slice):
+                into[delta.index] += delta.values
+            else:
+                into += delta
+            return
         cur = self._grads.get(key)
         if key in self._owned and cur.dtype == delta.dtype:
             if isinstance(delta, _Slice):
@@ -220,8 +258,9 @@ class Tape:
         freeing each node (its keys and gradient maps) once it has run, so
         it may be called once per tape; gradients of leaves are then
         available through ``grad``. The tape writes only into gradient
-        arrays it made itself: sums of two or more contributions and the
-        zeros a slice is scattered into.
+        arrays it made itself (sums of two or more contributions and the
+        zeros a slice is scattered into) and into the arrays given to
+        ``var_into``.
         """
         if self._nodes is None:
             raise ValueError(_CONSUMED)
@@ -249,7 +288,7 @@ class Tape:
         once, even while the tape itself is still referenced; the tape is
         consumed, as after ``backward``, and has no gradients.
         """
-        self._nodes, self._grads, self._owned = None, {}, set()
+        self._nodes, self._grads, self._owned, self._into = None, {}, set(), {}
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient for ``t`` after backward; zeros if the loss ignores it.
@@ -257,8 +296,12 @@ class Tape:
         Keys restart on every tape, so a tensor of another tape (or none)
         gets zeros. The array returned may be shared with the gradient of
         another tensor of this tape, so a caller that writes to it should
-        copy it first.
+        copy it first. A leaf of ``var_into`` has no gradient here.
         """
+        if t.tape is self and t.key in self._into:
+            raise ValueError(
+                "this leaf's gradient was added into the array given to var_into"
+            )
         g = self._grads.get(t.key) if t.tape is self else None
         return np.zeros_like(t.data) if g is None else g
 

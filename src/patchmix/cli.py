@@ -275,6 +275,7 @@ def cmd_eval_knn(cfg: dict, seed: int, out: str | None) -> int:
 
     from . import evaluation as ev
 
+    ev.check_tau(cfg["eval.tau"])  # before any feature is extracted
     _params, train_bank, val_bank, val = _banks(cfg, seed)
     preds, acc = ev.knn_classify(
         train_bank,

@@ -8,6 +8,7 @@ frozen features, and attention-map extraction from the last block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .autodiff import Tape, Tensor
 __all__ = [
     "FeatureBank",
     "extract_features",
+    "check_tau",
     "knn_classify",
     "linear_probe",
     "attention_maps",
@@ -92,6 +94,15 @@ def build_bank(params: enc.EncoderParams, dataset) -> FeatureBank:
     return FeatureBank(feats, dataset.labels, dataset.num_classes)
 
 
+def check_tau(tau: float) -> None:
+    """Reject a kNN vote temperature outside (0, inf): a zero, negative,
+    infinite or NaN ``tau`` turns the votes exp(sim / tau) into infinities,
+    inverted weights, equal weights or NaNs."""
+    # written as "not (ok)" so that a NaN fails
+    if not (0.0 < tau < math.inf):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 def knn_classify(
     bank: FeatureBank,
     queries: np.ndarray,
@@ -106,9 +117,11 @@ def knn_classify(
     toward the smaller class index (argmax convention). Queries are
     normalised defensively, so any positive per-row rescaling of raw
     features leaves predictions unchanged; a zero or non-finite row has no
-    direction and is rejected. Returns (predictions, accuracy) with
-    accuracy None when no labels are given.
+    direction and is rejected, and so is a ``tau`` that ``check_tau``
+    rejects. Returns (predictions, accuracy) with accuracy None when no
+    labels are given.
     """
+    check_tau(tau)
     if not 1 <= k <= bank.count:
         raise ValueError(f"k must lie in [1, {bank.count}], got {k}")
     q = np.asarray(queries, dtype=np.float64)

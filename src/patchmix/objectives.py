@@ -17,6 +17,14 @@ denominator), and the positive entries are picked out and averaged.
 The total objective detaches every momentum-branch input itself, so its
 gradient reaches only the prediction inputs regardless of what the caller
 recorded.
+
+The total is a sum of separable parts: mix-to-origin and mix-to-mix read
+only the mixed prediction ``h_mix1``, and origin-to-origin reads only the
+second view's prediction ``h_view2``. ``origin_term`` evaluates the
+origin part on its own, so a caller can back-propagate it (and free its
+graph) before recording ``h_mix1``, then hand the evaluated term to
+``loss_total`` as ``origin``; the report and the total are those of the
+call without it, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ __all__ = [
     "loss_mto",
     "loss_mtm",
     "loss_oto",
+    "origin_term",
     "loss_total",
 ]
 
@@ -61,18 +70,22 @@ class ContrastBatch:
     def __post_init__(self):
         n = self.plan.config.images
         for name in ("h_mix1", "h_view2", "z_view1", "z_view2", "z_mix2"):
-            t = getattr(self, name)
-            if not isinstance(t, Tensor):
-                t = Tensor(t)
-                setattr(self, name, t)
-            if t.data.ndim != 2 or t.data.shape[0] != n:
-                raise ValueError(
-                    f"{name} must be [N, D] with N={n}, got shape {t.data.shape}"
-                )
-            if not np.all(np.isfinite(t.data)):
-                raise ValueError(f"{name} contains non-finite values")
+            setattr(self, name, _embedding(name, getattr(self, name), n))
         if not self.temperature > 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+
+
+def _embedding(name: str, t, n: int | None = None) -> Tensor:
+    """``t`` as a tensor, checked to be a finite [N, D] embedding, with
+    N = ``n`` when given."""
+    if not isinstance(t, Tensor):
+        t = Tensor(t)
+    if t.data.ndim != 2 or (n is not None and t.data.shape[0] != n):
+        rows = "" if n is None else f" with N={n}"
+        raise ValueError(f"{name} must be [N, D]{rows}, got shape {t.data.shape}")
+    if not np.all(np.isfinite(t.data)):
+        raise ValueError(f"{name} contains non-finite values")
+    return t
 
 
 @dataclass(frozen=True)
@@ -142,9 +155,24 @@ def loss_oto(h_view2, z_view1, tau: float) -> Tensor:
     return loss_mto(h_view2, z_view1, np.arange(n)[:, None], tau)
 
 
+def origin_term(h_view2, z_view1, tau: float, weight: float) -> tuple[Tensor, Tensor]:
+    """The origin-to-origin part of the total objective: the pair ``(oto,
+    weight * oto)``, as ``loss_total`` computes it.
+
+    ``z_view1`` is detached here, so the weighted term's gradient reaches
+    only ``h_view2``. Both embeddings must be finite [N, D] arrays with the
+    same N, as in a ``ContrastBatch``.
+    """
+    h_view2 = _embedding("h_view2", h_view2)
+    z_view1 = _embedding("z_view1", z_view1, h_view2.data.shape[0])
+    oto = loss_oto(h_view2, ad.stop_gradient(z_view1), tau)
+    return oto, ad.scale(oto, weight)
+
+
 def loss_total(
     cb: ContrastBatch,
     term_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    origin: tuple | None = None,
 ) -> tuple[LossReport, Tensor]:
     """Total objective; returns the per-part report and the scalar tensor.
 
@@ -154,6 +182,14 @@ def loss_total(
     ``term_weights`` scales (mto, mtm, oto) for ablations; the report
     carries the raw per-term values but a weighted total. At the default
     (1, 1, 1) the total equals the plain sum bit for bit.
+
+    ``origin`` is the pair that ``origin_term(cb.h_view2, cb.z_view1,
+    cb.temperature, term_weights[2])`` returned (its tensors or their
+    values), for a caller that has evaluated, and back-propagated, that
+    part already. Its values are taken as constants, so the returned
+    tensor's gradient reaches only h_mix1; the report and the total's value
+    are those of the call without ``origin``, bit for bit. Without it, the
+    part is evaluated here.
     """
     plan = cb.plan
     tau = cb.temperature
@@ -168,11 +204,11 @@ def loss_total(
         plan.mixed_weights,
         tau,
     )
-    oto = loss_oto(cb.h_view2, ad.stop_gradient(cb.z_view1), tau)
-    total = ad.add(
-        ad.add(ad.scale(mto, w_mto), ad.scale(mtm, w_mtm)),
-        ad.scale(oto, w_oto),
-    )
+    if origin is None:
+        oto, weighted = origin_term(cb.h_view2, cb.z_view1, tau, w_oto)
+    else:
+        oto, weighted = (ad.stop_gradient(t) for t in origin)
+    total = ad.add(ad.add(ad.scale(mto, w_mto), ad.scale(mtm, w_mtm)), weighted)
     report = LossReport(
         l_mto=float(mto.data),
         l_mtm=float(mtm.data),

@@ -3,14 +3,26 @@
 One training step runs, in this order: augment the batch into two views;
 patch-mix each view under its own fresh permutation; push the first view,
 second view, and second view's mix through the momentum twin, projection
-only, gradients off; push the first view's mix and the second view's
-original through the trained encoder with both heads (gradients on);
-evaluate the three-part loss; update the encoder with AdamW; finally
-advance the momentum twin by EMA. The twin runs before the taped passes,
-so its transient arrays are freed before the tape's activations pile up;
-it is read strictly before the optimizer update and written strictly
-after it. No forward pass draws randomness, so their order changes no
-value.
+only, gradients off; then the two taped passes through the trained
+encoder with both heads, one tape each, because the loss is separable:
+
+1. the origin part: record the second view's original (``h_view2``) and
+   the weighted origin-to-origin term over it, back-propagate it, flatten
+   its leaf gradients into the step's one flat gradient, and free the
+   tape with its activations;
+2. the mix part: record the first view's mix (``h_mix1``), evaluate the
+   total loss with the origin part's values handed in as constants, and
+   back-propagate it, adding each leaf's gradient in place into the flat
+   gradient.
+
+Then update the encoder with AdamW, and finally advance the momentum twin
+by EMA. Each parameter is used once per pass, so each gradient is the
+same two-term sum, in the same order, that one tape over both passes
+would give, bit for bit, and peak memory holds one pass's activations,
+not two. The twin runs before the taped passes, so its transient arrays
+are freed before the activations pile up; it is read strictly before the
+optimizer update and written strictly after it. No forward pass draws
+randomness, so their order changes no value.
 
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
@@ -261,6 +273,50 @@ def _schedules_at(state: TrainState) -> tuple[float, float, float]:
     return lr, wd, mu
 
 
+def _predict(vit: enc.ViTConfig, tv, patches: np.ndarray):
+    """The prediction-head output of the trained encoder's parameters ``tv``."""
+    rep = enc.forward_backbone(vit, tv, patches)
+    return enc.forward_heads(vit, tv, rep)[1]
+
+
+def _origin_part(state: TrainState, view2: np.ndarray, z_view1):
+    """The first part of a step's gradient: the second view's prediction
+    ``h_view2`` and the weighted origin-to-origin term over it, recorded
+    and back-propagated on a tape of their own.
+
+    Returns the term's gradient (a new ``Packed`` set in the layout of the
+    encoder), the value of ``h_view2`` and the term's ``(oto, weighted)``
+    values; the tape and every activation are freed on return. When the
+    step aborts here, returns the reason instead, before any backward
+    sweep.
+    """
+    cfg = state.config
+    tape = Tape()
+    tv = enc.bind(state.encoder.params, tape)
+    h_view2 = _predict(cfg.vit, tv, view2)
+    try:
+        oto, weighted = ob.origin_term(
+            h_view2, z_view1, cfg.temperature, cfg.loss_weights[2]
+        )
+    except ValueError as err:
+        return str(err)
+    value = float(weighted.data)
+    if not math.isfinite(value):
+        return f"non-finite origin-to-origin term {value!r}, state unchanged"
+    tape.backward(weighted)
+    # the gradient in the layout of the parameters
+    grad = np.concatenate([tape.grad(t).ravel() for t in tv.values()])
+    packed = enc.Packed(state.encoder.params.shapes, grad)
+    return packed, h_view2.data, (oto.data, weighted.data)
+
+
+def _aborted(state: TrainState, reason: str) -> tuple[TrainState, None]:
+    """Count and log an aborted step; nothing else in ``state`` changes."""
+    state.aborted += 1
+    log.warning("step %d aborted: %s", state.step, reason)
+    return state, None
+
+
 def train_step(
     state: TrainState, batch: po.ImageBatch
 ) -> tuple[TrainState, ob.LossReport | None]:
@@ -271,7 +327,8 @@ def train_step(
     ``ValueError`` (such as a zero-norm embedding row). An aborted step
     logs a diagnostic, discards its graph, returns a report of None and
     increases ``state.aborted``; the rest of the state is untouched, since
-    nothing writes to it before the loss is known to be finite.
+    nothing writes to it before both parts of the loss are known to be
+    finite. An abort in the origin part skips the mixed view's pass.
     """
     cfg = state.config
     vit = cfg.vit
@@ -307,7 +364,7 @@ def train_step(
         return pb.patches.astype(dtype, copy=False)
 
     # momentum branch, read before the optimizer touches the encoder and
-    # run before the tape is filled
+    # run before either tape is filled
     mtv = enc.bind(state.momentum.params, None)
 
     def momentum_project(patches: np.ndarray):
@@ -319,22 +376,25 @@ def train_step(
     z_view2 = momentum_project(view2)
     z_mix2 = momentum_project(cast(mixed2.patches))
 
-    # gradient branch through the trained encoder
+    # gradient branch through the trained encoder, one tape per part of the
+    # loss: the origin part's tape is back-propagated and freed before the
+    # mix part's records anything
+    part = _origin_part(state, view2, z_view1)
+    if isinstance(part, str):
+        return _aborted(state, part)
+    grad, h_view2, origin = part
+
+    # the mix part's gradient is added, leaf by leaf, into the origin part's
     tape = Tape()
-    tv = enc.bind(state.encoder.params, tape)
-
-    def predict(patches: np.ndarray):
-        rep = enc.forward_backbone(vit, tv, patches)
-        return enc.forward_heads(vit, tv, rep)[1]
-
-    h_mix1 = predict(cast(mixed1.patches))
-    h_view2 = predict(view2)
-
+    tv = {k: tape.var_into(v, grad[k]) for k, v in state.encoder.params.items()}
+    h_mix1 = _predict(vit, tv, cast(mixed1.patches))
     try:
         cb = ob.ContrastBatch(
             h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
         )
-        report, total = ob.loss_total(cb, term_weights=cfg.loss_weights)
+        report, total = ob.loss_total(
+            cb, term_weights=cfg.loss_weights, origin=origin
+        )
         abort = None
         if not math.isfinite(report.l_total):
             abort = f"non-finite loss {report!r}, state unchanged"
@@ -344,13 +404,10 @@ def train_step(
         abort = str(err)
     if abort is not None:
         tape.discard()
-        state.aborted += 1
-        log.warning("step %d aborted: %s", step, abort)
-        return state, None
+        return _aborted(state, abort)
 
     tape.backward(total)
-    # the gradient in the layout of the parameters
-    grad = np.concatenate([tape.grad(t).ravel() for t in tv.values()])
+    grad = grad.flat
     if cfg.grad_clip is not None:
         _clip_gradients(grad, cfg.grad_clip)
 

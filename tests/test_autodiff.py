@@ -673,6 +673,63 @@ class TestGraphByKey:
         np.testing.assert_array_equal(first.grad(y), np.zeros(2))
 
 
+class TestVarInto:
+    """A leaf of ``var_into`` adds its gradient into the caller's array."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "contribution",
+        [
+            lambda x, w: ad.mul(x, w),  # an array
+            lambda x, w: ad.mul(ad.take(x, (slice(1, 3),)), w[1:3]),  # a _Slice
+            lambda x, w: ad.mul(ad.take(x, (1, slice(None, 4))), w[1, :4]),
+        ],
+        ids=["array", "slice", "row_slice"],
+    )
+    def test_in_place_add_equals_prior_plus_grad(self, contribution, dtype):
+        rng = np.random.default_rng(21)
+        x0, w, prior = (rng.standard_normal((4, 5)).astype(dtype) for _ in range(3))
+        plain = ad.Tape()
+        x = plain.var(x0)
+        plain.backward(ad.asum(contribution(x, w)))
+        expect = prior + plain.grad(x)
+        into = ad.Tape()
+        out = prior.copy()
+        x = into.var_into(x0, out)
+        into.backward(ad.asum(contribution(x, w)))
+        assert out.dtype == expect.dtype and out.tobytes() == expect.tobytes()
+
+    def test_contributions_are_added_in_their_order(self):
+        rng = np.random.default_rng(22)
+        x0, c, d, prior = (rng.standard_normal(6) for _ in range(4))
+        tape = ad.Tape()
+        out = prior.copy()
+        x = tape.var_into(x0, out)
+        # the sweep visits the later use first
+        tape.backward(ad.asum(ad.add(ad.mul(x, c), ad.mul(x, d))))
+        np.testing.assert_array_equal(out, (prior + d) + c)
+
+    def test_tape_keeps_no_gradient_for_the_leaf(self):
+        tape = ad.Tape()
+        x = tape.var_into(np.ones(3), np.zeros(3))
+        y = tape.var(np.ones(3))
+        tape.backward(ad.asum(ad.mul(x, y)))
+        assert x.key not in tape._grads
+        with pytest.raises(ValueError, match="var_into"):
+            tape.grad(x)
+        np.testing.assert_array_equal(tape.grad(y), np.ones(3))
+
+    def test_array_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            ad.Tape().var_into(np.ones((2, 3)), np.zeros(6))
+
+    def test_consumed_tape_rejects_a_leaf(self):
+        tape = ad.Tape()
+        tape.discard()
+        with pytest.raises(ValueError, match="consumed"):
+            tape.var_into(np.ones(2), np.zeros(2))
+
+
 # The expressions gelu, softmax and layer_norm computed before they built
 # their temporaries in place; the rewrite performs the same operations in
 # the same order (or swaps the operands of a + or a *), so it must agree

@@ -432,6 +432,21 @@ class TestTrainAndEval:
         assert per_class[0] == "class,count,correct,accuracy"
         assert len(per_class) == 1 + 2
 
+    @pytest.mark.parametrize("tau", ["0", "-0.07", "nan", "inf"])
+    def test_eval_knn_rejects_tau_before_extracting_features(
+        self, trained, capsys, monkeypatch, tau
+    ):
+        from patchmix import evaluation as ev
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("features were extracted")
+
+        monkeypatch.setattr(ev, "extract_features", no_features)
+        _out, ckpt, _log = trained
+        args = ["eval-knn", "--override", f"eval.tau={tau}"] + eval_overrides(ckpt)
+        assert quiet_main(args) == 2
+        assert "error: tau must be positive and finite" in capsys.readouterr().err
+
     def test_eval_linear_reports_accuracy(self, trained, capsys):
         _out, ckpt, _log = trained
         code = cli.main(

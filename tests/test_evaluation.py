@@ -115,6 +115,18 @@ class TestKnn:
         _, acc = ev.knn_classify(axis_bank(), np.eye(3), k=1)
         assert acc is None
 
+    @pytest.mark.parametrize("tau", [0.0, -0.07, np.nan, np.inf, -np.inf])
+    def test_tau_outside_zero_to_inf_rejected(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
+            ev.knn_classify(axis_bank(), np.eye(3), k=1, tau=tau)
+
+    def test_tiny_and_large_tau_accepted(self):
+        for tau in (0.01, 100.0):
+            _, acc = ev.knn_classify(
+                axis_bank(), np.eye(3), k=2, tau=tau, query_labels=[0, 1, 2]
+            )
+            assert acc == 1.0
+
     @pytest.mark.parametrize(
         "value,norm", [(0.0, "0.00000000"), (np.nan, "nan"), (np.inf, "inf")]
     )

@@ -194,6 +194,65 @@ class TestGradients:
         np.testing.assert_array_equal(cb.z_view1.data, snap)
 
 
+class TestOriginPart:
+    """``loss_total`` with an ``origin`` evaluated beforehand, on a tape of
+    its own, is the one-tape objective split in two, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 0.25, 2.0)])
+    def test_split_equals_the_whole_bit_for_bit(self, dtype, weights):
+        n, d = 6, 8
+        rng = np.random.default_rng(14)
+        plan = make_plan(n, 3)
+        hm0, hv0, z1, z2, zm = (
+            rng.normal(size=(n, d)).astype(dtype) for _ in range(5)
+        )
+
+        whole = ad.Tape()
+        hm, hv = whole.var(hm0), whole.var(hv0)
+        cb = ob.ContrastBatch(hm, hv, z1, z2, zm, plan)
+        report, total = ob.loss_total(cb, weights)
+        whole.backward(total)
+        g_mix, g_view = whole.grad(hm), whole.grad(hv)
+
+        first = ad.Tape()
+        hv = first.var(hv0)
+        origin = ob.origin_term(hv, z1, cb.temperature, weights[2])
+        first.backward(origin[1])
+        second = ad.Tape()
+        hm = second.var(hm0)
+        cb = ob.ContrastBatch(hm, hv0, z1, z2, zm, plan)
+        split_report, split_total = ob.loss_total(cb, weights, origin=origin)
+        second.backward(split_total)
+
+        assert split_report == report
+        assert split_total.data.tobytes() == total.data.tobytes()
+        for got, want in ((second.grad(hm), g_mix), (first.grad(hv), g_view)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_origin_values_are_constants(self):
+        cb = batch(4, 2, seed=15)
+        tape = ad.Tape()
+        hv = tape.var(cb.h_view2.data)
+        oto, weighted = ob.origin_term(hv, cb.z_view1, cb.temperature, 1.0)
+        report, total = ob.loss_total(cb, origin=(oto.data, weighted.data))
+        assert total.tape is None  # cb holds no taped tensor
+        assert report == ob.loss_total(cb)[0]
+
+    @pytest.mark.parametrize("which", ["h_view2", "z_view1"])
+    def test_non_finite_embedding_is_named(self, which):
+        cb = batch(4, 2, seed=16)
+        args = {"h_view2": cb.h_view2.data.copy(), "z_view1": cb.z_view1.data.copy()}
+        args[which][1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"{which} contains non-finite"):
+            ob.origin_term(args["h_view2"], args["z_view1"], 0.2, 1.0)
+
+    def test_row_counts_must_agree(self):
+        cb = batch(4, 2, seed=17)
+        with pytest.raises(ValueError, match=r"z_view1 must be \[N, D\] with N=4"):
+            ob.origin_term(cb.h_view2, cb.z_view1.data[:3], 0.2, 1.0)
+
+
 class TestValidation:
     def test_wrong_row_count_rejected(self):
         plan = make_plan(4, 2)

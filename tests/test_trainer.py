@@ -10,9 +10,11 @@ import weakref
 import numpy as np
 import pytest
 
+from patchmix import augment as au
 from patchmix import autodiff as ad
 from patchmix import datasets as ds
 from patchmix import encoder as enc
+from patchmix import mixing as mx
 from patchmix import objectives as ob
 from patchmix import patch_ops as po
 from patchmix import trainer as tr
@@ -302,6 +304,68 @@ class TestInitState:
         assert all(np.all(v == 0) for v in state.opt_v.values())
 
 
+def reference_train_step(state: tr.TrainState, batch: po.ImageBatch):
+    """The step with both taped passes on one tape and one backward sweep:
+    the step that the two-tape ``train_step`` replaced, kept as its
+    oracle. Its leaf gradients are the same two-term sums, so the two must
+    agree bit for bit."""
+    cfg = state.config
+    vit = cfg.vit
+    n = batch.count
+    seed, step = cfg.seed, state.step
+    lr, wd, mu = tr._schedules_at(state)
+    x1 = au.augment_view(batch, cfg.aug, 1, tr._derive_rng(seed, tr._RNG_AUG1, step))
+    x2 = au.augment_view(batch, cfg.aug, 2, tr._derive_rng(seed, tr._RNG_AUG2, step))
+    pb1 = po.patchify(x1, vit.patch_side)
+    pb2 = po.patchify(x2, vit.patch_side)
+    mix_cfg = mx.MixConfig(images=n, groups=cfg.mix_count, tokens=pb1.tokens)
+    plan1 = mx.plan_mix(mix_cfg, po.sample_permutation(
+        pb1.tokens, tr._derive_rng(seed, tr._RNG_MIX1, step)))
+    plan2 = mx.plan_mix(mix_cfg, po.sample_permutation(
+        pb2.tokens, tr._derive_rng(seed, tr._RNG_MIX2, step)))
+    mixed1 = mx.apply_mix(pb1, plan1)
+    mixed2 = mx.apply_mix(pb2, plan2)
+
+    def cast(patches):
+        return patches.astype(cfg.dtype, copy=False)
+
+    mtv = enc.bind(state.momentum.params, None)
+
+    def momentum_project(patches):
+        return enc.forward_project(vit, mtv, enc.forward_backbone(vit, mtv, patches))
+
+    z_view1 = momentum_project(cast(pb1.patches))
+    z_view2 = momentum_project(cast(pb2.patches))
+    z_mix2 = momentum_project(cast(mixed2.patches.patches))
+    tape = Tape()
+    tv = enc.bind(state.encoder.params, tape)
+
+    def predict(patches):
+        return enc.forward_heads(vit, tv, enc.forward_backbone(vit, tv, patches))[1]
+
+    h_mix1 = predict(cast(mixed1.patches.patches))
+    h_view2 = predict(cast(pb2.patches))
+    cb = ob.ContrastBatch(
+        h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
+    )
+    report, total = ob.loss_total(cb, term_weights=cfg.loss_weights)
+    assert math.isfinite(report.l_total)
+    tape.backward(total)
+    grad = np.concatenate([tape.grad(t).ravel() for t in tv.values()])
+    if cfg.grad_clip is not None:
+        tr._clip_gradients(grad, cfg.grad_clip)
+    tr.optimizer_update(
+        state.encoder.params.flat, grad, lr, wd,
+        (state.opt_m.flat, state.opt_v.flat), step + 1, state.decay,
+    )
+    enc.ema_update(state.encoder, state.momentum, mu)
+    state.step += 1
+    state.loss_history.append(
+        (step, report.l_mto, report.l_mtm, report.l_oto, report.l_total, lr, mu, wd)
+    )
+    return state, report
+
+
 class TestTrainStep:
     def test_deterministic_across_runs(self):
         cfg = micro_config()
@@ -477,10 +541,10 @@ class TestTrainStep:
         state = tr.init_state(micro_config(precision="f32"), 8)
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
-        (tape,) = tapes
-        outputs = set(tape.outputs)
-        assert outputs == {np.dtype(np.float32)}
-        assert set(tape.deltas) == {np.dtype(np.float32)}
+        assert len(tapes) == 2  # the origin part's, then the mix part's
+        for tape in tapes:
+            assert set(tape.outputs) == {np.dtype(np.float32)}
+            assert set(tape.deltas) == {np.dtype(np.float32)}
         for group in (
             state.encoder.params,
             state.momentum.params,
@@ -521,11 +585,13 @@ class TestTrainStep:
         state = tr.init_state(micro_config(), 8)
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
-        (tape,) = tapes
-        assert tape.targets
-        # constants never get a delta: the patch inputs, the momentum twin's
-        # outputs, the mix weights and scalars such as batch-norm eps
-        assert all(key in tape.keys for key in tape.targets)
+        assert len(tapes) == 2
+        for tape in tapes:
+            assert tape.targets
+            # constants never get a delta: the patch inputs, the momentum
+            # twin's outputs, the mix weights, scalars such as batch-norm eps,
+            # and on the mix part's tape the origin part's values
+            assert all(key in tape.keys for key in tape.targets)
 
     def test_step_frees_its_tape_on_return(self, monkeypatch):
         refs = []
@@ -538,12 +604,12 @@ class TestTrainStep:
         monkeypatch.setattr(tr, "Tape", WatchedTape)
         state = tr.init_state(micro_config(), 8)
         was_enabled = gc.isenabled()
-        gc.disable()  # only reference counting may free the tape
+        gc.disable()  # only reference counting may free the tapes
         try:
             state, report = tr.train_step(state, micro_batch())
             assert report is not None
-            (ref,) = refs
-            assert ref() is None
+            assert len(refs) == 2
+            assert all(ref() is None for ref in refs)
         finally:
             if was_enabled:
                 gc.enable()
@@ -566,22 +632,150 @@ class TestTrainStep:
         monkeypatch.setattr(tr.ob, "loss_total", failing)
         state = tr.init_state(micro_config(), 8)
         was_enabled = gc.isenabled()
-        gc.disable()  # only reference counting may free the tape
+        gc.disable()  # only reference counting may free the tapes
         try:
             state, report = tr.train_step(state, micro_batch())
             assert report is None and state.aborted == 1
-            (ref,) = refs
-            assert ref() is None
+            assert len(refs) == 2
+            assert all(ref() is None for ref in refs)
         finally:
             if was_enabled:
                 gc.enable()
 
+    def test_origin_tape_is_freed_before_the_mix_tape_records(self, monkeypatch):
+        refs, swept, first_record = [], [], []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+            def backward(self, loss):
+                super().backward(loss)
+                swept.append(len(refs))  # the number of tapes made so far
+
+        node = ad._node
+
+        def watching_node(value, *edges):
+            out = node(value, *edges)
+            if len(refs) == 2 and out.tape is refs[1]() and not first_record:
+                first_record.append((list(swept), refs[0]() is None))
+            return out
+
+        monkeypatch.setattr(tr, "Tape", WatchedTape)
+        monkeypatch.setattr(ad, "_node", watching_node)
+        state = tr.init_state(micro_config(), 8)
+        was_enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free the tape
+        try:
+            state, report = tr.train_step(state, micro_batch())
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert report is not None
+        # when the mix part's tape records its first node, the origin part's
+        # tape has been swept, while it was the only tape, and freed
+        assert first_record == [([1], True)]
+        assert swept == [1, 2]
+
+    @pytest.mark.parametrize("abort", ["value_error", "non_finite"])
+    def test_origin_part_abort_skips_the_mix_pass(self, monkeypatch, abort):
+        taped_passes, sweeps = [], []
+        real_backbone = enc.forward_backbone
+        real_backward = Tape.backward
+
+        def counting_backbone(config, tv, *args, **kwargs):
+            if next(iter(tv.values())).tape is not None:
+                taped_passes.append(1)
+            return real_backbone(config, tv, *args, **kwargs)
+
+        def counting_backward(self, loss):
+            sweeps.append(1)
+            return real_backward(self, loss)
+
+        real_origin = ob.origin_term
+
+        def failing(*args):
+            if abort == "value_error":
+                raise ValueError("bad batch")
+            oto, weighted = real_origin(*args)
+            return oto, ad.scale(weighted, math.nan)
+
+        def no_total(*args, **kwargs):
+            raise AssertionError("the mix part ran")
+
+        monkeypatch.setattr(enc, "forward_backbone", counting_backbone)
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        monkeypatch.setattr(tr.ob, "origin_term", failing)
+        monkeypatch.setattr(tr.ob, "loss_total", no_total)
+        state = tr.init_state(micro_config(), 8)
+        before = {label: p.flat.tobytes() for label, p in state_sets(state).items()}
+        state, report = tr.train_step(state, micro_batch())
+        assert report is None and state.aborted == 1
+        assert state.step == 0 and state.loss_history == []
+        assert len(taped_passes) == 1 and sweeps == []
+        for label, packed in state_sets(state).items():
+            assert packed.flat.tobytes() == before[label], label
+
+    @pytest.mark.parametrize("abort", ["value_error", "non_finite"])
+    def test_mix_part_abort_after_the_origin_sweep_leaves_the_state(
+        self, monkeypatch, abort
+    ):
+        sweeps = []
+        real_backward = Tape.backward
+        real_total = ob.loss_total
+
+        def counting_backward(self, loss):
+            sweeps.append(1)
+            return real_backward(self, loss)
+
+        def failing(cb, **kwargs):
+            assert kwargs["origin"] is not None and sweeps == [1]
+            if abort == "value_error":
+                raise ValueError("bad batch")
+            report, total = real_total(cb, **kwargs)
+            return dataclasses.replace(report, l_total=math.inf), total
+
+        state = tr.init_state(micro_config(), 8)
+        state, report = tr.train_step(state, micro_batch())  # fills the moments
+        assert report is not None
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        monkeypatch.setattr(tr.ob, "loss_total", failing)
+        before = {label: p.flat.tobytes() for label, p in state_sets(state).items()}
+        state, report = tr.train_step(state, micro_batch(seed=1))
+        assert report is None and state.aborted == 1
+        assert sweeps == [1]  # the origin part's, and no other
+        assert state.step == 1 and len(state.loss_history) == 1
+        for label, packed in state_sets(state).items():
+            assert packed.flat.tobytes() == before[label], label
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"loss_weights": (0.5, 0.25, 2.0)}, {"grad_clip": 0.5}],
+        ids=["default", "weights", "clip"],
+    )
+    def test_two_tape_step_equals_the_one_tape_reference(self, precision, overrides):
+        cfg = micro_config(precision=precision, **overrides)
+        state, ref = tr.init_state(cfg, 8), tr.init_state(cfg, 8)
+        for seed in range(2):
+            state, report = tr.train_step(state, micro_batch(seed=seed))
+            ref, ref_report = reference_train_step(ref, micro_batch(seed=seed))
+            assert report is not None and report == ref_report
+        assert state.loss_history == ref.loss_history
+        refs = state_sets(ref)
+        for label, packed in state_sets(state).items():
+            assert packed.flat.dtype == refs[label].flat.dtype
+            assert packed.flat.tobytes() == refs[label].flat.tobytes(), label
+
     def test_step_node_and_call_budget(self, monkeypatch):
         """Guards the graph size of one step: one node per biased projection,
-        one call per pre-norm projection with its layer norm, and a
-        copy-free head split. Splitting them again exceeds the budget: the
-        step records 223 nodes and makes 446 primitive calls (466 with a
-        separate call for each pre-norm layer norm)."""
+        one call per pre-norm projection with its layer norm, a copy-free
+        head split, and the origin term evaluated once, on the origin part's
+        tape. Splitting them again exceeds the budget: the step records 106
+        nodes on the origin part's tape and 117 on the mix part's, 223 in
+        all, and makes 446 primitive calls (466 with a separate call for
+        each pre-norm layer norm)."""
         nodes, calls = [], []
 
         class CountingTape(Tape):
@@ -605,7 +799,9 @@ class TestTrainStep:
         state = tr.init_state(micro_config(), 8)
         state, report = tr.train_step(state, micro_batch())
         assert report is not None
-        assert nodes[0] <= 223 and len(calls) <= 446, (nodes, len(calls))
+        assert len(nodes) == 2, nodes
+        assert max(nodes) <= 117 and sum(nodes) <= 223, nodes
+        assert len(calls) <= 446, len(calls)
 
     @staticmethod
     def second_step_peak_mib(precision: str) -> float:
@@ -629,20 +825,24 @@ class TestTrainStep:
         only the arrays its gradient maps read, a taped GELU keeps one array,
         a pre-norm projection keeps its normalised input and not its affine
         output, layer norm, softmax and the GELU gradient build their
-        temporaries in place, and the momentum twin runs before the tape
-        fills. In f64, a graph that keeps every node's output took 16.2 MiB
-        here, one whose GELU keeps two arrays and whose primitives allocate
-        every temporary 10.0 MiB, one that also keeps each pre-norm affine
-        output 8.8 MiB; this one takes 8.0 MiB, and the budget is 1.2x that."""
+        temporaries in place, the momentum twin runs before the tapes fill,
+        and the origin part's tape is swept and freed before the mix part's
+        records, which adds its gradient into the origin part's in place.
+        In f64, a graph that keeps every node's output took 16.2 MiB here,
+        one whose GELU keeps two arrays and whose primitives allocate every
+        temporary 10.0 MiB, one that also keeps each pre-norm affine output
+        8.8 MiB, one tape for both taped passes 8.0 MiB; this step takes
+        5.2 MiB, and the budget is 1.2x that."""
         peak = self.second_step_peak_mib("f64")
-        assert peak <= 9.6, f"{peak:.1f} MiB"
+        assert peak <= 6.3, f"{peak:.1f} MiB"
 
     def test_f32_step_peak_allocation_budget(self):
-        """The same step in f32 takes 4.2 MiB (5.2 MiB before the in-place
-        primitives, 4.6 MiB when each pre-norm affine output was kept); the
-        budget keeps the f64 case's 1.2x headroom."""
+        """The same step in f32 takes 2.8 MiB (5.2 MiB before the in-place
+        primitives, 4.6 MiB when each pre-norm affine output was kept, 4.2
+        MiB with one tape for both taped passes); the budget keeps the f64
+        case's 1.2x headroom."""
         peak = self.second_step_peak_mib("f32")
-        assert peak <= 5.1, f"{peak:.1f} MiB"
+        assert peak <= 3.4, f"{peak:.1f} MiB"
 
 
 class TestCheckpointing:
