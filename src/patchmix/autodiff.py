@@ -42,9 +42,9 @@ the sweep adds each contribution to it in place into the caller's array
 prior value plus the gradient: for a leaf with one contribution, the same
 sum, bit for bit, as ``prior + tape.grad(leaf)``, save that a ``-0.0`` of
 the prior outside a sliced contribution keeps its sign, as in a sum the
-tape owns. The trainer adds its second taped pass's gradient into the
-first pass's flat gradient this way, with no per-leaf array and no second
-copy.
+tape owns. The trainer attaches the leaves of both of a step's taped
+passes this way, each to its view of one flat gradient that starts at
+zeros, so both passes add into it, with no per-leaf array and no copy.
 
 ``linear`` records a biased projection ``a @ w + b`` as a single node
 that adds the bias in place, so a forward pass keeps one array per

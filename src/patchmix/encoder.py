@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .patch_ops import PatchBatch
 
 __all__ = [
@@ -330,11 +330,10 @@ def ema_update(
     return momentum
 
 
-def bind(params: Mapping[str, np.ndarray], tape: Tape | None) -> dict[str, Tensor]:
-    """Wrap a parameter dict as tensors, attached to ``tape`` when given."""
-    if tape is None:
-        return {k: Tensor(v) for k, v in params.items()}
-    return {k: tape.var(v) for k, v in params.items()}
+def bind(params: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
+    """Wrap a parameter dict as tensors on no tape, for a pass that takes no
+    gradient."""
+    return {k: Tensor(v) for k, v in params.items()}
 
 
 def forward_backbone(

@@ -77,7 +77,7 @@ def extract_features(
     """
     cfg = params.config
     dtype = params.params.flat.dtype
-    tv = enc.bind(params.params, None)
+    tv = enc.bind(params.params)
     chunks = []
     for lo in range(0, images.shape[0], batch_size):
         batch = po.ImageBatch(images[lo : lo + batch_size])
@@ -95,12 +95,16 @@ def build_bank(params: enc.EncoderParams, dataset) -> FeatureBank:
 
 
 def check_tau(tau: float) -> None:
-    """Reject a kNN vote temperature outside (0, inf): a zero, negative,
-    infinite or NaN ``tau`` turns the votes exp(sim / tau) into infinities,
-    inverted weights, equal weights or NaNs."""
+    """Reject a kNN vote temperature outside [0.0015, inf): a zero,
+    negative, infinite or NaN ``tau`` turns the votes exp(sim / tau) into
+    infinities, inverted weights, equal weights or NaNs, and one below
+    1 / log(float64 max) ~ 0.00141 overflows the vote of sim 1, which ties
+    every class that such a vote reaches. Bank rows are unit-norm within
+    1e-6, so at tau >= 0.0015 no vote exceeds exp(667) ~ 3.4e289, and even
+    a sum of 10**18 votes is finite."""
     # written as "not (ok)" so that a NaN fails
-    if not (0.0 < tau < math.inf):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not (0.0015 <= tau < math.inf):
+        raise ValueError(f"tau must be finite and at least 0.0015, got {tau}")
 
 
 def knn_classify(
@@ -199,7 +203,7 @@ def attention_maps(params: enc.EncoderParams, image: np.ndarray) -> np.ndarray:
     if img.ndim == 3:
         img = img[None]
     pb = po.patchify(po.ImageBatch(img), cfg.patch_side)
-    tv = enc.bind(params.params, None)
+    tv = enc.bind(params.params)
     _, attention = enc.forward_backbone(cfg, tv, pb, capture_attention=True)
     last = attention[-1]  # [1, heads, T+1, T+1]
     cls_to_patch = last[0, :, 0, 1:]  # drop the class token's self column

@@ -4,25 +4,27 @@ One training step runs, in this order: augment the batch into two views;
 patch-mix each view under its own fresh permutation; push the first view,
 second view, and second view's mix through the momentum twin, projection
 only, gradients off; then the two taped passes through the trained
-encoder with both heads, one tape each, because the loss is separable:
+encoder with both heads, one tape each, because the loss is separable.
+The step's one flat gradient, zeros in the layout of the encoder, is made
+before the first tape. Each part records its prediction on a tape whose
+leaves add their gradients in place into it (``Tape.var_into``),
+evaluates its part of the loss, and back-propagates, which frees the tape
+with its activations before the next part records anything:
 
-1. the origin part: record the second view's original (``h_view2``) and
-   the weighted origin-to-origin term over it, back-propagate it, flatten
-   its leaf gradients into the step's one flat gradient, and free the
-   tape with its activations;
-2. the mix part: record the first view's mix (``h_mix1``), evaluate the
-   total loss with the origin part's values handed in as constants, and
-   back-propagate it, adding each leaf's gradient in place into the flat
-   gradient.
+1. the origin part: the second view's original (``h_view2``) and the
+   weighted origin-to-origin term over it;
+2. the mix part: the first view's mix (``h_mix1``) and the total loss,
+   with the origin part's values handed in as constants.
 
 Then update the encoder with AdamW, and finally advance the momentum twin
 by EMA. Each parameter is used once per pass, so each gradient is the
 same two-term sum, in the same order, that one tape over both passes
-would give, bit for bit, and peak memory holds one pass's activations,
-not two. The twin runs before the taped passes, so its transient arrays
-are freed before the activations pile up; it is read strictly before the
-optimizer update and written strictly after it. No forward pass draws
-randomness, so their order changes no value.
+would give, bit for bit (a sum of -0.0 reads +0.0 once added to the
+zeros, but AdamW's moments keep no zero's sign), and peak memory holds
+one pass's activations, not two. The twin runs before the taped passes,
+so its transient arrays are freed before the activations pile up; it is
+read strictly before the optimizer update and written strictly after it.
+No forward pass draws randomness, so their order changes no value.
 
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
@@ -279,35 +281,36 @@ def _predict(vit: enc.ViTConfig, tv, patches: np.ndarray):
     return enc.forward_heads(vit, tv, rep)[1]
 
 
-def _origin_part(state: TrainState, view2: np.ndarray, z_view1):
-    """The first part of a step's gradient: the second view's prediction
-    ``h_view2`` and the weighted origin-to-origin term over it, recorded
-    and back-propagated on a tape of their own.
+def _zeros(params: enc.Packed) -> enc.Packed:
+    """A set of zeros in the layout and dtype of ``params``."""
+    # np.zeros leaves fresh pages unwritten, where zeros_like fills them
+    return enc.Packed(params.shapes, np.zeros(params.flat.shape, params.flat.dtype))
 
-    Returns the term's gradient (a new ``Packed`` set in the layout of the
-    encoder), the value of ``h_view2`` and the term's ``(oto, weighted)``
-    values; the tape and every activation are freed on return. When the
-    step aborts here, returns the reason instead, before any backward
-    sweep.
-    """
-    cfg = state.config
+
+def _taped_part(state: TrainState, grad: enc.Packed, patches, loss, part: str):
+    """Record the trained encoder's prediction ``h`` for ``patches`` on a
+    tape of its own, and back-propagate ``loss(h)``, which returns the
+    part's scalar loss tensor, its value and what the step keeps of the
+    part, adding each parameter's gradient in place into its view of
+    ``grad``. Returns what is kept; the tape is freed on return. When
+    ``loss`` raises a ``ValueError`` or its value is not finite, returns the
+    reason, naming ``part``, before any backward sweep."""
     tape = Tape()
-    tv = enc.bind(state.encoder.params, tape)
-    h_view2 = _predict(cfg.vit, tv, view2)
+    tv = {k: tape.var_into(v, grad[k]) for k, v in state.encoder.params.items()}
+    h = _predict(state.config.vit, tv, patches)
     try:
-        oto, weighted = ob.origin_term(
-            h_view2, z_view1, cfg.temperature, cfg.loss_weights[2]
-        )
+        total, value, kept = loss(h)
     except ValueError as err:
-        return str(err)
-    value = float(weighted.data)
-    if not math.isfinite(value):
-        return f"non-finite origin-to-origin term {value!r}, state unchanged"
-    tape.backward(weighted)
-    # the gradient in the layout of the parameters
-    grad = np.concatenate([tape.grad(t).ravel() for t in tv.values()])
-    packed = enc.Packed(state.encoder.params.shapes, grad)
-    return packed, h_view2.data, (oto.data, weighted.data)
+        # the message, not the error: a handler that keeps log records would
+        # keep its traceback, and through it this step's frame and graph
+        reason = str(err)
+    else:
+        if math.isfinite(value):
+            tape.backward(total)
+            return kept
+        reason = f"non-finite loss {value!r}"
+    tape.discard()
+    return f"{part} part: {reason}; state unchanged"
 
 
 def _aborted(state: TrainState, reason: str) -> tuple[TrainState, None]:
@@ -325,10 +328,11 @@ def train_step(
     One rule decides a step: it is aborted when the embeddings entering the
     loss or the loss itself are not finite, or when the loss raises a
     ``ValueError`` (such as a zero-norm embedding row). An aborted step
-    logs a diagnostic, discards its graph, returns a report of None and
-    increases ``state.aborted``; the rest of the state is untouched, since
-    nothing writes to it before both parts of the loss are known to be
-    finite. An abort in the origin part skips the mixed view's pass.
+    logs a diagnostic that names the part of the loss it aborted in,
+    discards its graph, returns a report of None and increases
+    ``state.aborted``; the rest of the state is untouched, since nothing
+    writes to it before both parts of the loss are known to be finite. An
+    abort in the origin part skips the mixed view's pass.
     """
     cfg = state.config
     vit = cfg.vit
@@ -365,7 +369,7 @@ def train_step(
 
     # momentum branch, read before the optimizer touches the encoder and
     # run before either tape is filled
-    mtv = enc.bind(state.momentum.params, None)
+    mtv = enc.bind(state.momentum.params)
 
     def momentum_project(patches: np.ndarray):
         rep = enc.forward_backbone(vit, mtv, patches)
@@ -376,37 +380,29 @@ def train_step(
     z_view2 = momentum_project(view2)
     z_mix2 = momentum_project(cast(mixed2.patches))
 
-    # gradient branch through the trained encoder, one tape per part of the
-    # loss: the origin part's tape is back-propagated and freed before the
-    # mix part's records anything
-    part = _origin_part(state, view2, z_view1)
+    tau, weights = cfg.temperature, cfg.loss_weights
+
+    def origin_loss(h_view2):
+        oto, weighted = ob.origin_term(h_view2, z_view1, tau, weights[2])
+        kept = h_view2.data, (oto.data, weighted.data)
+        return weighted, float(weighted.data), kept
+
+    def mix_loss(h_mix1):
+        cb = ob.ContrastBatch(h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, tau)
+        report, total = ob.loss_total(cb, term_weights=weights, origin=origin)
+        return total, report.l_total, report
+
+    # gradient branch: one tape per part of the loss, both adding into one
+    # flat gradient, the first swept and freed before the second records
+    grad = _zeros(state.encoder.params)
+    part = _taped_part(state, grad, view2, origin_loss, "origin")
     if isinstance(part, str):
         return _aborted(state, part)
-    grad, h_view2, origin = part
+    h_view2, origin = part
+    report = _taped_part(state, grad, cast(mixed1.patches), mix_loss, "mix")
+    if isinstance(report, str):
+        return _aborted(state, report)
 
-    # the mix part's gradient is added, leaf by leaf, into the origin part's
-    tape = Tape()
-    tv = {k: tape.var_into(v, grad[k]) for k, v in state.encoder.params.items()}
-    h_mix1 = _predict(vit, tv, cast(mixed1.patches))
-    try:
-        cb = ob.ContrastBatch(
-            h_mix1, h_view2, z_view1, z_view2, z_mix2, plan1, cfg.temperature
-        )
-        report, total = ob.loss_total(
-            cb, term_weights=cfg.loss_weights, origin=origin
-        )
-        abort = None
-        if not math.isfinite(report.l_total):
-            abort = f"non-finite loss {report!r}, state unchanged"
-    except ValueError as err:
-        # the message, not the error: a handler that keeps log records would
-        # keep its traceback, and through it this step's frame and graph
-        abort = str(err)
-    if abort is not None:
-        tape.discard()
-        return _aborted(state, abort)
-
-    tape.backward(total)
     grad = grad.flat
     if cfg.grad_clip is not None:
         _clip_gradients(grad, cfg.grad_clip)
@@ -439,16 +435,14 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
     """Fresh state: seeded weights, twin equal to encoder, zero moments."""
     total_steps, warmup_steps = _run_length(cfg, dataset_size)
     encoder = enc.init_encoder(cfg.vit, _derive_rng(cfg.seed, _RNG_INIT, 0), cfg.dtype)
-    flat = encoder.params.flat
     return TrainState(
         config=cfg,
         step=0,
         epoch=0,
         encoder=encoder,
         momentum=enc.init_momentum(encoder),
-        # np.zeros leaves fresh pages unwritten, where zeros_like fills them
-        opt_m=enc.Packed(encoder.params.shapes, np.zeros(flat.shape, flat.dtype)),
-        opt_v=enc.Packed(encoder.params.shapes, np.zeros(flat.shape, flat.dtype)),
+        opt_m=_zeros(encoder.params),
+        opt_v=_zeros(encoder.params),
         decay=decay_mask(encoder.params),
         total_steps=total_steps,
         warmup_steps=warmup_steps,
@@ -511,7 +505,7 @@ def _read_encoder(path, blobs, vit_cfg: enc.ViTConfig) -> enc.EncoderParams:
 # the meta keys that state_from_checkpoint cannot do without
 _STATE_META = (
     "precision", "step", "epoch", "total_steps", "warmup_steps", "loss_history",
-    "seed",
+    "seed", "aborted",
 )
 
 
@@ -519,13 +513,13 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state``.
 
     The provided config must describe the same backbone, precision and
-    seed; loop counters, the loss history, both parameter sets and the
-    optimizer moments come from the file, each read by name into its
-    ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
-    meta lacks a loop counter, the loss history, the precision or the seed
-    (one not written by ``save_state``), whose parameter sets do not each
-    hold exactly the names and shapes of their layout, or whose encoder
-    holds a non-finite weight, is a ``ValueError`` naming the file.
+    seed; the loop and abort counters, the loss history, both parameter sets
+    and the optimizer moments come from the file, each set read by name
+    into its ``enc.layout``: the twin's, the others the encoder's. A
+    checkpoint whose meta lacks a counter, the loss history, the precision
+    or the seed (one not written by ``save_state``), whose parameter sets
+    do not each hold exactly the names and shapes of their layout, or whose
+    encoder holds a non-finite weight, is a ``ValueError`` naming the file.
     """
     vit_cfg, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -564,7 +558,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
         total_steps=int(meta["total_steps"]),
         warmup_steps=int(meta["warmup_steps"]),
         loss_history=[tuple(row) for row in meta["loss_history"]],
-        aborted=int(meta.get("aborted", 0)),  # older checkpoints lack it
+        aborted=int(meta["aborted"]),
     )
 
 

@@ -432,7 +432,7 @@ class TestTrainAndEval:
         assert per_class[0] == "class,count,correct,accuracy"
         assert len(per_class) == 1 + 2
 
-    @pytest.mark.parametrize("tau", ["0", "-0.07", "nan", "inf"])
+    @pytest.mark.parametrize("tau", ["0", "-0.07", "nan", "inf", "0.001"])
     def test_eval_knn_rejects_tau_before_extracting_features(
         self, trained, capsys, monkeypatch, tau
     ):
@@ -445,7 +445,7 @@ class TestTrainAndEval:
         _out, ckpt, _log = trained
         args = ["eval-knn", "--override", f"eval.tau={tau}"] + eval_overrides(ckpt)
         assert quiet_main(args) == 2
-        assert "error: tau must be positive and finite" in capsys.readouterr().err
+        assert "error: tau must be finite and at least 0.0015" in capsys.readouterr().err
 
     def test_eval_linear_reports_accuracy(self, trained, capsys):
         _out, ckpt, _log = trained

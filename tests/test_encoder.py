@@ -21,6 +21,11 @@ def micro_batch(n: int = 2, seed: int = 1) -> po.PatchBatch:
     return po.patchify(po.ImageBatch(rng.random((n, 3, 8, 8))), 2)
 
 
+def taped(params, tape: ad.Tape) -> dict:
+    """The parameters as leaves of ``tape``; ``enc.bind`` makes untaped ones."""
+    return {k: tape.var(v) for k, v in params.items()}
+
+
 def reference_trunc_normal(rng: np.random.Generator, out: np.ndarray, std: float) -> int:
     """The full-rescan truncated normal: after every redraw round it scans
     the whole tensor again. Draws in a 64-bit buffer, copies it into ``out``
@@ -156,7 +161,7 @@ class TestInit:
 class TestForward:
     def test_backbone_shape_and_determinism(self):
         params = micro_params()
-        tv = enc.bind(params.params, None)
+        tv = enc.bind(params.params)
         pb = micro_batch(3)
         h1 = enc.forward_backbone(params.config, tv, pb)
         h2 = enc.forward_backbone(params.config, tv, pb)
@@ -165,7 +170,7 @@ class TestForward:
 
     def test_attention_capture(self):
         params = micro_params()
-        tv = enc.bind(params.params, None)
+        tv = enc.bind(params.params)
         pb = micro_batch(2)
         _, maps = enc.forward_backbone(
             params.config, tv, pb, capture_attention=True
@@ -183,7 +188,7 @@ class TestForward:
         reps, grads = [], []
         for capture in (False, True):
             tape = ad.Tape()
-            tv = enc.bind(params.params, tape)
+            tv = taped(params.params, tape)
             out = enc.forward_backbone(cfg, tv, micro_batch(3), capture)
             rep = out[0] if capture else out
             tape.backward(ad.asum(ad.mul(rep, w)))
@@ -198,7 +203,7 @@ class TestForward:
     def test_heads_shapes(self):
         params = micro_params()
         tape = ad.Tape()
-        tv = enc.bind(params.params, tape)
+        tv = taped(params.params, tape)
         rep = enc.forward_backbone(params.config, tv, micro_batch(4))
         z, h = enc.forward_heads(params.config, tv, rep)
         assert z.data.shape == (4, 64) and h.data.shape == (4, 64)
@@ -206,7 +211,7 @@ class TestForward:
     def test_gradients_reach_every_parameter(self):
         params = micro_params()
         tape = ad.Tape()
-        tv = enc.bind(params.params, tape)
+        tv = taped(params.params, tape)
         rep = enc.forward_backbone(params.config, tv, micro_batch(3))
         z, h = enc.forward_heads(params.config, tv, rep)
         tape.backward(ad.asum(ad.add(ad.asum(z), ad.asum(h))))
@@ -227,8 +232,7 @@ class TestForward:
             return [(k, v.tobytes()) for p in sets[1:] for k, v in p.items()]
 
         before = arrays()
-        for tape in (None, ad.Tape()):
-            tv = enc.bind(params.params, tape)
+        for tv in (enc.bind(params.params), taped(params.params, ad.Tape())):
             rep = enc.forward_backbone(params.config, tv, micro_batch(4))
             enc.forward_heads(params.config, tv, rep)
             enc.forward_project(params.config, tv, rep)
@@ -236,7 +240,7 @@ class TestForward:
 
     def test_batch_norm_uses_batch_statistics(self):
         params = micro_params()
-        tv = enc.bind(params.params, None)
+        tv = enc.bind(params.params)
         rep = enc.forward_backbone(params.config, tv, micro_batch(8))
         z = enc.forward_project(params.config, tv, rep).data
         # the last projection BN has no affine: zero mean and, but for eps,

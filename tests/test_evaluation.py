@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,8 +119,39 @@ class TestKnn:
 
     @pytest.mark.parametrize("tau", [0.0, -0.07, np.nan, np.inf, -np.inf])
     def test_tau_outside_zero_to_inf_rejected(self, tau):
-        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
+        message = f"tau must be finite and at least 0.0015, got {tau}"
+        with pytest.raises(ValueError, match=message):
             ev.knn_classify(axis_bank(), np.eye(3), k=1, tau=tau)
+
+    # below 0.0015 a vote exp(sim / tau) can overflow: at tau 0.001 it did,
+    # and the argmax tie of the infinite votes went to the smallest class
+    @pytest.mark.parametrize("tau", [0.001, 0.0014, 0.00149, 5e-324])
+    def test_tau_at_which_a_vote_can_overflow_rejected(self, tau):
+        with pytest.raises(ValueError, match=f"at least 0.0015, got {tau}"):
+            ev.knn_classify(axis_bank(), np.eye(3), k=1, tau=tau)
+
+    @pytest.mark.parametrize("tau", [0.07, 0.01, 0.0015])
+    def test_small_tau_votes_for_the_nearest_row(self, tau):
+        # the query e0's nearest row (sim 1.0) is class 1, and two class-0
+        # rows have sim 0.95: class 1 wins the three votes at any tau below
+        # 0.05 / log 2 ~ 0.072, as long as no vote overflows
+        side = np.sqrt(1.0 - 0.95**2)
+        feats = np.array([[1.0, 0, 0], [0.95, side, 0], [0.95, 0, side]])
+        bank = ev.FeatureBank(feats, np.array([1, 0, 0]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing exp would warn
+            preds, _ = ev.knn_classify(bank, np.eye(3)[:1], k=3, tau=tau)
+        assert preds.tolist() == [1]
+
+    def test_floor_tau_keeps_the_votes_of_a_bank_row_off_unit_norm_finite(self):
+        # a bank row may be 1e-6 longer than unit, and every vote may reach
+        # the same class
+        feats = np.tile([[1.0 + 1e-6, 0.0]], (64, 1))
+        bank = ev.FeatureBank(feats, np.zeros(64, dtype=np.int64), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            preds, _ = ev.knn_classify(bank, np.eye(2)[:1], k=64, tau=0.0015)
+        assert preds.tolist() == [0]
 
     def test_tiny_and_large_tau_accepted(self):
         for tau in (0.01, 100.0):
@@ -197,7 +230,7 @@ class TestFeatureExtraction:
         # the cast to the encoder's precision is a no-op in f64
         cfg = micro_params.config
         pb = po.patchify(po.ImageBatch(tiny_data.images), cfg.patch_side)
-        tv = enc.bind(micro_params.params, None)
+        tv = enc.bind(micro_params.params)
         rep = enc.forward_backbone(cfg, tv, pb).data
         expected = rep / np.linalg.norm(rep, axis=1, keepdims=True)
         feats = ev.extract_features(micro_params, tiny_data.images)

@@ -329,7 +329,7 @@ def reference_train_step(state: tr.TrainState, batch: po.ImageBatch):
     def cast(patches):
         return patches.astype(cfg.dtype, copy=False)
 
-    mtv = enc.bind(state.momentum.params, None)
+    mtv = enc.bind(state.momentum.params)
 
     def momentum_project(patches):
         return enc.forward_project(vit, mtv, enc.forward_backbone(vit, mtv, patches))
@@ -338,7 +338,7 @@ def reference_train_step(state: tr.TrainState, batch: po.ImageBatch):
     z_view2 = momentum_project(cast(pb2.patches))
     z_mix2 = momentum_project(cast(mixed2.patches.patches))
     tape = Tape()
-    tv = enc.bind(state.encoder.params, tape)
+    tv = {k: tape.var(v) for k, v in state.encoder.params.items()}
 
     def predict(patches):
         return enc.forward_heads(vit, tv, enc.forward_backbone(vit, tv, patches))[1]
@@ -679,7 +679,7 @@ class TestTrainStep:
         assert swept == [1, 2]
 
     @pytest.mark.parametrize("abort", ["value_error", "non_finite"])
-    def test_origin_part_abort_skips_the_mix_pass(self, monkeypatch, abort):
+    def test_origin_part_abort_skips_the_mix_pass(self, monkeypatch, caplog, abort):
         taped_passes, sweeps = [], []
         real_backbone = enc.forward_backbone
         real_backward = Tape.backward
@@ -716,10 +716,14 @@ class TestTrainStep:
         assert len(taped_passes) == 1 and sweeps == []
         for label, packed in state_sets(state).items():
             assert packed.flat.tobytes() == before[label], label
+        # the warning names the part that aborted
+        assert [r.getMessage().split(": ")[1] for r in caplog.records] == [
+            "origin part"
+        ]
 
     @pytest.mark.parametrize("abort", ["value_error", "non_finite"])
     def test_mix_part_abort_after_the_origin_sweep_leaves_the_state(
-        self, monkeypatch, abort
+        self, monkeypatch, caplog, abort
     ):
         sweeps = []
         real_backward = Tape.backward
@@ -748,6 +752,57 @@ class TestTrainStep:
         assert state.step == 1 and len(state.loss_history) == 1
         for label, packed in state_sets(state).items():
             assert packed.flat.tobytes() == before[label], label
+        assert [r.getMessage().split(": ")[1] for r in caplog.records] == [
+            "mix part"
+        ]
+
+    def test_both_tapes_add_into_the_one_flat_gradient(self, monkeypatch):
+        """Every leaf of both tapes is a ``var_into`` leaf whose gradient
+        array is a view of one flat array, the one AdamW is handed; so no
+        gradient is kept per leaf, and ``Tape.grad`` is never called."""
+        tapes, handed = [], []
+
+        class RecordingTape(Tape):
+            def __init__(self):
+                super().__init__()
+                self.leaves, self.into = 0, []
+                tapes.append(self)
+
+            def var(self, data):
+                self.leaves += 1
+                return super().var(data)
+
+            def var_into(self, data, grad):
+                self.into.append(grad)
+                return super().var_into(data, grad)
+
+            def grad(self, t):
+                raise AssertionError("the step read a gradient kept per leaf")
+
+        real_update = tr.optimizer_update
+
+        def spy_update(theta, grad, *args):
+            handed.append(grad)
+            return real_update(theta, grad, *args)
+
+        monkeypatch.setattr(tr, "Tape", RecordingTape)
+        monkeypatch.setattr(tr, "optimizer_update", spy_update)
+        state = tr.init_state(micro_config(), 8)
+        params = state.encoder.params
+        state, report = tr.train_step(state, micro_batch())
+        assert report is not None
+        assert len(tapes) == 2 and len(handed) == 1
+        (flat,) = handed
+        assert flat.shape == params.flat.shape and flat.dtype == params.flat.dtype
+        # each leaf's array is its parameter's view, in the layout of the
+        # parameters, of that one flat array
+        def views(arrays, base):
+            return [(a.shape, a.ctypes.data - base.ctypes.data) for a in arrays]
+
+        for tape in tapes:
+            assert tape.leaves == len(tape.into) == len(params)
+            assert all(g.base is flat for g in tape.into)
+            assert views(tape.into, flat) == views(params.values(), params.flat)
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize(
@@ -885,18 +940,6 @@ class TestCheckpointing:
         loaded = tr.state_from_checkpoint(tmp_path / "state.bin", cfg)
         assert loaded.aborted == 2
 
-    def test_checkpoint_without_abort_count_loads_as_zero(self, tmp_path):
-        cfg = micro_config()
-        state = tr.init_state(cfg, 8)
-        state.aborted = 3
-        tr.save_state(state, tmp_path / "new.bin")
-        vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "new.bin")
-        del meta["aborted"]
-        enc.write_checkpoint(tmp_path / "old.bin", vit_cfg, blobs, meta)
-        loaded = tr.state_from_checkpoint(tmp_path / "old.bin", cfg)
-        assert loaded.aborted == 0
-        assert loaded.step == state.step
-
     def test_reload_then_step_matches_uninterrupted(self, tmp_path):
         cfg = micro_config()
         a = tr.init_state(cfg, 8)
@@ -910,11 +953,12 @@ class TestCheckpointing:
 
     STATE_META = (
         "precision", "step", "epoch", "total_steps", "warmup_steps",
-        "loss_history", "seed",
+        "loss_history", "seed", "aborted",
     )
 
     @pytest.mark.parametrize(
-        "dropped", [STATE_META, ("step", "warmup_steps"), ("loss_history",)]
+        "dropped",
+        [STATE_META, ("step", "warmup_steps"), ("loss_history",), ("aborted",)],
     )
     def test_incomplete_meta_rejected(self, tmp_path, dropped):
         cfg = micro_config()
