@@ -73,9 +73,10 @@ class ViTConfig:
     """Backbone and head geometry.
 
     Construction enforces the training contract: at least one block, a
-    width the head count divides, an image the patch side divides, and
-    positive sizes. A geometry that cannot train cannot be built, whether
-    from a preset or from a checkpoint header.
+    width the head count divides, an image the patch side divides,
+    positive sizes (the MLP width included) and finite positive norm
+    offsets. A geometry that cannot train cannot be built, whether from a
+    preset or from a checkpoint header.
     """
 
     image_side: int
@@ -108,6 +109,17 @@ class ViTConfig:
             )
         if self.head_hidden < 1 or self.head_out < 1:
             raise ValueError("head widths must be positive")
+        # written as "not (ok)" so that a NaN fails every check
+        if not (self.channels >= 1):
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if not (math.isfinite(self.mlp_ratio) and self.mlp_dim >= 1):
+            raise ValueError(
+                f"mlp width dim * mlp_ratio must be >= 1, got {self.dim} * "
+                f"{self.mlp_ratio}"
+            )
+        for name, eps in (("ln_eps", self.ln_eps), ("bn_eps", self.bn_eps)):
+            if not (0 < eps < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {eps}")
 
     @property
     def grid_side(self) -> int:

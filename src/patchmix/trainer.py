@@ -29,7 +29,7 @@ No forward pass draws randomness, so their order changes no value.
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
 the identical stream without serialising generator state (a checkpoint
-records its seed, and resuming under another is rejected), and the whole
+records its config and data, and refuses to resume another), and the whole
 trajectory is reproducible bit for bit, in either precision, on one
 machine and BLAS build. Training computes in 32-bit floats by default
 (augmentation stays in 64 bits and each view is cast once); 64-bit
@@ -42,9 +42,11 @@ whose weights turn non-finite stops with an error.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +116,11 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
-        if not 1 <= self.mix_count <= self.batch_size:
+        if not 1 <= self.mix_count <= min(self.batch_size, self.vit.tokens):
             raise ValueError(
-                f"mix count must lie in [1, batch size], got {self.mix_count} "
-                f"with batch {self.batch_size}"
+                f"mix count must lie in [1, min(batch size, tokens)], got "
+                f"{self.mix_count} with batch {self.batch_size} and "
+                f"{self.vit.tokens} tokens"
             )
         # written as "not (ok)" so that a NaN fails every check
         if not (self.base_lr >= 0):
@@ -129,12 +132,14 @@ class TrainConfig:
                 f"loss weights must be three nonnegative reals, got "
                 f"{self.loss_weights}"
             )
-        if not all(w >= 0 for w in self.weight_decay):
-            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
-        if not all(0 <= mu <= 1 for mu in self.momentum_mu):
-            raise ValueError(
-                f"momentum mu must lie in [0, 1], got {self.momentum_mu}"
-            )
+        for name, pair, top in (
+            ("weight decay", self.weight_decay, math.inf),
+            ("momentum mu", self.momentum_mu, 1),
+        ):
+            if not (np.shape(pair) == (2,) and all(0 <= v <= top for v in pair)):
+                raise ValueError(
+                    f"{name} must be a (start, end) pair in [0, {top}], got {pair}"
+                )
         if self.grad_clip is not None and not (self.grad_clip > 0):
             raise ValueError(
                 f"grad clip must be None (off) or positive, got {self.grad_clip}"
@@ -168,6 +173,7 @@ class TrainState:
     warmup_steps: int
     loss_history: list[tuple] = field(default_factory=list)
     aborted: int = 0  # steps aborted by train_step's rule; they leave no log row
+    data: str | None = None  # the training images' _fingerprint, set by pretrain
 
 
 def _derive_rng(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -420,20 +426,14 @@ def train_step(
     return state, report
 
 
-def _run_length(cfg: TrainConfig, dataset_size: int) -> tuple[int, int]:
-    """The (total, warmup) step counts of a run over ``dataset_size`` images."""
+def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
+    """Fresh state: seeded weights, twin equal to encoder, zero moments."""
     steps_per_epoch = dataset_size // cfg.batch_size
     if steps_per_epoch < 1:
         raise ValueError(
             f"dataset of {dataset_size} images yields no full batch of "
             f"{cfg.batch_size}"
         )
-    return cfg.epochs * steps_per_epoch, cfg.warmup_epochs * steps_per_epoch
-
-
-def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
-    """Fresh state: seeded weights, twin equal to encoder, zero moments."""
-    total_steps, warmup_steps = _run_length(cfg, dataset_size)
     encoder = enc.init_encoder(cfg.vit, _derive_rng(cfg.seed, _RNG_INIT, 0), cfg.dtype)
     return TrainState(
         config=cfg,
@@ -444,8 +444,8 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
         opt_m=_zeros(encoder.params),
         opt_v=_zeros(encoder.params),
         decay=decay_mask(encoder.params),
-        total_steps=total_steps,
-        warmup_steps=warmup_steps,
+        total_steps=cfg.epochs * steps_per_epoch,
+        warmup_steps=cfg.warmup_epochs * steps_per_epoch,
     )
 
 
@@ -459,18 +459,47 @@ def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
     return {pre + k: v for pre, packed in sets.items() for k, v in packed.items()}
 
 
+def _record(cfg: TrainConfig) -> dict:
+    """Every field of ``cfg`` but ``checkpoint_every``, in the JSON form that
+    reads back equal, with nested fields named as in ``aug.flip_prob``."""
+    record = json.loads(json.dumps(asdict(cfg)))
+    del record["checkpoint_every"]
+    for k in ("vit", "aug"):
+        record |= {f"{k}.{n}": x for n, x in record.pop(k).items()}
+    return record
+
+
+def _fingerprint(images: np.ndarray) -> str:
+    """SHA-256 of the images' shape, dtype and bytes."""
+    digest = hashlib.sha256(f"{images.shape} {images.dtype.str}".encode())
+    digest.update(np.ascontiguousarray(images))  # hashed in place, no copy
+    return digest.hexdigest()
+
+
+def _check_same_run(path, recorded: dict, configured: dict) -> None:
+    """The one rule of a resume: a ``ValueError`` naming ``path`` and every
+    field whose recorded and configured values differ, with both values."""
+    differ = [
+        f"{k} {recorded.get(k)} recorded, {configured.get(k)} configured"
+        for k in sorted(recorded.keys() | configured.keys())
+        if k not in recorded or k not in configured or recorded[k] != configured[k]
+    ]
+    if differ:
+        raise ValueError(f"{path}: checkpoint of another run; {'; '.join(differ)}")
+
+
+# the meta keys that save_state writes and state_from_checkpoint requires:
+# the state's counters, loss history and data fingerprint, and the run
+_STATE_META = (
+    "step", "epoch", "total_steps", "warmup_steps", "loss_history", "aborted",
+    "data", "run",
+)
+
+
 def save_state(state: TrainState, path) -> None:
-    """Write a checkpoint holding both parameter sets and the loop counters."""
-    meta = {
-        "step": state.step,
-        "epoch": state.epoch,
-        "total_steps": state.total_steps,
-        "warmup_steps": state.warmup_steps,
-        "aborted": state.aborted,
-        "seed": state.config.seed,
-        "precision": state.config.precision,
-        "loss_history": [list(row) for row in state.loss_history],
-    }
+    """Write a checkpoint: both parameter sets, the counters and the run."""
+    meta = {k: getattr(state, k) for k in _STATE_META if k != "run"}
+    meta["run"] = _record(state.config)
     enc.write_checkpoint(path, state.config.vit, _state_blobs(state), meta)
 
 
@@ -502,56 +531,32 @@ def _read_encoder(path, blobs, vit_cfg: enc.ViTConfig) -> enc.EncoderParams:
     return enc.EncoderParams(vit_cfg, params)
 
 
-# the meta keys that state_from_checkpoint cannot do without
-_STATE_META = (
-    "precision", "step", "epoch", "total_steps", "warmup_steps", "loss_history",
-    "seed", "aborted",
-)
-
-
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
-    """Rebuild a TrainState from a checkpoint written by ``save_state``.
-
-    The provided config must describe the same backbone, precision and
-    seed; the loop and abort counters, the loss history, both parameter sets
-    and the optimizer moments come from the file, each set read by name
-    into its ``enc.layout``: the twin's, the others the encoder's. A
-    checkpoint whose meta lacks a counter, the loss history, the precision
-    or the seed (one not written by ``save_state``), whose parameter sets
-    do not each hold exactly the names and shapes of their layout, or whose
-    encoder holds a non-finite weight, is a ``ValueError`` naming the file.
+    """Rebuild a TrainState from a checkpoint written by ``save_state`` in
+    a run of ``cfg``, each parameter set read by name into its
+    ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
+    meta lacks a key of ``_STATE_META``, whose run differs from ``cfg`` in a
+    field but ``checkpoint_every``, whose sets do not each hold exactly the
+    names and shapes of their layout, or whose encoder holds a non-finite
+    weight, is a ``ValueError`` naming the file.
     """
-    vit_cfg, blobs, meta = enc.read_checkpoint(path)
+    _vit, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
     if missing:
         raise ValueError(
             f"{path}: checkpoint meta lacks {', '.join(missing)}; it does not "
             f"hold a training state"
         )
-    if vit_cfg != cfg.vit:
-        raise ValueError(
-            f"{path}: checkpoint backbone {vit_cfg} does not match the "
-            f"configured backbone {cfg.vit}"
-        )
-    if meta["precision"] != cfg.precision:
-        raise ValueError(
-            f"{path}: checkpoint precision {meta['precision']} does not match "
-            f"the configured precision {cfg.precision}"
-        )
-    if meta["seed"] != cfg.seed:
-        raise ValueError(
-            f"{path}: checkpoint seed {meta['seed']} does not match the "
-            f"configured seed {cfg.seed}"
-        )
-    shapes = enc.layout(vit_cfg)
-    encoder = _read_encoder(path, blobs, vit_cfg)
-    twin = _read_set(path, blobs, "xi.", enc.layout(vit_cfg, twin=True))
+    _check_same_run(path, meta["run"], _record(cfg))
+    shapes = enc.layout(cfg.vit)
+    encoder = _read_encoder(path, blobs, cfg.vit)
+    twin = _read_set(path, blobs, "xi.", enc.layout(cfg.vit, twin=True))
     return TrainState(
         config=cfg,
         step=int(meta["step"]),
         epoch=int(meta["epoch"]),
         encoder=encoder,
-        momentum=enc.EncoderParams(vit_cfg, twin),
+        momentum=enc.EncoderParams(cfg.vit, twin),
         opt_m=_read_set(path, blobs, "adam_m.", shapes),
         opt_v=_read_set(path, blobs, "adam_v.", shapes),
         decay=decay_mask(encoder.params),
@@ -559,6 +564,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
         warmup_steps=int(meta["warmup_steps"]),
         loss_history=[tuple(row) for row in meta["loss_history"]],
         aborted=int(meta["aborted"]),
+        data=meta["data"],
     )
 
 
@@ -589,9 +595,8 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
     file holds the header and the rows the state starts with (the
     checkpoint's, on resume), and each epoch appends its own. So a resumed
     run leaves the uninterrupted run's log, whatever ``out_dir`` held. A
-    checkpoint whose total or warmup step count differs from the one
-    ``cfg`` and ``data`` give is a ``ValueError`` naming it, raised before
-    any step.
+    resume under another ``cfg`` (see ``state_from_checkpoint``) or other
+    images is a ``ValueError`` naming the file, raised before any step.
 
     A run stops as soon as the encoder holds a non-finite weight, checked
     after every step, completed or aborted: the epoch's completed steps are
@@ -607,13 +612,8 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
 
     if resume_from is not None:
         state = state_from_checkpoint(resume_from, cfg)
-        want = _run_length(cfg, n_total)
-        if (state.total_steps, state.warmup_steps) != want:
-            raise ValueError(
-                f"{resume_from}: the checkpoint's run has {state.total_steps} "
-                f"steps ({state.warmup_steps} warmup), but the configuration "
-                f"and data give {want[0]} ({want[1]} warmup)"
-            )
+        data_now = {"data": _fingerprint(images)}  # hashed once per call
+        _check_same_run(resume_from, {"data": state.data}, data_now)
     else:
         state = init_state(cfg, n_total)
 
@@ -635,6 +635,7 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
                 )
         _write_log(csv_path, "a", state.loss_history[first:])
         state.epoch = epoch + 1
+        state.data = state.data or _fingerprint(images)  # fresh: after epoch 1
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_state(state, out_dir / f"checkpoint_epoch{epoch + 1:04d}.bin")
 

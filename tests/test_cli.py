@@ -471,36 +471,41 @@ class TestTrainAndEval:
         for h in heads:
             assert (tmp_path / f"attn_head{h}.ppm").exists()
 
-    def test_resume_under_other_precision_is_usage_error(
-        self, trained, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "change, differs",
+        [
+            # the four checks this rule replaced: backbone, precision, seed
+            # and run length
+            (["--override", "model.depth=3"], "vit.depth 2 recorded, 3 configured"),
+            (["--override", "train.precision=f64"],
+             "precision f32 recorded, f64 configured"),
+            (["--seed", "1"], "seed 0 recorded, 1 configured"),
+            (["--override", "train.epochs=4"], "epochs 2 recorded, 4 configured"),
+            # fields that no check covered
+            (["--override", "aug.flip_prob=0.3"],
+             "aug.flip_prob 0.5 recorded, 0.3 configured"),
+            (["--override", "train.w_oto=0.5"],
+             "loss_weights [1.0, 1.0, 1.0] recorded, [1.0, 1.0, 0.5] configured"),
+            # other images of the same size
+            (["--override", "data.noise_sigma=0.2"], "data "),
+        ],
+        ids=["backbone", "precision", "seed", "epochs", "aug", "w_oto", "data"],
+    )
+    def test_resume_of_another_run_is_usage_error(
+        self, trained, tmp_path, capsys, change, differs
     ):
-        _out, ckpt, _log = trained  # trained under the default, f32
+        _out, ckpt, _log = trained  # the default seed, 0, and precision, f32
+        out = tmp_path / "run"
         code = quiet_main(
-            ["pretrain", "--out", str(tmp_path)]
-            + ["--override", f"train.resume={ckpt}"]
-            + ["--override", "train.precision=f64"]
-            + ["--override", "data.train_per_class=8"]
+            ["pretrain", "--out", str(out), "--override", f"train.resume={ckpt}"]
+            + TRAINED_OVERRIDES + change
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert "checkpoint precision f32" in err
-        assert "configured precision f64" in err
-        assert not (tmp_path / "train_log.csv").exists()
-
-    def test_resume_under_other_seed_is_usage_error(
-        self, trained, tmp_path, capsys
-    ):
-        _out, ckpt, _log = trained  # trained under the default seed, 0
-        code = quiet_main(
-            ["pretrain", "--out", str(tmp_path), "--seed", "1"]
-            + ["--override", f"train.resume={ckpt}"]
-            + TRAINED_OVERRIDES
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: {ckpt}: checkpoint seed 0 does not match the " in err
-        assert "configured seed 1" in err
-        assert not (tmp_path / "train_log.csv").exists()
+        err = capsys.readouterr().err.strip()
+        head, listed = err.split("; ", 1)
+        assert head == f"error: {ckpt}: checkpoint of another run"
+        assert listed.startswith(differs) and "; " not in listed
+        assert not (out / "train_log.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
     def test_diverging_run_is_usage_error(self, tmp_path, capsys):
@@ -602,7 +607,7 @@ class TestTrainAndEval:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {bad}: checkpoint meta lacks precision, step" in err
+        assert f"error: {bad}: checkpoint meta lacks step, epoch" in err
         assert not (out / "train_log.csv").exists()
 
     @pytest.mark.parametrize(
@@ -628,20 +633,6 @@ class TestTrainAndEval:
         )
         assert code == 2
         assert f"error: {bad}: " in capsys.readouterr().err
-        assert not (out / "train_log.csv").exists()
-
-    def test_resume_with_another_run_length_is_usage_error(
-        self, trained, tmp_path, capsys
-    ):
-        _out, ckpt, _log = trained
-        out = tmp_path / "run"
-        code = quiet_main(
-            ["pretrain", "--out", str(out), "--override", f"train.resume={ckpt}"]
-            + TRAINED_OVERRIDES + ["--override", "train.epochs=4"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: {ckpt}: the checkpoint's run has 4 steps" in err
         assert not (out / "train_log.csv").exists()
 
     def test_eval_without_checkpoint_is_usage_error(self, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import struct
 import zlib
@@ -73,8 +74,20 @@ class TestViTConfig:
             (dict(depth=0), "depth must be >= 1"),
             (dict(heads=0), "heads must be >= 1"),
             (dict(head_out=0), "head widths"),
+            (dict(channels=0), "channels must be >= 1"),
+            (dict(mlp_ratio=0.0), "mlp width"),
+            (dict(mlp_ratio=math.nan), "mlp width"),
+            (dict(mlp_ratio=math.inf), "mlp width"),
+            (dict(ln_eps=-1.0), "ln_eps must be finite and positive"),
+            (dict(ln_eps=math.nan), "ln_eps must be finite and positive"),
+            (dict(bn_eps=0.0), "bn_eps must be finite and positive"),
+            (dict(bn_eps=math.inf), "bn_eps must be finite and positive"),
         ],
-        ids=["depth_0", "heads_0", "head_out_0"],
+        ids=[
+            "depth_0", "heads_0", "head_out_0", "channels_0", "mlp_ratio_0",
+            "mlp_ratio_nan", "mlp_ratio_inf", "ln_eps_negative", "ln_eps_nan",
+            "bn_eps_0", "bn_eps_inf",
+        ],
     )
     def test_untrainable_geometry_rejected_at_construction(self, change, message):
         fields = dataclasses.asdict(enc.vit_micro(8)) | change

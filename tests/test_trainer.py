@@ -271,12 +271,18 @@ class TestConfigValidation:
             ("weight_decay", (0.04, math.nan), "weight decay"),
             ("momentum_mu", (0.996, 1.5), "momentum mu"),
             ("momentum_mu", (-0.1, 1.0), "momentum mu"),
+            ("weight_decay", (0.1,), "weight decay must be a .start, end."),
+            ("weight_decay", (0.1, 0.2, 0.3), "weight decay must be a .start, end."),
+            ("momentum_mu", (0.9,), "momentum mu must be a .start, end."),
+            ("momentum_mu", 0.9, "momentum mu must be a .start, end."),
             ("checkpoint_every", -1, "checkpoint every"),
+            ("mix_count", 20, "got 20 with batch 32 and 16 tokens"),
         ],
     )
     def test_out_of_contract_value_rejected(self, field, value, message):
+        # a batch of 32, so that the mix count meets the 16 tokens' bound first
         with pytest.raises(ValueError, match=message):
-            micro_config(**{field: value})
+            micro_config(**{"batch_size": 32, field: value})
 
     @pytest.mark.parametrize(
         "field,value", [("grad_clip", 1.0), ("momentum_mu", (0.0, 1.0))]
@@ -952,13 +958,16 @@ class TestCheckpointing:
         assert_params_equal(a.encoder.params, b.encoder.params)
 
     STATE_META = (
-        "precision", "step", "epoch", "total_steps", "warmup_steps",
-        "loss_history", "seed", "aborted",
+        "step", "epoch", "total_steps", "warmup_steps", "loss_history",
+        "aborted", "data", "run",
     )
 
     @pytest.mark.parametrize(
         "dropped",
-        [STATE_META, ("step", "warmup_steps"), ("loss_history",), ("aborted",)],
+        [
+            STATE_META, ("step", "warmup_steps"), ("loss_history",), ("aborted",),
+            ("data",), ("run",), ("data", "run"),
+        ],
     )
     def test_incomplete_meta_rejected(self, tmp_path, dropped):
         cfg = micro_config()
@@ -975,28 +984,22 @@ class TestCheckpointing:
             k for k in self.STATE_META if k in dropped
         ]
 
-    def test_precision_mismatch_rejected(self, tmp_path):
-        cfg = micro_config(precision="f64")
+    def test_every_field_but_checkpoint_every_is_recorded(self, tmp_path):
+        # a field added to TrainConfig later is recorded, and so checked, too
+        cfg = micro_config(grad_clip=0.5, checkpoint_every=1, loss_weights=(1, 0.5, 2))
         tr.save_state(tr.init_state(cfg, 8), tmp_path / "s.bin")
-        with pytest.raises(ValueError, match="precision f64 .* precision f32"):
-            tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(precision="f32"))
-
-    def test_seed_mismatch_rejected(self, tmp_path):
-        tr.save_state(tr.init_state(micro_config(seed=5), 8), tmp_path / "s.bin")
-        message = re.escape(
-            f"{tmp_path / 's.bin'}: checkpoint seed 5 does not match the "
-            f"configured seed 0"
-        )
-        with pytest.raises(ValueError, match=message):
-            tr.state_from_checkpoint(tmp_path / "s.bin", micro_config(seed=0))
-
-    def test_backbone_mismatch_rejected(self, tmp_path):
-        cfg = micro_config()
-        state = tr.init_state(cfg, 8)
-        tr.save_state(state, tmp_path / "s.bin")
-        other = micro_config(vit=enc.vit_micro(16))
-        with pytest.raises(ValueError, match="backbone"):
-            tr.state_from_checkpoint(tmp_path / "s.bin", other)
+        record = enc.read_checkpoint(tmp_path / "s.bin")[2]["run"]
+        names = []
+        for f in dataclasses.fields(tr.TrainConfig):
+            value = getattr(cfg, f.name)
+            if dataclasses.is_dataclass(value):
+                names += [f"{f.name}.{g.name}" for g in dataclasses.fields(value)]
+            elif f.name != "checkpoint_every":
+                names.append(f.name)
+        assert sorted(record) == sorted(names)
+        assert record == tr._record(cfg)  # reads back equal
+        assert record["aug.crop_area"] == list(cfg.aug.crop_area)
+        assert record["grad_clip"] == 0.5 and record["vit.dim"] == cfg.vit.dim
 
 
 def state_sets(state: tr.TrainState) -> dict[str, enc.Packed]:
@@ -1209,18 +1212,112 @@ class TestPretrain:
             full_bytes = (tmp_path / "full" / name).read_bytes()
             assert (tmp_path / "res" / name).read_bytes() == full_bytes, name
 
+    def test_resume_under_another_checkpoint_every_reproduces_the_run(
+        self, tmp_path
+    ):
+        cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=2)
+        tr.pretrain(cfg, self.small_data(), tmp_path / "full")
+        mid = tmp_path / "full" / "checkpoint_epoch0002.bin"
+        other = dataclasses.replace(cfg, checkpoint_every=1)
+        tr.pretrain(other, self.small_data(), tmp_path / "res", resume_from=mid)
+        assert (tmp_path / "res" / "checkpoint_epoch0003.bin").exists()
+        for name in ("train_log.csv", "checkpoint_epoch0004.bin",
+                     "checkpoint_final.bin"):
+            full_bytes = (tmp_path / "full" / name).read_bytes()
+            assert (tmp_path / "res" / name).read_bytes() == full_bytes, name
+
+    @pytest.fixture(scope="class")
+    def first_epoch(self, tmp_path_factory):
+        """The epoch-1 checkpoint of micro_config() on small_data()."""
+        out = tmp_path_factory.mktemp("run")
+        tr.pretrain(micro_config(checkpoint_every=1), self.small_data(), out)
+        return out / "checkpoint_epoch0001.bin"
+
     @pytest.mark.parametrize(
-        "change", [dict(epochs=4), dict(warmup_epochs=0), dict(batch_size=2)]
+        "change, differs",
+        [
+            # the four checks this rule replaced: backbone, precision, seed
+            # and run length (epochs, warmup, batch size)
+            (dict(vit=enc.vit_micro(16)), ["vit.image_side 8 recorded, 16 configured"]),
+            (dict(precision="f64"), ["precision f32 recorded, f64 configured"]),
+            (dict(seed=5), ["seed 0 recorded, 5 configured"]),
+            (dict(epochs=4), ["epochs 2 recorded, 4 configured"]),
+            (dict(warmup_epochs=0), ["warmup_epochs 1 recorded, 0 configured"]),
+            (dict(batch_size=2), ["batch_size 4 recorded, 2 configured"]),
+            # the fields that no check covered
+            (dict(vit=enc.vit_micro(8, ln_eps=1e-5)),
+             ["vit.ln_eps 1e-06 recorded, 1e-05 configured"]),
+            (dict(aug=au.AugConfig(flip_prob=0.3)),
+             ["aug.flip_prob 0.5 recorded, 0.3 configured"]),
+            (dict(base_lr=2e-3), ["base_lr 0.001 recorded, 0.002 configured"]),
+            (dict(mix_count=3), ["mix_count 2 recorded, 3 configured"]),
+            (dict(temperature=0.1), ["temperature 0.2 recorded, 0.1 configured"]),
+            (dict(weight_decay=(0.04, 0.5)),
+             ["weight_decay [0.04, 0.4] recorded, [0.04, 0.5] configured"]),
+            (dict(momentum_mu=(0.99, 1.0)),
+             ["momentum_mu [0.996, 1.0] recorded, [0.99, 1.0] configured"]),
+            (dict(grad_clip=1.0), ["grad_clip None recorded, 1.0 configured"]),
+            (dict(loss_weights=(1.0, 1.0, 0.5)),
+             ["loss_weights [1.0, 1.0, 1.0] recorded, [1.0, 1.0, 0.5] configured"]),
+            # every field that differs is named, in name order
+            (dict(seed=5, aug=au.AugConfig(flip_prob=0.3)),
+             ["aug.flip_prob 0.5 recorded, 0.3 configured",
+              "seed 0 recorded, 5 configured"]),
+            # other images of the same size
+            ("data", ["data"]),
+        ],
+        ids=[
+            "backbone", "precision", "seed", "epochs", "warmup_epochs",
+            "batch_size", "ln_eps", "aug", "base_lr", "mix_count", "temperature",
+            "weight_decay", "momentum_mu", "grad_clip", "loss_weights",
+            "two_fields", "data",
+        ],
     )
-    def test_resume_with_another_run_length_rejected(self, tmp_path, change):
-        cfg = micro_config(epochs=2, warmup_epochs=1)
-        final = tr.pretrain(cfg, self.small_data(), tmp_path / "a")
-        log = tmp_path / "a" / "train_log.csv"
-        before = (log.read_bytes(), final.read_bytes())
-        other = dataclasses.replace(cfg, **change)
-        with pytest.raises(ValueError, match=re.escape(f"{final}: ") + ".* give"):
-            tr.pretrain(other, self.small_data(), tmp_path / "a", resume_from=final)
-        assert (log.read_bytes(), final.read_bytes()) == before  # no step ran
+    def test_resume_of_another_run_rejected(
+        self, first_epoch, tmp_path, monkeypatch, change, differs
+    ):
+        data, cfg = self.small_data(), micro_config()
+        if change == "data":
+            other = self.small_data(seed=1)
+            assert other.images.shape == data.images.shape
+            differs = [
+                f"data {tr._fingerprint(data.images)} recorded, "
+                f"{tr._fingerprint(other.images)} configured"
+            ]
+            data = other
+        else:
+            cfg = dataclasses.replace(cfg, **change)
+        steps = []
+        monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(a))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as err:
+            tr.pretrain(cfg, data, out, resume_from=first_epoch)
+        head, *listed = str(err.value).split("; ")
+        assert head == f"{first_epoch}: checkpoint of another run"
+        assert listed == differs
+        assert steps == []
+        assert list(out.iterdir()) == []  # no log, no row
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_data_hashed_once_per_call_and_after_a_fresh_runs_first_step(
+        self, tmp_path, monkeypatch, resume
+    ):
+        cfg = micro_config(checkpoint_every=1)
+        mid = None
+        if resume:
+            tr.pretrain(cfg, self.small_data(), tmp_path / "a")
+            mid = tmp_path / "a" / "checkpoint_epoch0001.bin"
+        events, step, digest = [], tr.train_step, tr._fingerprint
+        monkeypatch.setattr(
+            tr, "train_step", lambda *a: events.append("step") or step(*a)
+        )
+        monkeypatch.setattr(
+            tr, "_fingerprint", lambda x: events.append("hash") or digest(x)
+        )
+        tr.pretrain(cfg, self.small_data(), tmp_path / "b", resume_from=mid)
+        steps = ["step"] * (2 if resume else 4)
+        expect = ["hash"] + steps if resume else steps[:2] + ["hash"] + steps[2:]
+        assert events == expect
 
     def test_resume_in_place_rewrites_log_from_checkpoint_step(self, tmp_path):
         cfg = micro_config(epochs=4, warmup_epochs=1, checkpoint_every=1)
