@@ -75,9 +75,10 @@ bit for bit. What their gradient maps keep:
   share the one ``g @ w.T`` that is ``y``'s gradient.
 - ``softmax``: its output. Forward and backward each make one.
 
-A primitive computes in the dtype of its operands: 32-bit arrays (the
-trainer's default precision) stay 32-bit, and a mix of 32- and 64-bit
-arrays computes in 64 bits. Gradient checks run at 64-bit precision.
+The float array operands of a primitive share one dtype, which it computes
+in; a mismatch is a ``TypeError`` naming the primitive and both dtypes. A
+Python scalar or a non-float array takes that dtype, so 32-bit arrays (the
+trainer's default precision) stay 32-bit. Gradient checks run in 64 bits.
 """
 
 from __future__ import annotations
@@ -208,15 +209,16 @@ class Tape:
         into the caller's array ``grad`` instead of being kept.
 
         ``backward`` adds each contribution to the leaf in place into
-        ``grad`` (cast to its dtype), in the order they arrive, so ``grad``
-        ends as its prior value plus the leaf's gradient, and the tape keeps
-        no gradient for the leaf; ``grad(t)`` then raises.
+        ``grad``, in the order they arrive, so ``grad`` ends as its prior
+        value plus the leaf's gradient, and the tape keeps no gradient for
+        the leaf; ``grad(t)`` then raises. ``grad`` must have the leaf's
+        shape and dtype.
         """
         t = self.var(data)
-        if grad.shape != t.data.shape:
+        if (grad.shape, grad.dtype) != (t.data.shape, t.data.dtype):
             raise ValueError(
-                f"gradient array of shape {grad.shape} does not fit a leaf of "
-                f"shape {t.data.shape}"
+                f"gradient array of shape {grad.shape} and {grad.dtype} does "
+                f"not fit a leaf of shape {t.data.shape} and {t.data.dtype}"
             )
         self._into[t.key] = grad
         return t
@@ -229,22 +231,18 @@ class Tape:
         with another key.
         """
         into = self._into.get(key)
+        if into is None and key in self._owned:
+            into = self._grads[key]
         if into is not None:
             if isinstance(delta, _Slice):
                 into[delta.index] += delta.values
             else:
                 into += delta
             return
-        cur = self._grads.get(key)
-        if key in self._owned and cur.dtype == delta.dtype:
-            if isinstance(delta, _Slice):
-                cur[delta.index] += delta.values
-            else:
-                cur += delta
-            return
         made = isinstance(delta, _Slice)
         if made:
             delta = delta.dense()
+        cur = self._grads.get(key)
         if cur is not None:
             delta, made = cur + delta, True
         self._grads[key] = delta
@@ -331,22 +329,29 @@ def _node(value, *edges) -> Tensor:
 
 
 def _value(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    arr = np.asarray(x)
-    return arr
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Values of an elementwise binary op. A Python scalar takes the float
-    dtype of the other operand, as NumPy's weak scalars do, instead of
-    turning a float32 operation into a float64 one."""
-    av, bv = _value(a), _value(b)
-    if isinstance(a, (int, float)) and bv.dtype.kind == "f":
-        av = av.astype(bv.dtype)
-    if isinstance(b, (int, float)) and av.dtype.kind == "f":
-        bv = bv.astype(av.dtype)
-    return av, bv
+def _operands(name: str, *xs) -> list[np.ndarray]:
+    """Values of the operands of primitive ``name``, whose float arrays must
+    share one dtype, else a ``TypeError``. A Python scalar or a non-float
+    array takes that dtype, as NumPy's weak scalars do."""
+    values = [_value(x) for x in xs]
+    if len({v.dtype for v in values}) == 1:
+        return values
+    floats = {
+        v.dtype for x, v in zip(xs, values)
+        if v.dtype.kind == "f" and not isinstance(x, (int, float))
+    }
+    if len(floats) > 1:
+        raise TypeError(
+            f"{name}: operands of {' and '.join(sorted(map(str, floats)))}; the "
+            f"float arrays of a primitive share one dtype"
+        )
+    if not floats:
+        return values
+    (dtype,) = floats
+    return [v if v.dtype == dtype else v.astype(dtype) for v in values]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -366,7 +371,7 @@ def matmul(a, b) -> Tensor:
     A 2-D ``b`` is a weight shared by every leading index of ``a``; its
     gradient is one GEMM over the flattened leading axes.
     """
-    av, bv = _value(a), _value(b)
+    av, bv = _operands("matmul", a, b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(
             f"matmul operands must be at least 2-D, got {av.ndim}-D and {bv.ndim}-D"
@@ -397,35 +402,32 @@ def linear(a, w, b) -> Tensor:
 
     The bias is added in place into the product, so the node holds one
     output array where ``add(matmul(a, w), b)`` holds two; values and
-    gradients equal that composition's bit for bit. The bias may not
-    promote the product's dtype.
+    gradients equal that composition's bit for bit.
     """
-    av = _value(a)
-    return _project(a, w, b, lambda: av)
+    return _project("linear", a, w, b)
 
 
-def _project(a, w, b, input_again: Callable[[], np.ndarray]) -> Tensor:
+def _project(name: str, a, w, b, input_again: Callable | None = None) -> Tensor:
     """The node of ``linear(a, w, b)``, whose weight gradient reads the
-    input's value from ``input_again()``."""
-    av, wv, bv = _value(a), _value(w), _value(b)
+    input's value from ``input_again()``, or keeps it when that is None."""
+    av, wv, bv = _operands(name, a, w, b)
     if wv.ndim != 2:
         raise ValueError(f"linear needs a 2-D weight, got shape {wv.shape}")
     ov = av @ wv
-    if np.result_type(ov, bv) != ov.dtype:
-        raise ValueError(f"a {bv.dtype} bias would promote the {ov.dtype} product")
     ov += bv
     k, n = wv.shape
     b_shape = bv.shape
+    again = input_again or (lambda: av)
     return _node(
         ov,
         (a, lambda g: g @ wv.T),
-        (w, lambda g: input_again().reshape(-1, k).T @ g.reshape(-1, n)),
+        (w, lambda g: again().reshape(-1, k).T @ g.reshape(-1, n)),
         (b, lambda g: _unbroadcast(g, b_shape)),
     )
 
 
 def add(a, b) -> Tensor:
-    av, bv = _operands(a, b)
+    av, bv = _operands("add", a, b)
     a_shape, b_shape = av.shape, bv.shape
     return _node(
         av + bv,
@@ -435,7 +437,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    av, bv = _operands(a, b)
+    av, bv = _operands("sub", a, b)
     a_shape, b_shape = av.shape, bv.shape
     return _node(
         av - bv,
@@ -445,7 +447,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    av, bv = _operands(a, b)
+    av, bv = _operands("mul", a, b)
     a_shape, b_shape = av.shape, bv.shape
     return _node(
         av * bv,
@@ -455,7 +457,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    av, bv = _operands(a, b)
+    av, bv = _operands("div", a, b)
     a_shape, b_shape = av.shape, bv.shape
     return _node(
         av / bv,
@@ -533,19 +535,16 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def _affine(xhat: np.ndarray, gv, bv, out: np.ndarray | None = None) -> np.ndarray:
-    """``xhat * gain + bias``, written into ``out`` (or a new array) unless a
-    wider gain or bias promotes it."""
-    if np.result_type(xhat, gv, bv) != xhat.dtype:
-        return xhat * gv + bv
+    """``xhat * gain + bias``, written into ``out`` (or a new array)."""
     out = np.multiply(xhat, gv, out=out)
     out += bv
     return out
 
 
-def _layer_norm(a, gain, bias, eps: float):
+def _layer_norm(name: str, a, gain, bias, eps: float):
     """The node of ``layer_norm``, and the arrays ``_affine`` rebuilds its
     value from: the normalised input, the gain and the bias."""
-    av, gv, bv = _value(a), _value(gain), _value(bias)
+    av, gv, bv = _operands(name, a, gain, bias)
     mu = av.mean(axis=-1, keepdims=True)
     xhat = av - mu
     sq = xhat * xhat
@@ -576,7 +575,7 @@ def _layer_norm(a, gain, bias, eps: float):
 
 def layer_norm(a, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalise over the last axis, then apply elementwise gain and bias."""
-    return _layer_norm(a, gain, bias, eps)[0]
+    return _layer_norm("layer_norm", a, gain, bias, eps)[0]
 
 
 def norm_linear(a, gain, bias, w, b, eps: float = 1e-6) -> Tensor:
@@ -586,8 +585,8 @@ def norm_linear(a, gain, bias, w, b, eps: float = 1e-6) -> Tensor:
     with the forward's operations, so the pair holds one full-size array
     fewer. Values and gradients equal the composition's bit for bit.
     """
-    y, parts = _layer_norm(a, gain, bias, eps)
-    return _project(y, w, b, lambda: _affine(*parts))
+    y, parts = _layer_norm("norm_linear", a, gain, bias, eps)
+    return _project("norm_linear", y, w, b, lambda: _affine(*parts))
 
 
 def _expand_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
@@ -637,7 +636,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    values = [_value(p) for p in parts]
+    values = _operands("concat", *parts)
     ov = np.concatenate(values, axis=axis)
     axis %= ov.ndim
     sizes = [v.shape[axis] for v in values]

@@ -192,9 +192,13 @@ class Packed(dict):
 
 def pack(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> Packed:
     """Copy the ``arrays`` that ``shapes`` names into one new contiguous
-    array, laid out by ``shapes``."""
-    dtype = np.result_type(*arrays.values()) if arrays else np.float64
-    out = Packed(shapes, dtype=dtype)
+    array of their one dtype, laid out by ``shapes``; arrays of more than
+    one dtype are a ``ValueError``."""
+    dtypes = {arrays[name].dtype for name in shapes} or {np.dtype(np.float64)}
+    if len(dtypes) > 1:
+        listed = " and ".join(sorted(map(str, dtypes)))
+        raise ValueError(f"arrays of {listed}; a set holds one dtype")
+    out = Packed(shapes, dtype=dtypes.pop())
     for name, view in out.items():
         view[...] = arrays[name]
     return out

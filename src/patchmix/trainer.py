@@ -86,6 +86,17 @@ _RNG_MIX1 = 5
 _RNG_MIX2 = 6
 
 
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reals(value, count: int) -> bool:
+    """Whether ``value`` is a tuple or list of ``count`` reals."""
+    return isinstance(value, (tuple, list)) and len(value) == count and all(
+        _real(v) for v in value
+    )
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one pretraining run."""
@@ -107,6 +118,13 @@ class TrainConfig:
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        for name in ("epochs", "warmup_epochs", "batch_size", "mix_count", "seed",
+                     "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(
+                    f"{name.replace('_', ' ')} must be an integer, got {value!r}"
+                )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 <= self.warmup_epochs < self.epochs:
@@ -123,27 +141,27 @@ class TrainConfig:
                 f"{self.vit.tokens} tokens"
             )
         # written as "not (ok)" so that a NaN fails every check
-        if not (self.base_lr >= 0):
-            raise ValueError(f"base lr must be >= 0, got {self.base_lr}")
-        if not (self.temperature > 0):
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if len(self.loss_weights) != 3 or not all(w >= 0 for w in self.loss_weights):
+        if not (_real(self.base_lr) and self.base_lr >= 0):
+            raise ValueError(f"base lr must be >= 0, got {self.base_lr!r}")
+        if not (_real(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
+        weights = self.loss_weights
+        if not (_reals(weights, 3) and all(w >= 0 for w in weights)):
             raise ValueError(
                 f"loss weights must be three nonnegative reals, got "
-                f"{self.loss_weights}"
+                f"{weights!r}"
             )
         for name, pair, top in (
             ("weight decay", self.weight_decay, math.inf),
             ("momentum mu", self.momentum_mu, 1),
         ):
-            if not (np.shape(pair) == (2,) and all(0 <= v <= top for v in pair)):
+            if not (_reals(pair, 2) and all(0 <= v <= top for v in pair)):
                 raise ValueError(
                     f"{name} must be a (start, end) pair in [0, {top}], got {pair}"
                 )
-        if self.grad_clip is not None and not (self.grad_clip > 0):
-            raise ValueError(
-                f"grad clip must be None (off) or positive, got {self.grad_clip}"
-            )
+        clip = self.grad_clip
+        if clip is not None and not (_real(clip) and clip > 0):
+            raise ValueError(f"grad clip must be None (off) or positive, got {clip!r}")
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint every must be >= 0 (0: final only), got "
@@ -494,6 +512,7 @@ _STATE_META = (
     "step", "epoch", "total_steps", "warmup_steps", "loss_history", "aborted",
     "data", "run",
 )
+_COUNTERS = ("step", "epoch", "total_steps", "warmup_steps", "aborted")
 
 
 def save_state(state: TrainState, path) -> None:
@@ -503,10 +522,14 @@ def save_state(state: TrainState, path) -> None:
     enc.write_checkpoint(path, state.config.vit, _state_blobs(state), meta)
 
 
-def _read_set(path, blobs, prefix: str, shapes: dict[str, tuple]) -> enc.Packed:
+def _read_set(
+    path, blobs, prefix: str, shapes: dict[str, tuple], dtype=None
+) -> enc.Packed:
     """The parameter set written under ``prefix`` by ``_state_blobs``, packed
-    in the layout ``shapes``. A set that is absent, or whose names and
-    shapes differ from ``shapes``, is a ``ValueError`` naming ``path``."""
+    in the layout ``shapes``. A set that is absent, whose names and shapes
+    differ from ``shapes``, whose blobs are not of one dtype, or, where
+    ``dtype`` is given, not of ``dtype``, is a ``ValueError`` naming
+    ``path``."""
     arrays = {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
     if not arrays:
         raise ValueError(f"{path}: checkpoint holds no {prefix!r} parameter set")
@@ -515,14 +538,23 @@ def _read_set(path, blobs, prefix: str, shapes: dict[str, tuple]) -> enc.Packed:
             f"{path}: the checkpoint's {prefix!r} set does not match the "
             f"names and shapes of its layout"
         )
-    return enc.pack(arrays, shapes)
+    try:
+        packed = enc.pack(arrays, shapes)
+    except ValueError as err:
+        raise ValueError(f"{path}: the checkpoint's {prefix!r} set: {err}") from None
+    if dtype is not None and packed.flat.dtype != dtype:
+        raise ValueError(
+            f"{path}: the checkpoint's {prefix!r} set is {packed.flat.dtype}, "
+            f"but the run computes in {np.dtype(dtype)}"
+        )
+    return packed
 
 
-def _read_encoder(path, blobs, vit_cfg: enc.ViTConfig) -> enc.EncoderParams:
+def _read_encoder(path, blobs, vit_cfg, dtype=None) -> enc.EncoderParams:
     """The ``theta.`` set, read by ``_read_set`` into ``layout(vit_cfg)``. A
     non-finite weight is a ``ValueError`` naming ``path``: the run that
     wrote it had diverged, and every step from it would abort."""
-    params = _read_set(path, blobs, "theta.", enc.layout(vit_cfg))
+    params = _read_set(path, blobs, "theta.", enc.layout(vit_cfg), dtype)
     if not np.isfinite(params.flat).all():
         raise ValueError(
             f"{path}: the checkpoint's encoder holds non-finite weights; the "
@@ -535,10 +567,12 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state`` in
     a run of ``cfg``, each parameter set read by name into its
     ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
-    meta lacks a key of ``_STATE_META``, whose run differs from ``cfg`` in a
-    field but ``checkpoint_every``, whose sets do not each hold exactly the
-    names and shapes of their layout, or whose encoder holds a non-finite
-    weight, is a ``ValueError`` naming the file.
+    meta lacks a key of ``_STATE_META``, whose counters are not
+    non-negative integers, whose run is not an object or differs from
+    ``cfg`` in a field but ``checkpoint_every``, whose sets do not each hold
+    exactly the names and shapes of their layout in ``cfg``'s precision, or
+    whose encoder holds a non-finite weight, is a ``ValueError`` naming the
+    file.
     """
     _vit, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -547,24 +581,28 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint meta lacks {', '.join(missing)}; it does not "
             f"hold a training state"
         )
+    for k in _COUNTERS:
+        v = meta[k]
+        if isinstance(v, bool) or not (isinstance(v, int) and v >= 0):
+            raise ValueError(
+                f"{path}: checkpoint meta {k} is {v!r}, not a non-negative integer"
+            )
+    if not isinstance(meta["run"], dict):
+        raise ValueError(f"{path}: checkpoint meta run is not a JSON object")
     _check_same_run(path, meta["run"], _record(cfg))
     shapes = enc.layout(cfg.vit)
-    encoder = _read_encoder(path, blobs, cfg.vit)
-    twin = _read_set(path, blobs, "xi.", enc.layout(cfg.vit, twin=True))
+    encoder = _read_encoder(path, blobs, cfg.vit, cfg.dtype)
+    twin = _read_set(path, blobs, "xi.", enc.layout(cfg.vit, twin=True), cfg.dtype)
     return TrainState(
         config=cfg,
-        step=int(meta["step"]),
-        epoch=int(meta["epoch"]),
         encoder=encoder,
         momentum=enc.EncoderParams(cfg.vit, twin),
-        opt_m=_read_set(path, blobs, "adam_m.", shapes),
-        opt_v=_read_set(path, blobs, "adam_v.", shapes),
+        opt_m=_read_set(path, blobs, "adam_m.", shapes, cfg.dtype),
+        opt_v=_read_set(path, blobs, "adam_v.", shapes, cfg.dtype),
         decay=decay_mask(encoder.params),
-        total_steps=int(meta["total_steps"]),
-        warmup_steps=int(meta["warmup_steps"]),
         loss_history=[tuple(row) for row in meta["loss_history"]],
-        aborted=int(meta["aborted"]),
         data=meta["data"],
+        **{k: meta[k] for k in _COUNTERS},
     )
 
 

@@ -580,12 +580,6 @@ class TestLinear:
         with pytest.raises(ValueError):
             ad.linear(np.ones((2, 3)), np.ones((4, 2)), np.ones(2))
 
-    def test_bias_may_not_promote(self):
-        a = np.ones((2, 3), dtype=np.float32)
-        w = np.ones((3, 2), dtype=np.float32)
-        with pytest.raises(ValueError, match="promote"):
-            ad.linear(a, w, np.ones(2))
-
 
 class TestScalarOperands:
     @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
@@ -593,6 +587,47 @@ class TestScalarOperands:
         x = ad.Tensor(np.ones(3, dtype=np.float32))
         assert op(x, 2.0).dtype == np.float32
         assert op(3, x).dtype == np.float32
+
+    @pytest.mark.parametrize("other", [np.arange(3), np.array([True, False, True])])
+    def test_non_float_arrays_take_the_float_dtype(self, other):
+        tape = ad.Tape()
+        x = tape.var(np.full(3, 1.5, dtype=np.float32))
+        out = ad.mul(x, other)
+        tape.backward(ad.asum(out))
+        assert out.dtype == tape.grad(x).dtype == np.float32
+        np.testing.assert_array_equal(out.data, 1.5 * other)
+        np.testing.assert_array_equal(tape.grad(x), other)
+
+    # every primitive of more than one operand, with the shapes of its operands
+    MULTI = {
+        "add": (ad.add, [(2, 3), (2, 3)]),
+        "sub": (ad.sub, [(2, 3), (3,)]),
+        "mul": (ad.mul, [(2, 3), (2, 3)]),
+        "div": (ad.div, [(2, 3), (2, 3)]),
+        "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+        "linear": (ad.linear, [(2, 3), (3, 4), (4,)]),
+        "layer_norm": (ad.layer_norm, [(2, 5), (5,), (5,)]),
+        "norm_linear": (ad.norm_linear, [(2, 5), (5,), (5,), (5, 4), (4,)]),
+        "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 3), (2, 1)]),
+    }
+
+    @pytest.mark.parametrize(
+        "name,wide",
+        [(name, i) for name, (_, shapes) in MULTI.items() for i in range(len(shapes))],
+    )
+    def test_float_arrays_of_two_dtypes_rejected(self, name, wide):
+        """One operand in float64 and the others in float32: a TypeError
+        that names the primitive and both dtypes, before its node."""
+        op, shapes = self.MULTI[name]
+        tape = ad.Tape()
+        xs = [
+            tape.var(np.ones(s, np.float64 if i == wide else np.float32))
+            for i, s in enumerate(shapes)
+        ]
+        with pytest.raises(TypeError, match=f"^{name}: operands of float32 and float64;"):
+            op(*xs)
+        # norm_linear records its composition's layer_norm node first
+        assert len(tape._nodes) == (name == "norm_linear" and wide >= 3)
 
 
 class TestGraphByKey:
@@ -723,6 +758,10 @@ class TestVarInto:
         with pytest.raises(ValueError, match="does not fit"):
             ad.Tape().var_into(np.ones((2, 3)), np.zeros(6))
 
+    def test_array_of_another_dtype_rejected(self):
+        with pytest.raises(ValueError, match="float32 does not fit .* float64"):
+            ad.Tape().var_into(np.ones(3), np.zeros(3, np.float32))
+
     def test_consumed_tape_rejects_a_leaf(self):
         tape = ad.Tape()
         tape.discard()
@@ -800,21 +839,6 @@ class TestInPlacePrimitives:
         np.testing.assert_array_equal(op(*map(ad.Tensor, points)).data, value)
         for x, expect in zip(xs, grads):
             assert tape.grad(x).dtype == dtype
-            np.testing.assert_array_equal(tape.grad(x), expect)
-
-    def test_layer_norm_with_a_wider_gain_and_bias_computes_in_their_dtype(self):
-        rng = np.random.default_rng(25)
-        points = [rng.standard_normal((2, 5, 33)).astype(np.float32)]
-        points += [rng.standard_normal(33), rng.standard_normal(33)]
-        g = rng.standard_normal((2, 5, 33))
-        tape = ad.Tape()
-        xs = [tape.var(p) for p in points]
-        out = ad.layer_norm(*xs)
-        tape.backward(ad.asum(ad.mul(out, g)))
-        value, grads = reference_layer_norm(*points, g)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out.data, value)
-        for x, expect in zip(xs, grads):
             np.testing.assert_array_equal(tape.grad(x), expect)
 
     def test_taped_gelu_keeps_one_array_besides_its_output(self):
@@ -916,23 +940,21 @@ class TestNormLinear:
             assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got, want)
 
-    def test_a_wider_gain_and_bias_compute_what_the_composition_does(self):
-        f32, f64 = np.float32, np.float64
-        points, g = self.points((2, 5, 33), [f32, f64, f64, f32, f32])
-        fused = self.run(ad.norm_linear, points, g)
-        composed = self.run(self.composed, points, g)
-        assert fused[0].dtype == np.float64
-        for got, want in zip(fused, composed):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-
-    def test_rejects_what_the_composition_rejects(self):
-        points, _ = self.points((2, 5, 33), [np.float32] * 4 + [np.float64])
+    @pytest.mark.parametrize(
+        "dtypes",
+        [[np.float32, np.float64, np.float64, np.float32, np.float32],
+         [np.float32] * 4 + [np.float64]],
+        ids=["wider_gain_and_bias", "wider_bias"],
+    )
+    def test_rejects_what_the_composition_rejects(self, dtypes):
+        points, _ = self.points((2, 5, 33), dtypes)
+        f32 = np.float32
         for fn in (ad.norm_linear, self.composed):
-            with pytest.raises(ValueError, match="promote"):
+            with pytest.raises(TypeError, match="operands of float32 and float64"):
                 fn(*points)
             with pytest.raises(ValueError, match="2-D weight"):
-                fn(*points[:3], np.ones((2, 33, 4)), np.ones(4))
+                fn(*points[:1], np.ones(33, f32), np.ones(33, f32),
+                   np.ones((2, 33, 4), f32), np.ones(4, f32))
 
     def test_taped_call_keeps_the_normalised_input_not_the_affine_output(self):
         rng = np.random.default_rng(26)

@@ -611,7 +611,7 @@ class TestTrainAndEval:
         assert not (out / "train_log.csv").exists()
 
     @pytest.mark.parametrize(
-        "fault", ["theta.", "xi.", "adam_m.", "adam_v.", "shape", "non_finite"]
+        "fault", ["theta.", "xi.", "adam_m.", "adam_v.", "shape", "non_finite", "f64"]
     )
     def test_resume_from_checkpoint_with_a_bad_set_is_usage_error(
         self, trained, tmp_path, capsys, fault
@@ -622,6 +622,8 @@ class TestTrainAndEval:
             blobs["adam_v.pos_embed"] = blobs["adam_v.pos_embed"][0]
         elif fault == "non_finite":
             blobs["theta.norm.g"] = np.full_like(blobs["theta.norm.g"], np.nan)
+        elif fault == "f64":  # blobs of another precision than the run's f32
+            blobs = {k: v.astype(np.float64) for k, v in blobs.items()}
         else:
             blobs = {k: v for k, v in blobs.items() if not k.startswith(fault)}
         bad = tmp_path / "bad.bin"
@@ -632,7 +634,10 @@ class TestTrainAndEval:
             + TRAINED_OVERRIDES
         )
         assert code == 2
-        assert f"error: {bad}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        if fault == "f64":
+            assert "'theta.' set is float64, but the run computes in float32" in err
         assert not (out / "train_log.csv").exists()
 
     def test_eval_without_checkpoint_is_usage_error(self, capsys):

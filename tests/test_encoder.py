@@ -345,13 +345,19 @@ class TestMomentum:
 
 
 class TestPacked:
-    def test_pack_copies_into_one_array(self):
-        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2, np.float32)}
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pack_copies_into_one_array(self, dtype):
+        arrays = {"a": np.arange(6, dtype=dtype).reshape(2, 3), "b": np.ones(2, dtype)}
         packed = enc.pack(arrays, {"a": (2, 3), "b": (2,)})
-        assert packed.flat.shape == (8,) and packed.flat.dtype == np.float64
+        assert packed.flat.shape == (8,) and packed.flat.dtype == dtype
         np.testing.assert_array_equal(packed.flat, [0, 1, 2, 3, 4, 5, 1, 1])
         assert packed["a"].base is packed.flat
         assert not np.shares_memory(packed["a"], arrays["a"])
+
+    def test_arrays_of_two_dtypes_rejected(self):
+        arrays = {"a": np.zeros((2, 3)), "b": np.ones(2, np.float32)}
+        with pytest.raises(ValueError, match="^arrays of float32 and float64"):
+            enc.pack(arrays, {"a": (2, 3), "b": (2,)})
 
     def test_empty_set_packs(self):
         assert enc.pack({}, {}).flat.size == 0

@@ -277,6 +277,21 @@ class TestConfigValidation:
             ("momentum_mu", 0.9, "momentum mu must be a .start, end."),
             ("checkpoint_every", -1, "checkpoint every"),
             ("mix_count", 20, "got 20 with batch 32 and 16 tokens"),
+            ("mix_count", 2.5, "mix count must be an integer, got 2.5"),
+            ("mix_count", True, "mix count must be an integer, got True"),
+            ("epochs", 2.0, "epochs must be an integer"),
+            ("warmup_epochs", None, "warmup epochs must be an integer"),
+            ("batch_size", "32", "batch size must be an integer"),
+            ("seed", 0.0, "seed must be an integer"),
+            ("checkpoint_every", False, "checkpoint every must be an integer"),
+            ("loss_weights", 1.0, "loss weights"),
+            ("loss_weights", "abc", "loss weights"),
+            ("loss_weights", (1.0, "1", 1.0), "loss weights"),
+            ("loss_weights", (1.0, True, 1.0), "loss weights"),
+            ("base_lr", "1e-3", "base lr"),
+            ("temperature", None, "temperature"),
+            ("grad_clip", "1", "grad clip"),
+            ("weight_decay", ("0.04", 0.4), "weight decay"),
         ],
     )
     def test_out_of_contract_value_rejected(self, field, value, message):
@@ -1095,14 +1110,57 @@ class TestLayout:
         assert list(loaded) == list(state.momentum.params)
         assert loaded.flat.tobytes() == state.momentum.params.flat.tobytes()
 
-    def rewritten(self, tmp_path, edit):
-        """A fresh state's checkpoint with its blobs passed through ``edit``,
-        and the start of the message that names it."""
+    def rewritten(self, tmp_path, edit=dict, edit_meta=dict):
+        """A fresh f32 state's checkpoint with its blobs passed through
+        ``edit`` and its meta through ``edit_meta``, and the start of the
+        message that names it."""
         tr.save_state(tr.init_state(micro_config(), 8), tmp_path / "s.bin")
         vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "s.bin")
         bad = tmp_path / "bad.bin"
-        enc.write_checkpoint(bad, vit_cfg, edit(dict(blobs)), meta)
+        enc.write_checkpoint(bad, vit_cfg, edit(dict(blobs)), edit_meta(dict(meta)))
         return bad, "^" + re.escape(f"{bad}: ")
+
+    @pytest.mark.parametrize("fault", ["every_blob", "theta.", "xi.", "adam_v."])
+    def test_set_off_the_runs_precision_is_rejected(self, tmp_path, fault):
+        """Every blob in f64 under an f32 run, or one blob of a set in f64."""
+        def widen(blobs):
+            if fault == "every_blob":
+                return {k: v.astype(np.float64) for k, v in blobs.items()}
+            blobs[fault + "norm.g"] = blobs[fault + "norm.g"].astype(np.float64)
+            return blobs
+
+        bad, named = self.rewritten(tmp_path, widen)
+        prefix = "theta." if fault == "every_blob" else fault
+        message = named + re.escape(f"the checkpoint's {prefix!r} set") + (
+            re.escape(" is float64, but the run computes in float32")
+            if fault == "every_blob"
+            else re.escape(": arrays of float32 and float64; a set holds one dtype")
+        )
+        with pytest.raises(ValueError, match=message):
+            tr.state_from_checkpoint(bad, micro_config())
+        if fault == "theta.":
+            with pytest.raises(ValueError, match=message):
+                tr.encoder_from_checkpoint(bad)
+        elif fault == "every_blob":  # the encoder alone runs in its own precision
+            assert tr.encoder_from_checkpoint(bad).params.flat.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("run", [["seed", 0]]),
+            ("run", "f32"),
+            ("step", [1]),
+            ("step", True),
+            ("epoch", -1),
+            ("total_steps", 4.0),
+            ("warmup_steps", None),
+            ("aborted", "0"),
+        ],
+    )
+    def test_meta_of_another_type_is_rejected(self, tmp_path, key, value):
+        bad, named = self.rewritten(tmp_path, edit_meta=lambda m: m | {key: value})
+        with pytest.raises(ValueError, match=named + f"checkpoint meta {key} is "):
+            tr.state_from_checkpoint(bad, micro_config())
 
     @pytest.mark.parametrize("prefix", ["theta.", "xi.", "adam_m.", "adam_v."])
     def test_missing_set_is_rejected_naming_the_file(self, tmp_path, prefix):
