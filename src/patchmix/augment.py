@@ -2,9 +2,15 @@
 
 Each view applies, in this fixed order: random resized crop (bilinear),
 horizontal flip, color jitter, grayscale, Gaussian blur, solarization,
-then a clamp to [0, 1]. The two views share every setting except the blur
-and solarize probabilities, which are per-view pairs (view 1 defaults to
-blur always / never solarize, view 2 to rare blur / occasional solarize).
+then a clamp to [0, 1]. ``AugConfig`` holds what a run may set: the crop
+area range, the probability of each op and ``color_ops``. The two views
+share every setting except the blur and solarize probabilities, which are
+per-view pairs (view 1 defaults to blur always / never solarize, view 2 to
+rare blur / occasional solarize). The rest of the recipe is fixed, as in
+momentum-contrastive practice (MoCo v3, Chen et al. 2021; per-view blur
+and solarize from BYOL, Grill et al. 2020): crops of aspect ratio
+``CROP_ASPECT``, jitter strengths ``JITTER`` and ``HUE``, blur sigmas
+drawn from ``BLUR_SIGMA`` and solarization at ``SOLARIZE_THRESHOLD``.
 
 ``augment_view`` runs in two phases. First it draws every image's
 parameters from the caller's generator, image by image in pipeline order:
@@ -29,43 +35,53 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import convolve1d
 
+from .kvconfig import are_reals, is_real
 from .patch_ops import ImageBatch
 
-__all__ = ["AugConfig", "augment_view"]
+__all__ = ["AugConfig", "augment_view", "CROP_ASPECT", "JITTER", "HUE", "BLUR_SIGMA",
+           "SOLARIZE_THRESHOLD"]
+
+CROP_ASPECT = (3.0 / 4.0, 4.0 / 3.0)  # range of a crop's width / height
+JITTER = (0.4, 0.4, 0.2)  # brightness, contrast, saturation: factors 1 +- s
+HUE = 0.1  # the largest hue shift, in turns
+BLUR_SIGMA = (0.1, 2.0)  # range of the blur's sigma, in pixels
+SOLARIZE_THRESHOLD = 0.5  # pixels at or above it are inverted
 
 
 @dataclass(frozen=True)
 class AugConfig:
-    """Pipeline settings; blur/solarize probabilities are (view1, view2)."""
+    """Pipeline settings; blur/solarize probabilities are (view1, view2).
+    Each probability is a real in [0, 1], each pair a tuple or list of two,
+    and ``color_ops`` a bool."""
 
     crop_area: tuple[float, float] = (0.1, 1.0)
-    crop_aspect: tuple[float, float] = (3.0 / 4.0, 4.0 / 3.0)
     flip_prob: float = 0.5
     jitter_prob: float = 0.8
-    brightness: float = 0.4
-    contrast: float = 0.4
-    saturation: float = 0.2
-    hue: float = 0.1
     grayscale_prob: float = 0.2
     blur_prob: tuple[float, float] = (1.0, 0.1)
-    blur_sigma: tuple[float, float] = (0.1, 2.0)
     solarize_prob: tuple[float, float] = (0.0, 0.2)
-    solarize_threshold: float = 0.5
     color_ops: bool = True
 
     def __post_init__(self):
+        # written as "not (ok)" so that a NaN fails every check
         for name in ("flip_prob", "jitter_prob", "grayscale_prob"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            if not (is_real(v) and 0 <= v <= 1):
+                raise ValueError(f"{name} must be a real in [0, 1], got {v!r}")
         for name in ("blur_prob", "solarize_prob"):
-            for v in getattr(self, name):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"{name} entries must lie in [0, 1], got {v}")
-        for name in ("crop_area", "crop_aspect", "blur_sigma"):
-            lo, hi = getattr(self, name)
-            if not (lo <= hi and lo > 0.0):
-                raise ValueError(f"{name} must be a non-empty positive range")
+            pair = getattr(self, name)
+            if not (are_reals(pair, 2) and all(0 <= v <= 1 for v in pair)):
+                raise ValueError(
+                    f"{name} must be a (view 1, view 2) pair of reals in [0, 1], "
+                    f"got {pair!r}"
+                )
+        area = self.crop_area
+        if not (are_reals(area, 2) and 0 < area[0] <= area[1]):
+            raise ValueError(
+                f"crop_area must be a non-empty positive range, got {area!r}"
+            )
+        if not isinstance(self.color_ops, bool):
+            raise ValueError(f"color_ops must be a bool, got {self.color_ops!r}")
 
 
 def _draw_crop_box(
@@ -74,7 +90,7 @@ def _draw_crop_box(
     """(top, left, height, width) of a random resized crop of an h x w image."""
     for _ in range(10):
         area = h * w * rng.uniform(*cfg.crop_area)
-        aspect = rng.uniform(*cfg.crop_aspect)
+        aspect = rng.uniform(*CROP_ASPECT)
         ch = int(round(math.sqrt(area / aspect)))
         cw = int(round(math.sqrt(area * aspect)))
         if 0 < ch <= h and 0 < cw <= w:
@@ -161,22 +177,17 @@ def _grayscale(img: np.ndarray) -> np.ndarray:
     return np.broadcast_to(y, img.shape).copy()
 
 
-def _draw_jitter(
-    cfg: AugConfig, rng: np.random.Generator
-) -> list[tuple[int, float]]:
-    """A random order of the enabled jitter ops, each with its factor.
+def _draw_jitter(rng: np.random.Generator) -> list[tuple[int, float]]:
+    """A random order of the four jitter ops, each with its factor.
 
-    Ops are 0 brightness, 1 contrast, 2 saturation, 3 hue (a shift).
+    Ops are 0 brightness, 1 contrast, 2 saturation (a factor within
+    ``JITTER`` of 1), 3 hue (a shift of at most ``HUE``).
     """
-    strengths = (cfg.brightness, cfg.contrast, cfg.saturation)
-    steps = []
-    for op in rng.permutation(4):
-        if op < 3 and strengths[op] > 0:
-            s = strengths[op]
-            steps.append((op, rng.uniform(max(0.0, 1.0 - s), 1.0 + s)))
-        elif op == 3 and cfg.hue > 0:
-            steps.append((3, rng.uniform(-cfg.hue, cfg.hue)))
-    return steps
+    return [
+        (op, rng.uniform(1.0 - JITTER[op], 1.0 + JITTER[op]) if op < 3
+         else rng.uniform(-HUE, HUE))
+        for op in rng.permutation(4)
+    ]
 
 
 def _color_jitter(img: np.ndarray, steps: list[tuple[int, float]]) -> np.ndarray:
@@ -231,10 +242,10 @@ def augment_view(
         flip[i] = rng.random() < cfg.flip_prob
         jitter = sigma = None
         if color and rng.random() < cfg.jitter_prob:
-            jitter = _draw_jitter(cfg, rng)
+            jitter = _draw_jitter(rng)
         gray = color and rng.random() < cfg.grayscale_prob
         if rng.random() < cfg.blur_prob[vi]:
-            sigma = rng.uniform(*cfg.blur_sigma)
+            sigma = rng.uniform(*BLUR_SIGMA)
         solarize[i] = rng.random() < cfg.solarize_prob[vi]
         if jitter is not None or gray or sigma is not None:
             per_image.append((i, jitter, gray, sigma))
@@ -252,6 +263,6 @@ def augment_view(
             img = _gaussian_blur(img, max(h, w), sigma)
         out[i] = img
     sel = out[solarize]
-    out[solarize] = np.where(sel < cfg.solarize_threshold, sel, 1.0 - sel)
+    out[solarize] = np.where(sel < SOLARIZE_THRESHOLD, sel, 1.0 - sel)
     np.clip(out, 0.0, 1.0, out=out)
     return ImageBatch(out)

@@ -35,13 +35,14 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .kvconfig import is_int
 from .patch_ops import PatchBatch
 
 __all__ = [
@@ -65,18 +66,25 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "CHECKPOINT_MAGIC",
+    "MLP_RATIO",
+    "LN_EPS",
+    "BN_EPS",
 ]
+
+MLP_RATIO = 4  # a block's MLP width, in token widths
+LN_EPS = 1e-6  # the variance offset of every layer norm
+BN_EPS = 1e-5  # the variance offset of every head batch norm
 
 
 @dataclass(frozen=True)
 class ViTConfig:
     """Backbone and head geometry.
 
-    Construction enforces the training contract: at least one block, a
-    width the head count divides, an image the patch side divides,
-    positive sizes (the MLP width included) and finite positive norm
-    offsets. A geometry that cannot train cannot be built, whether from a
-    preset or from a checkpoint header.
+    Construction enforces the training contract: every field a positive
+    integer (not a bool), a width the head count divides and an image the
+    patch side divides. A geometry that cannot train cannot be built,
+    whether from a preset or from a checkpoint header. The MLP ratio and
+    the norm offsets are the module's constants.
     """
 
     image_side: int
@@ -85,41 +93,25 @@ class ViTConfig:
     depth: int = 12
     heads: int = 3
     dim: int = 192
-    mlp_ratio: float = 4.0
     head_hidden: int = 4096
     head_out: int = 256
-    ln_eps: float = 1e-6
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
-        if self.image_side < 1 or self.patch_side < 1:
-            raise ValueError("image_side and patch_side must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value}")
         if self.image_side % self.patch_side != 0:
             raise ValueError(
                 f"image side {self.image_side} is not divisible by patch side "
                 f"{self.patch_side}"
             )
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.dim % self.heads != 0:
             raise ValueError(
                 f"token dim {self.dim} is not divisible by head count {self.heads}"
             )
-        if self.head_hidden < 1 or self.head_out < 1:
-            raise ValueError("head widths must be positive")
-        # written as "not (ok)" so that a NaN fails every check
-        if not (self.channels >= 1):
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if not (math.isfinite(self.mlp_ratio) and self.mlp_dim >= 1):
-            raise ValueError(
-                f"mlp width dim * mlp_ratio must be >= 1, got {self.dim} * "
-                f"{self.mlp_ratio}"
-            )
-        for name, eps in (("ln_eps", self.ln_eps), ("bn_eps", self.bn_eps)):
-            if not (0 < eps < math.inf):
-                raise ValueError(f"{name} must be finite and positive, got {eps}")
 
     @property
     def grid_side(self) -> int:
@@ -136,10 +128,6 @@ class ViTConfig:
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
-
-    @property
-    def mlp_dim(self) -> int:
-        return int(self.dim * self.mlp_ratio)
 
 
 def vit_tiny(image_side: int = 32, channels: int = 3, **overrides) -> ViTConfig:
@@ -267,9 +255,9 @@ def param_table(config: ViTConfig) -> dict[str, tuple[tuple, float | None]]:
         p[pre + "attn.out.b"] = zeros(d)
         p[pre + "ln2.g"] = ones(d)
         p[pre + "ln2.b"] = zeros(d)
-        p[pre + "mlp.fc1.w"] = tn(d, config.mlp_dim)
-        p[pre + "mlp.fc1.b"] = zeros(config.mlp_dim)
-        p[pre + "mlp.fc2.w"] = tn(config.mlp_dim, d)
+        p[pre + "mlp.fc1.w"] = tn(d, MLP_RATIO * d)
+        p[pre + "mlp.fc1.b"] = zeros(MLP_RATIO * d)
+        p[pre + "mlp.fc2.w"] = tn(MLP_RATIO * d, d)
         p[pre + "mlp.fc2.b"] = zeros(d)
     p["norm.g"] = ones(d)
     p["norm.b"] = zeros(d)
@@ -393,7 +381,7 @@ def forward_backbone(
         rows = 1 if i == config.depth - 1 and not capture_attention else tk
         qkv = ad.norm_linear(
             h, tv[pre + "ln1.g"], tv[pre + "ln1.b"],
-            tv[pre + "attn.qkv.w"], tv[pre + "attn.qkv.b"], config.ln_eps,
+            tv[pre + "attn.qkv.w"], tv[pre + "attn.qkv.b"], LN_EPS,
         )
         # [3, n, heads, T+1, dh]: q, k and v are views of the one array
         qkv = ad.transpose(ad.reshape(qkv, (n, tk, 3, heads, dh)), (2, 0, 3, 1, 4))
@@ -408,35 +396,35 @@ def forward_backbone(
 
         m = ad.gelu(ad.norm_linear(
             h, tv[pre + "ln2.g"], tv[pre + "ln2.b"],
-            tv[pre + "mlp.fc1.w"], tv[pre + "mlp.fc1.b"], config.ln_eps,
+            tv[pre + "mlp.fc1.w"], tv[pre + "mlp.fc1.b"], LN_EPS,
         ))
         m = ad.linear(m, tv[pre + "mlp.fc2.w"], tv[pre + "mlp.fc2.b"])
         h = ad.add(h, m)
 
-    h = ad.layer_norm(h, tv["norm.g"], tv["norm.b"], config.ln_eps)
+    h = ad.layer_norm(h, tv["norm.g"], tv["norm.b"], LN_EPS)
     rep = h[:, 0, :]
     if capture_attention:
         return rep, attention
     return rep
 
 
-def _batch_norm(x: Tensor, tv: Mapping[str, Tensor], name: str, eps: float) -> Tensor:
+def _batch_norm(x: Tensor, tv: Mapping[str, Tensor], name: str) -> Tensor:
     """1-D batch norm over axis 0 by the batch statistics, with the affine
     ``name.gamma`` and ``name.beta`` where ``tv`` holds them."""
     mu = ad.mean(x, axis=0, keepdims=True)
     xc = ad.sub(x, mu)
     var = ad.mean(ad.mul(xc, xc), axis=0, keepdims=True)
-    xhat = ad.div(xc, ad.sqrt(ad.add(var, eps)))
+    xhat = ad.div(xc, ad.sqrt(ad.add(var, BN_EPS)))
     if name + ".gamma" in tv:
         xhat = ad.add(ad.mul(xhat, tv[name + ".gamma"]), tv[name + ".beta"])
     return xhat
 
 
-def _mlp_head(config, tv, x, head: str, layers: int):
+def _mlp_head(tv, x, head: str, layers: int):
     """``layers`` stages of linear+BN, each but the last followed by ReLU."""
     for i in range(1, layers + 1):
         x = ad.matmul(x, tv[f"{head}.fc{i}.w"])
-        x = _batch_norm(x, tv, f"{head}.bn{i}", config.bn_eps)
+        x = _batch_norm(x, tv, f"{head}.bn{i}")
         if i < layers:
             x = ad.relu(x)
     return x
@@ -444,7 +432,7 @@ def _mlp_head(config, tv, x, head: str, layers: int):
 
 def forward_project(config: ViTConfig, tv: Mapping[str, Tensor], rep: Tensor) -> Tensor:
     """Projection head: two linear+BN+ReLU stages, then linear+BN (no affine)."""
-    return _mlp_head(config, tv, rep, "proj", 3)
+    return _mlp_head(tv, rep, "proj", 3)
 
 
 def forward_heads(
@@ -453,7 +441,7 @@ def forward_heads(
     """Both heads in sequence: returns (projection z, prediction h). The
     prediction head is linear+BN+ReLU, then linear+BN (no affine)."""
     z = forward_project(config, tv, rep)
-    return z, _mlp_head(config, tv, z, "pred", 2)
+    return z, _mlp_head(tv, z, "pred", 2)
 
 
 CHECKPOINT_MAGIC = b"PMIXCKPT"

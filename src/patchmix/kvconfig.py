@@ -2,7 +2,9 @@
 
 One assignment per line, ``#`` starts a comment, blank lines ignored.
 Values stay strings until a typed getter pulls them out; unknown keys are
-the caller's job to reject (the CLI does, against its schema).
+the caller's job to reject (the CLI does, against its schema). The type
+predicates at the end are the ones the config dataclasses check their
+fields with.
 """
 
 from __future__ import annotations
@@ -66,3 +68,19 @@ def get_float(raw: str, key: str) -> float:
     except ValueError as err:
         raise ValueError(f"{key}: expected a number, got {raw!r}") from err
 
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or a float and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def are_reals(value, count: int) -> bool:
+    """Whether ``value`` is a tuple or list of ``count`` reals."""
+    return isinstance(value, (tuple, list)) and len(value) == count and all(
+        is_real(v) for v in value
+    )

@@ -57,6 +57,7 @@ from . import mixing as mx
 from . import objectives as ob
 from . import patch_ops as po
 from .autodiff import Tape
+from .kvconfig import are_reals, is_int, is_real
 
 __all__ = [
     "TrainConfig",
@@ -86,17 +87,6 @@ _RNG_MIX1 = 5
 _RNG_MIX2 = 6
 
 
-def _real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _reals(value, count: int) -> bool:
-    """Whether ``value`` is a tuple or list of ``count`` reals."""
-    return isinstance(value, (tuple, list)) and len(value) == count and all(
-        _real(v) for v in value
-    )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one pretraining run."""
@@ -121,7 +111,7 @@ class TrainConfig:
         for name in ("epochs", "warmup_epochs", "batch_size", "mix_count", "seed",
                      "checkpoint_every"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise ValueError(
                     f"{name.replace('_', ' ')} must be an integer, got {value!r}"
                 )
@@ -141,12 +131,12 @@ class TrainConfig:
                 f"{self.vit.tokens} tokens"
             )
         # written as "not (ok)" so that a NaN fails every check
-        if not (_real(self.base_lr) and self.base_lr >= 0):
+        if not (is_real(self.base_lr) and self.base_lr >= 0):
             raise ValueError(f"base lr must be >= 0, got {self.base_lr!r}")
-        if not (_real(self.temperature) and self.temperature > 0):
+        if not (is_real(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
         weights = self.loss_weights
-        if not (_reals(weights, 3) and all(w >= 0 for w in weights)):
+        if not (are_reals(weights, 3) and all(w >= 0 for w in weights)):
             raise ValueError(
                 f"loss weights must be three nonnegative reals, got "
                 f"{weights!r}"
@@ -155,12 +145,12 @@ class TrainConfig:
             ("weight decay", self.weight_decay, math.inf),
             ("momentum mu", self.momentum_mu, 1),
         ):
-            if not (_reals(pair, 2) and all(0 <= v <= top for v in pair)):
+            if not (are_reals(pair, 2) and all(0 <= v <= top for v in pair)):
                 raise ValueError(
                     f"{name} must be a (start, end) pair in [0, {top}], got {pair}"
                 )
         clip = self.grad_clip
-        if clip is not None and not (_real(clip) and clip > 0):
+        if clip is not None and not (is_real(clip) and clip > 0):
             raise ValueError(f"grad clip must be None (off) or positive, got {clip!r}")
         if self.checkpoint_every < 0:
             raise ValueError(
@@ -568,11 +558,13 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     a run of ``cfg``, each parameter set read by name into its
     ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
     meta lacks a key of ``_STATE_META``, whose counters are not
-    non-negative integers, whose run is not an object or differs from
-    ``cfg`` in a field but ``checkpoint_every``, whose sets do not each hold
-    exactly the names and shapes of their layout in ``cfg``'s precision, or
-    whose encoder holds a non-finite weight, is a ``ValueError`` naming the
-    file.
+    non-negative integers, whose step is above its total steps or whose
+    warmup is not below them, whose loss history is not ``step`` rows of
+    ``CSV_COLUMNS`` reals (a completed step appends one row), whose run is
+    not an object or differs from ``cfg`` in a field but
+    ``checkpoint_every``, whose sets do not each hold exactly the names and
+    shapes of their layout in ``cfg``'s precision, or whose encoder holds a
+    non-finite weight, is a ``ValueError`` naming the file.
     """
     _vit, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
@@ -587,6 +579,24 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             raise ValueError(
                 f"{path}: checkpoint meta {k} is {v!r}, not a non-negative integer"
             )
+    step, warmup, total = meta["step"], meta["warmup_steps"], meta["total_steps"]
+    if step > total:
+        raise ValueError(
+            f"{path}: checkpoint meta step is {step}, above total_steps {total}"
+        )
+    if warmup >= total:
+        raise ValueError(
+            f"{path}: checkpoint meta warmup_steps is {warmup}, not below "
+            f"total_steps {total}"
+        )
+    history = meta["loss_history"]
+    if not (isinstance(history, list) and len(history) == step and all(
+        are_reals(row, len(CSV_COLUMNS)) for row in history
+    )):
+        raise ValueError(
+            f"{path}: checkpoint meta loss_history is not a list of {step} rows "
+            f"(one per step) of {len(CSV_COLUMNS)} reals"
+        )
     if not isinstance(meta["run"], dict):
         raise ValueError(f"{path}: checkpoint meta run is not a JSON object")
     _check_same_run(path, meta["run"], _record(cfg))
@@ -600,7 +610,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
         opt_m=_read_set(path, blobs, "adam_m.", shapes, cfg.dtype),
         opt_v=_read_set(path, blobs, "adam_v.", shapes, cfg.dtype),
         decay=decay_mask(encoder.params),
-        loss_history=[tuple(row) for row in meta["loss_history"]],
+        loss_history=[tuple(row) for row in history],
         data=meta["data"],
         **{k: meta[k] for k in _COUNTERS},
     )

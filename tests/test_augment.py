@@ -9,13 +9,19 @@ from patchmix import patch_ops as po
 
 IDENTITY = ag.AugConfig(
     crop_area=(1.0, 1.0),
-    crop_aspect=(1.0, 1.0),
     flip_prob=0.0,
     jitter_prob=0.0,
     grayscale_prob=0.0,
     blur_prob=(0.0, 0.0),
     solarize_prob=(0.0, 0.0),
 )
+
+
+@pytest.fixture
+def square_crops(monkeypatch):
+    """Crops of aspect ratio 1: a crop of the whole area is then the whole
+    image, on the first draw."""
+    monkeypatch.setattr(ag, "CROP_ASPECT", (1.0, 1.0))
 
 
 def rgb_batch(n: int = 3, side: int = 16, seed: int = 0) -> po.ImageBatch:
@@ -37,18 +43,41 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ag.AugConfig(**{field: (0.5, -0.1)})
 
-    @pytest.mark.parametrize("field", ["crop_area", "crop_aspect", "blur_sigma"])
-    def test_ranges_must_be_positive_and_ordered(self, field):
-        with pytest.raises(ValueError, match=field):
-            ag.AugConfig(**{field: (0.8, 0.2)})
-        with pytest.raises(ValueError, match=field):
-            ag.AugConfig(**{field: (0.0, 1.0)})
+    def test_crop_area_must_be_positive_and_ordered(self):
+        with pytest.raises(ValueError, match="crop_area"):
+            ag.AugConfig(crop_area=(0.8, 0.2))
+        with pytest.raises(ValueError, match="crop_area"):
+            ag.AugConfig(crop_area=(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flip_prob", "0.5"),
+            ("flip_prob", True),
+            ("jitter_prob", None),
+            ("grayscale_prob", math.nan),
+            ("blur_prob", 0.5),
+            ("blur_prob", (0.5,)),
+            ("solarize_prob", (0.0, 0.1, 0.2)),
+            ("solarize_prob", (0.0, "0.2")),
+            ("blur_prob", (1.0, False)),
+            ("blur_prob", (1.0, math.nan)),
+            ("crop_area", 0.5),
+            ("crop_area", (0.1, "1")),
+            ("crop_area", (math.nan, 1.0)),
+            ("color_ops", "yes"),
+        ],
+    )
+    def test_value_of_another_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ag.AugConfig(**{field: value})
 
     def test_bad_view_rejected(self):
         with pytest.raises(ValueError, match="view"):
             ag.augment_view(rgb_batch(), IDENTITY, 3, np.random.default_rng(0))
 
 
+@pytest.mark.usefixtures("square_crops")
 class TestIdentityConfig:
     def test_exact_passthrough(self):
         batch = rgb_batch()
@@ -62,11 +91,11 @@ class TestIdentityConfig:
         np.testing.assert_array_equal(out.data, batch.data)
 
 
+@pytest.mark.usefixtures("square_crops")
 class TestSingleOps:
     def test_certain_flip_mirrors_width(self):
         cfg = ag.AugConfig(
             crop_area=(1.0, 1.0),
-            crop_aspect=(1.0, 1.0),
             flip_prob=1.0,
             jitter_prob=0.0,
             grayscale_prob=0.0,
@@ -80,23 +109,21 @@ class TestSingleOps:
     def test_certain_solarize_flips_bright_pixels(self):
         cfg = ag.AugConfig(
             crop_area=(1.0, 1.0),
-            crop_aspect=(1.0, 1.0),
             flip_prob=0.0,
             jitter_prob=0.0,
             grayscale_prob=0.0,
             blur_prob=(0.0, 0.0),
             solarize_prob=(0.0, 1.0),
-            solarize_threshold=0.5,
         )
         batch = rgb_batch()
         out = ag.augment_view(batch, cfg, 2, np.random.default_rng(0))
         x = batch.data
-        np.testing.assert_allclose(out.data, np.where(x < 0.5, x, 1.0 - x))
+        t = ag.SOLARIZE_THRESHOLD
+        np.testing.assert_allclose(out.data, np.where(x < t, x, 1.0 - x))
 
     def test_solarize_probability_is_per_view(self):
         cfg = ag.AugConfig(
             crop_area=(1.0, 1.0),
-            crop_aspect=(1.0, 1.0),
             flip_prob=0.0,
             jitter_prob=0.0,
             grayscale_prob=0.0,
@@ -112,7 +139,6 @@ class TestSingleOps:
     def test_certain_grayscale_equalizes_channels(self):
         cfg = ag.AugConfig(
             crop_area=(1.0, 1.0),
-            crop_aspect=(1.0, 1.0),
             flip_prob=0.0,
             jitter_prob=0.0,
             grayscale_prob=1.0,
@@ -123,15 +149,14 @@ class TestSingleOps:
         np.testing.assert_allclose(out.data[:, 0], out.data[:, 1])
         np.testing.assert_allclose(out.data[:, 1], out.data[:, 2])
 
-    def test_certain_blur_reduces_variance(self):
+    def test_certain_blur_reduces_variance(self, monkeypatch):
+        monkeypatch.setattr(ag, "BLUR_SIGMA", (2.0, 2.0))
         cfg = ag.AugConfig(
             crop_area=(1.0, 1.0),
-            crop_aspect=(1.0, 1.0),
             flip_prob=0.0,
             jitter_prob=0.0,
             grayscale_prob=0.0,
             blur_prob=(1.0, 1.0),
-            blur_sigma=(2.0, 2.0),
             solarize_prob=(0.0, 0.0),
         )
         batch = rgb_batch(n=4, side=32, seed=3)
@@ -143,7 +168,6 @@ class TestSingleOps:
     def test_color_ops_flag_disables_jitter_and_grayscale(self):
         cfg = ag.AugConfig(
             crop_area=(1.0, 1.0),
-            crop_aspect=(1.0, 1.0),
             flip_prob=0.0,
             jitter_prob=1.0,
             grayscale_prob=1.0,
@@ -215,7 +239,7 @@ def _ref_random_resized_crop(img, cfg, rng):
     c, h, w = img.shape
     for _ in range(10):
         area = h * w * rng.uniform(*cfg.crop_area)
-        aspect = rng.uniform(*cfg.crop_aspect)
+        aspect = rng.uniform(*ag.CROP_ASPECT)
         ch = int(round(math.sqrt(area / aspect)))
         cw = int(round(math.sqrt(area * aspect)))
         if 0 < ch <= h and 0 < cw <= w:
@@ -228,29 +252,30 @@ def _ref_random_resized_crop(img, cfg, rng):
     return _ref_bilinear_resize(img[:, top : top + side, left : left + side], h, w)
 
 
-def _ref_color_jitter(img, cfg, rng):
+def _ref_color_jitter(img, rng):
+    brightness, contrast, saturation = ag.JITTER
     order = rng.permutation(4)
     for op in order:
-        if op == 0 and cfg.brightness > 0:
-            f = rng.uniform(max(0.0, 1.0 - cfg.brightness), 1.0 + cfg.brightness)
+        if op == 0:
+            f = rng.uniform(1.0 - brightness, 1.0 + brightness)
             img = np.clip(img * f, 0.0, 1.0)
-        elif op == 1 and cfg.contrast > 0:
-            f = rng.uniform(max(0.0, 1.0 - cfg.contrast), 1.0 + cfg.contrast)
+        elif op == 1:
+            f = rng.uniform(1.0 - contrast, 1.0 + contrast)
             anchor = ag._grayscale(img).mean()
             img = np.clip(img * f + anchor * (1.0 - f), 0.0, 1.0)
-        elif op == 2 and cfg.saturation > 0:
-            f = rng.uniform(max(0.0, 1.0 - cfg.saturation), 1.0 + cfg.saturation)
+        elif op == 2:
+            f = rng.uniform(1.0 - saturation, 1.0 + saturation)
             img = np.clip(img * f + ag._grayscale(img) * (1.0 - f), 0.0, 1.0)
-        elif op == 3 and cfg.hue > 0:
-            shift = rng.uniform(-cfg.hue, cfg.hue)
+        else:
+            shift = rng.uniform(-ag.HUE, ag.HUE)
             hsv = ag._rgb_to_hsv(img)
             hsv[0] = (hsv[0] + shift) % 1.0
             img = np.clip(ag._hsv_to_rgb(hsv), 0.0, 1.0)
     return img
 
 
-def _ref_gaussian_blur(img, image_side, cfg, rng):
-    sigma = rng.uniform(*cfg.blur_sigma)
+def _ref_gaussian_blur(img, image_side, rng):
+    sigma = rng.uniform(*ag.BLUR_SIGMA)
     ksize = max(3, int(round(image_side / 10)) | 1)
     half = ksize // 2
     xs = np.arange(-half, half + 1, dtype=np.float64)
@@ -272,13 +297,13 @@ def reference_augment_view(batch, cfg, view, rng):
         if rng.random() < cfg.flip_prob:
             img = img[:, :, ::-1]
         if color and rng.random() < cfg.jitter_prob:
-            img = _ref_color_jitter(img, cfg, rng)
+            img = _ref_color_jitter(img, rng)
         if color and rng.random() < cfg.grayscale_prob:
             img = ag._grayscale(img)
         if rng.random() < cfg.blur_prob[vi]:
-            img = _ref_gaussian_blur(img, max(h, w), cfg, rng)
+            img = _ref_gaussian_blur(img, max(h, w), rng)
         if rng.random() < cfg.solarize_prob[vi]:
-            img = np.where(img < cfg.solarize_threshold, img, 1.0 - img)
+            img = np.where(img < ag.SOLARIZE_THRESHOLD, img, 1.0 - img)
         out[i] = np.clip(img, 0.0, 1.0)
     return po.ImageBatch(out)
 

@@ -60,6 +60,54 @@ class TestKvConfig:
             kv.get_bool("maybe", "k")
 
 
+# how the CLI sets each field of TrainConfig, ViTConfig (vit.*) and
+# AugConfig (aug.*): by an --override pair, by --seed ("seed"), or by the
+# dataset's image shape, a (side, channels) pair. Each way changes its field
+# from what the defaults build. A field that no caller can set fails
+# test_every_config_field_is_set_by_the_cli until it is listed here.
+CLI_SETS = {
+    "vit.image_side": (16, 3),
+    "vit.patch_side": "model.patch_side=4",
+    "vit.channels": (8, 1),
+    "vit.depth": "model.depth=3",
+    "vit.heads": "model.heads=4",
+    "vit.dim": "model.dim=64",
+    "vit.head_hidden": "model.head_hidden=128",
+    "vit.head_out": "model.head_out=32",
+    "aug.crop_area": "aug.crop_area_min=0.2",
+    "aug.flip_prob": "aug.flip_prob=0.3",
+    "aug.jitter_prob": "aug.jitter_prob=0.5",
+    "aug.grayscale_prob": "aug.grayscale_prob=0.1",
+    "aug.blur_prob": "aug.blur_prob2=0.3",
+    "aug.solarize_prob": "aug.solarize_prob2=0.3",
+    "aug.color_ops": "aug.color_ops=false",
+    "epochs": "train.epochs=5",
+    "warmup_epochs": "train.warmup_epochs=2",
+    "base_lr": "train.base_lr=0.01",
+    "batch_size": "train.batch_size=16",
+    "mix_count": "train.mix_count=2",
+    "temperature": "train.temperature=0.1",
+    "weight_decay": "train.wd_end=0.3",
+    "momentum_mu": "train.mu_start=0.99",
+    "grad_clip": "train.grad_clip=1.0",
+    "seed": "seed",
+    "precision": "train.precision=f64",
+    "checkpoint_every": "train.checkpoint_every=2",
+    "loss_weights": "train.w_oto=0.5",
+}
+
+
+def cli_train_config(overrides=(), seed=0, shape=(8, 3)) -> dict:
+    """The fields of the TrainConfig that the CLI builds, nested ones named
+    as in ``aug.flip_prob``."""
+    cfg = cli.resolve_config(None, list(overrides))
+    vit = cli._vit_config(cfg, *shape)
+    built = dataclasses.asdict(cli._train_config(cfg, seed, vit))
+    for k in ("vit", "aug"):
+        built |= {f"{k}.{n}": v for n, v in built.pop(k).items()}
+    return built
+
+
 class TestResolveConfig:
     def test_defaults_when_nothing_given(self):
         cfg = cli.resolve_config(None, [])
@@ -102,6 +150,18 @@ class TestResolveConfig:
         assert built == tr.TrainConfig(vit, epochs=10, warmup_epochs=1)
         # a literal, not a lookup: importing the CLI must not load numpy
         assert cli.DEFAULTS["train.precision"] == "f32"
+
+    def test_every_config_field_is_set_by_the_cli(self):
+        base = cli_train_config()
+        assert set(CLI_SETS) == set(base)
+        for name, way in CLI_SETS.items():
+            if way == "seed":
+                changed = cli_train_config(seed=5)
+            elif isinstance(way, tuple):
+                changed = cli_train_config(shape=way)
+            else:
+                changed = cli_train_config([way])
+            assert changed[name] != base[name], name
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -398,6 +458,20 @@ def trained(tmp_path_factory):
     return out, ckpt, buf.getvalue()
 
 
+def with_config(src, dst, change):
+    """Copy the checkpoint ``src`` to ``dst`` with ``change`` merged into
+    its header's backbone config, under a valid checksum."""
+    raw = src.read_bytes()
+    start = len(enc.CHECKPOINT_MAGIC) + 8
+    version, hlen = struct.unpack_from("<II", raw, len(enc.CHECKPOINT_MAGIC))
+    header = json.loads(raw[start : start + hlen])
+    header["config"] |= change
+    head = json.dumps(header).encode()
+    raw = (enc.CHECKPOINT_MAGIC + struct.pack("<II", version, len(head))
+           + head + raw[start + hlen : -4])
+    dst.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+
+
 def eval_overrides(ckpt):
     return [
         "--override",
@@ -563,7 +637,9 @@ class TestTrainAndEval:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "train_log.csv").exists()
 
-    @pytest.mark.parametrize("fault", ["untrainable_header", "missing_block"])
+    @pytest.mark.parametrize(
+        "fault", ["untrainable_header", "missing_block", "fixed_constants_as_fields"]
+    )
     def test_checkpoint_that_cannot_build_its_encoder_is_usage_error(
         self, trained, tmp_path, capsys, fault
     ):
@@ -575,19 +651,17 @@ class TestTrainAndEval:
                      if not k.startswith("theta.blocks.1.")}
             enc.write_checkpoint(bad, vit_cfg, blobs, meta)
             message = "the checkpoint's 'theta.' set does not match"
-        else:
-            raw = ckpt.read_bytes()
-            start = len(enc.CHECKPOINT_MAGIC) + 8
-            version, hlen = struct.unpack_from("<II", raw, len(enc.CHECKPOINT_MAGIC))
-            header = json.loads(raw[start : start + hlen])
-            header["config"]["heads"] = 5
-            head = json.dumps(header).encode()
-            raw = (enc.CHECKPOINT_MAGIC + struct.pack("<II", version, len(head))
-                   + head + raw[start + hlen : -4])
-            bad.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        elif fault == "untrainable_header":
+            with_config(ckpt, bad, {"heads": 5})
             message = (
                 "malformed checkpoint header: "
                 "ValueError('token dim 32 is not divisible by head count 5')"
+            )
+        else:  # written while the MLP ratio and norm offsets were fields
+            with_config(ckpt, bad, {"mlp_ratio": 4.0, "ln_eps": 1e-6, "bn_eps": 1e-5})
+            message = (
+                "malformed checkpoint header: TypeError(\"ViTConfig.__init__() got "
+                "an unexpected keyword argument 'mlp_ratio'\")"
             )
         assert quiet_main(["eval-knn"] + eval_overrides(bad)) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import re
 import struct
 import zlib
@@ -73,20 +72,20 @@ class TestViTConfig:
         [
             (dict(depth=0), "depth must be >= 1"),
             (dict(heads=0), "heads must be >= 1"),
-            (dict(head_out=0), "head widths"),
+            (dict(head_out=0), "head_out must be >= 1"),
             (dict(channels=0), "channels must be >= 1"),
-            (dict(mlp_ratio=0.0), "mlp width"),
-            (dict(mlp_ratio=math.nan), "mlp width"),
-            (dict(mlp_ratio=math.inf), "mlp width"),
-            (dict(ln_eps=-1.0), "ln_eps must be finite and positive"),
-            (dict(ln_eps=math.nan), "ln_eps must be finite and positive"),
-            (dict(bn_eps=0.0), "bn_eps must be finite and positive"),
-            (dict(bn_eps=math.inf), "bn_eps must be finite and positive"),
+            (dict(dim=0), "dim must be >= 1"),
+            (dict(dim=-32), "dim must be >= 1"),
+            (dict(dim=32.0), "dim must be an integer, got 32.0"),
+            (dict(image_side=8.0), "image_side must be an integer, got 8.0"),
+            (dict(heads=True), "heads must be an integer, got True"),
+            (dict(depth="2"), "depth must be an integer, got '2'"),
+            (dict(head_hidden=None), "head_hidden must be an integer, got None"),
         ],
         ids=[
-            "depth_0", "heads_0", "head_out_0", "channels_0", "mlp_ratio_0",
-            "mlp_ratio_nan", "mlp_ratio_inf", "ln_eps_negative", "ln_eps_nan",
-            "bn_eps_0", "bn_eps_inf",
+            "depth_0", "heads_0", "head_out_0", "channels_0", "dim_0",
+            "dim_negative", "dim_float", "image_side_float", "heads_bool",
+            "depth_str", "head_hidden_none",
         ],
     )
     def test_untrainable_geometry_rejected_at_construction(self, change, message):
@@ -470,8 +469,16 @@ class TestCheckpoint:
             ({"config": {"image_side": 8, "patch_side": 2, "heads": 5, "dim": 32},
               "meta": {}, "blobs": []},
              "token dim 32 is not divisible by head count 5"),
+            ({"config": {"image_side": 8, "patch_side": 2, "dim": 32.0},
+              "meta": {}, "blobs": []}, "dim must be an integer, got 32.0"),
+            # the header of a checkpoint written while the MLP ratio and the
+            # norm offsets were fields
+            ({"config": dataclasses.asdict(enc.vit_micro(8))
+              | {"mlp_ratio": 4.0, "ln_eps": 1e-6, "bn_eps": 1e-5},
+              "meta": {}, "blobs": []}, "unexpected keyword argument 'mlp_ratio'"),
         ],
-        ids=["no_config", "unknown_config_key", "unknown_dtype", "untrainable"],
+        ids=["no_config", "unknown_config_key", "unknown_dtype", "untrainable",
+             "float_dim", "fixed_constants_as_fields"],
     )
     def test_malformed_header_rejected(self, tmp_path, header, error):
         path = tmp_path / "bad.bin"

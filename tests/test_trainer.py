@@ -1042,6 +1042,10 @@ def assert_packed(packed: enc.Packed):
 XI_MISMATCH = "the checkpoint's 'xi.' set does not match"
 
 
+# one loss-history row, as train_step appends it and a checkpoint stores it
+ROW = [0, 1.5, 1.25, 0.5, 3.25, 0.0, 0.996, 0.04]
+
+
 class TestLayout:
     def test_fresh_state_is_packed(self):
         state = tr.init_state(micro_config(), 8)
@@ -1160,6 +1164,40 @@ class TestLayout:
     def test_meta_of_another_type_is_rejected(self, tmp_path, key, value):
         bad, named = self.rewritten(tmp_path, edit_meta=lambda m: m | {key: value})
         with pytest.raises(ValueError, match=named + f"checkpoint meta {key} is "):
+            tr.state_from_checkpoint(bad, micro_config())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(loss_history=5), "loss_history is not a list of 0 rows"),
+            (dict(loss_history=[[1]]), "loss_history is not a list of 0 rows"),
+            (dict(step=1, loss_history=[]), "loss_history is not a list of 1 rows"),
+            (dict(step=1, loss_history=[ROW, ROW]),
+             "loss_history is not a list of 1 rows"),
+            (dict(step=1, loss_history=[ROW[:-1]]),
+             "loss_history is not a list of 1 rows"),
+            (dict(step=1, loss_history=[ROW[:-1] + [True]]),
+             "loss_history is not a list of 1 rows"),
+            (dict(step=1, loss_history=[ROW[:-1] + ["0.04"]]),
+             "loss_history is not a list of 1 rows"),
+            (dict(step=9), "step is 9, above total_steps 4"),
+            (dict(warmup_steps=5), "warmup_steps is 5, not below total_steps 4"),
+            (dict(warmup_steps=4), "warmup_steps is 4, not below total_steps 4"),
+        ],
+        ids=[
+            "history_int", "history_row_of_one", "history_one_short",
+            "history_one_long", "history_row_of_seven", "history_bool",
+            "history_str", "step_above_total", "warmup_above_total",
+            "warmup_at_total",
+        ],
+    )
+    def test_meta_that_breaks_the_counters_facts_is_rejected(
+        self, tmp_path, edit, message
+    ):
+        """A completed step appends one history row and advances ``step``,
+        and a run's warmup ends before its last step."""
+        bad, named = self.rewritten(tmp_path, edit_meta=lambda m: m | edit)
+        with pytest.raises(ValueError, match=named + "checkpoint meta " + message):
             tr.state_from_checkpoint(bad, micro_config())
 
     @pytest.mark.parametrize("prefix", ["theta.", "xi.", "adam_m.", "adam_v."])
@@ -1303,8 +1341,8 @@ class TestPretrain:
             (dict(warmup_epochs=0), ["warmup_epochs 1 recorded, 0 configured"]),
             (dict(batch_size=2), ["batch_size 4 recorded, 2 configured"]),
             # the fields that no check covered
-            (dict(vit=enc.vit_micro(8, ln_eps=1e-5)),
-             ["vit.ln_eps 1e-06 recorded, 1e-05 configured"]),
+            (dict(vit=enc.vit_micro(8, head_out=32)),
+             ["vit.head_out 64 recorded, 32 configured"]),
             (dict(aug=au.AugConfig(flip_prob=0.3)),
              ["aug.flip_prob 0.5 recorded, 0.3 configured"]),
             (dict(base_lr=2e-3), ["base_lr 0.001 recorded, 0.002 configured"]),
@@ -1326,7 +1364,7 @@ class TestPretrain:
         ],
         ids=[
             "backbone", "precision", "seed", "epochs", "warmup_epochs",
-            "batch_size", "ln_eps", "aug", "base_lr", "mix_count", "temperature",
+            "batch_size", "head_out", "aug", "base_lr", "mix_count", "temperature",
             "weight_decay", "momentum_mu", "grad_clip", "loss_weights",
             "two_fields", "data",
         ],
