@@ -52,7 +52,8 @@ SOLARIZE_THRESHOLD = 0.5  # pixels at or above it are inverted
 class AugConfig:
     """Pipeline settings; blur/solarize probabilities are (view1, view2).
     Each probability is a real in [0, 1], each pair a tuple or list of two,
-    and ``color_ops`` a bool."""
+    ``crop_area`` an ordered range of image fractions in (0, 1], and
+    ``color_ops`` a bool."""
 
     crop_area: tuple[float, float] = (0.1, 1.0)
     flip_prob: float = 0.5
@@ -76,9 +77,9 @@ class AugConfig:
                     f"got {pair!r}"
                 )
         area = self.crop_area
-        if not (are_reals(area, 2) and 0 < area[0] <= area[1]):
+        if not (are_reals(area, 2) and 0 < area[0] <= area[1] <= 1):
             raise ValueError(
-                f"crop_area must be a non-empty positive range, got {area!r}"
+                f"crop_area must be a non-empty range in (0, 1], got {area!r}"
             )
         if not isinstance(self.color_ops, bool):
             raise ValueError(f"color_ops must be a bool, got {self.color_ops!r}")

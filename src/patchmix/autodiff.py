@@ -77,8 +77,10 @@ bit for bit. What their gradient maps keep:
 
 The float array operands of a primitive share one dtype, which it computes
 in; a mismatch is a ``TypeError`` naming the primitive and both dtypes. A
-Python scalar or a non-float array takes that dtype, so 32-bit arrays (the
-trainer's default precision) stay 32-bit. Gradient checks run in 64 bits.
+Python scalar or a non-float array operand takes that dtype, so 32-bit
+arrays (the trainer's default precision) stay 32-bit. A ``Tensor`` holds
+floats only: other data is a ``TypeError``, not cast. Gradient checks run
+in 64 bits.
 """
 
 from __future__ import annotations
@@ -130,15 +132,17 @@ _CONSUMED = "this tape is consumed (by backward or discard); record on a new tap
 
 
 class Tensor:
-    """A dense array plus the tape (if any) that is recording it, and the
-    key by which that tape's graph refers to it."""
+    """A dense float array plus the tape (if any) that is recording it, and
+    the key by which that tape's graph refers to it. Data of any other
+    kind is a ``TypeError``: a tensor computes in the precision it is
+    given, never in one chosen for it."""
 
     __slots__ = ("data", "tape", "key")
 
     def __init__(self, data, tape: "Tape | None" = None):
         arr = np.asarray(data)
         if arr.dtype.kind != "f":
-            arr = arr.astype(np.float64)
+            raise TypeError(f"a tensor holds floats, got an array of {arr.dtype}")
         self.data = arr
         self.tape = tape
         self.key = None if tape is None else next(tape._keys)

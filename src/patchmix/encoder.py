@@ -20,12 +20,13 @@ only (the prediction head has no twin) and is advanced exclusively by
 ``ema_update``.
 
 Each parameter set is a ``Packed`` dict of named views into one contiguous
-array: the optimizer and the EMA act on the array, the forward pass and the
-checkpoint on the names. The heads only ever run in training mode and are
-discarded after pretraining, so their batch norms normalise by the batch
-statistics and keep no running statistics: an encoder is one parameter
-set. Every set is built in, or read into, a ``layout`` of ``param_table``;
-the twin's layout, the tracked names, is the leading part of the encoder's.
+array: the forward pass reads the names, while the optimizer, the EMA and
+the checkpoint read the array. The heads only ever run in training mode
+and are discarded after pretraining, so their batch norms normalise by the
+batch statistics and keep no running statistics: an encoder is one
+parameter set. Every set is built in, or read into, a ``layout`` of
+``param_table``; the twin's layout, the tracked names, is the leading part
+of the encoder's.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .patch_ops import PatchBatch
 __all__ = [
     "ViTConfig",
     "Packed",
-    "pack",
     "EncoderParams",
     "vit_tiny",
     "vit_micro",
@@ -178,20 +178,6 @@ class Packed(dict):
         return {name: view.shape for name, view in self.items()}
 
 
-def pack(arrays: Mapping[str, np.ndarray], shapes: Mapping[str, tuple]) -> Packed:
-    """Copy the ``arrays`` that ``shapes`` names into one new contiguous
-    array of their one dtype, laid out by ``shapes``; arrays of more than
-    one dtype are a ``ValueError``."""
-    dtypes = {arrays[name].dtype for name in shapes} or {np.dtype(np.float64)}
-    if len(dtypes) > 1:
-        listed = " and ".join(sorted(map(str, dtypes)))
-        raise ValueError(f"arrays of {listed}; a set holds one dtype")
-    out = Packed(shapes, dtype=dtypes.pop())
-    for name, view in out.items():
-        view[...] = arrays[name]
-    return out
-
-
 @dataclass
 class EncoderParams:
     """Learnable parameters as one ``Packed`` set; also the momentum twin,
@@ -307,10 +293,12 @@ def init_encoder(
 
 
 def init_momentum(encoder: EncoderParams) -> EncoderParams:
-    """Copy the tracked part into the twin's layout; the twin starts equal
-    to the encoder."""
-    config = encoder.config
-    return EncoderParams(config, pack(encoder.params, layout(config, twin=True)))
+    """Copy the tracked part, the leading slice of the encoder's ``flat``,
+    into the twin's layout; the twin starts equal to the encoder."""
+    base = encoder.params.flat
+    twin = Packed(layout(encoder.config, twin=True), dtype=base.dtype)
+    twin.flat[...] = base[: twin.flat.size]
+    return EncoderParams(encoder.config, twin)
 
 
 def ema_update(
@@ -502,9 +490,9 @@ def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:
 
     The blobs are read-only views of the one buffer the file is read into.
     A short prefix, a version other than 2 (version 1, which had no
-    checksum, is not read), a header that does not parse or lacks a field,
-    a truncated blob, stray bytes and a checksum mismatch each raise a
-    ``ValueError`` naming ``path``.
+    checksum, is not read), a header that does not parse or lacks a field
+    (a backbone field with a default too), a truncated blob, stray bytes
+    and a checksum mismatch each raise a ``ValueError`` naming ``path``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -522,6 +510,9 @@ def read_checkpoint(path) -> tuple[ViTConfig, dict[str, np.ndarray], dict]:
     try:
         header = json.loads(data[start : start + hlen].decode("utf-8"))
         config = ViTConfig(**header["config"])
+        for f in fields(ViTConfig):  # a default must not stand in for a field
+            if f.name not in header["config"]:
+                raise KeyError(f.name)
         specs = [(name, tuple(shape), _DTYPE_TAGS[tag])
                  for name, shape, tag in header["blobs"]]
         meta = header["meta"]

@@ -457,16 +457,6 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
     )
 
 
-def _state_blobs(state: TrainState) -> dict[str, np.ndarray]:
-    sets = {
-        "theta.": state.encoder.params,
-        "xi.": state.momentum.params,
-        "adam_m.": state.opt_m,
-        "adam_v.": state.opt_v,
-    }
-    return {pre + k: v for pre, packed in sets.items() for k, v in packed.items()}
-
-
 def _record(cfg: TrainConfig) -> dict:
     """Every field of ``cfg`` but ``checkpoint_every``, in the JSON form that
     reads back equal, with nested fields named as in ``aug.flip_prob``."""
@@ -506,45 +496,49 @@ _COUNTERS = ("step", "epoch", "total_steps", "warmup_steps", "aborted")
 
 
 def save_state(state: TrainState, path) -> None:
-    """Write a checkpoint: both parameter sets, the counters and the run."""
+    """Write a checkpoint: the counters, the run, and each of the four
+    parameter sets as one blob, its ``flat``."""
     meta = {k: getattr(state, k) for k in _STATE_META if k != "run"}
     meta["run"] = _record(state.config)
-    enc.write_checkpoint(path, state.config.vit, _state_blobs(state), meta)
+    blobs = {
+        "theta": state.encoder.params.flat,
+        "xi": state.momentum.params.flat,
+        "adam_m": state.opt_m.flat,
+        "adam_v": state.opt_v.flat,
+    }
+    enc.write_checkpoint(path, state.config.vit, blobs, meta)
 
 
 def _read_set(
-    path, blobs, prefix: str, shapes: dict[str, tuple], dtype=None
+    path, blobs, name: str, shapes: dict[str, tuple], dtype=None
 ) -> enc.Packed:
-    """The parameter set written under ``prefix`` by ``_state_blobs``, packed
-    in the layout ``shapes``. A set that is absent, whose names and shapes
-    differ from ``shapes``, whose blobs are not of one dtype, or, where
-    ``dtype`` is given, not of ``dtype``, is a ``ValueError`` naming
-    ``path``."""
-    arrays = {k[len(prefix) :]: v for k, v in blobs.items() if k.startswith(prefix)}
-    if not arrays:
-        raise ValueError(f"{path}: checkpoint holds no {prefix!r} parameter set")
-    if {k: v.shape for k, v in arrays.items()} != shapes:
+    """The parameter set that ``save_state`` wrote as the blob ``name``,
+    copied into a new set laid out by ``shapes``. A blob that is absent,
+    whose shape is not ``(size of shapes,)``, or, where ``dtype`` is given,
+    not of ``dtype``, is a ``ValueError`` naming ``path``."""
+    if name not in blobs:
+        raise ValueError(f"{path}: checkpoint holds no {name!r} parameter set")
+    blob = blobs[name]
+    out = enc.Packed(shapes, dtype=blob.dtype)
+    if blob.shape != out.flat.shape:
         raise ValueError(
-            f"{path}: the checkpoint's {prefix!r} set does not match the "
-            f"names and shapes of its layout"
+            f"{path}: the checkpoint's {name!r} set has shape {blob.shape}, but "
+            f"its layout holds {out.flat.shape}"
         )
-    try:
-        packed = enc.pack(arrays, shapes)
-    except ValueError as err:
-        raise ValueError(f"{path}: the checkpoint's {prefix!r} set: {err}") from None
-    if dtype is not None and packed.flat.dtype != dtype:
+    if dtype is not None and blob.dtype != dtype:
         raise ValueError(
-            f"{path}: the checkpoint's {prefix!r} set is {packed.flat.dtype}, "
-            f"but the run computes in {np.dtype(dtype)}"
+            f"{path}: the checkpoint's {name!r} set is {blob.dtype}, but the "
+            f"run computes in {np.dtype(dtype)}"
         )
-    return packed
+    out.flat[...] = blob
+    return out
 
 
 def _read_encoder(path, blobs, vit_cfg, dtype=None) -> enc.EncoderParams:
-    """The ``theta.`` set, read by ``_read_set`` into ``layout(vit_cfg)``. A
+    """The ``theta`` set, read by ``_read_set`` into ``layout(vit_cfg)``. A
     non-finite weight is a ``ValueError`` naming ``path``: the run that
     wrote it had diverged, and every step from it would abort."""
-    params = _read_set(path, blobs, "theta.", enc.layout(vit_cfg), dtype)
+    params = _read_set(path, blobs, "theta", enc.layout(vit_cfg), dtype)
     if not np.isfinite(params.flat).all():
         raise ValueError(
             f"{path}: the checkpoint's encoder holds non-finite weights; the "
@@ -555,18 +549,20 @@ def _read_encoder(path, blobs, vit_cfg, dtype=None) -> enc.EncoderParams:
 
 def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state`` in
-    a run of ``cfg``, each parameter set read by name into its
+    a run of ``cfg``, each parameter set read from its one blob into its
     ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
     meta lacks a key of ``_STATE_META``, whose counters are not
     non-negative integers, whose step is above its total steps or whose
     warmup is not below them, whose loss history is not ``step`` rows of
     ``CSV_COLUMNS`` reals (a completed step appends one row), whose run is
     not an object or differs from ``cfg`` in a field but
-    ``checkpoint_every``, whose sets do not each hold exactly the names and
-    shapes of their layout in ``cfg``'s precision, or whose encoder holds a
-    non-finite weight, is a ``ValueError`` naming the file.
+    ``checkpoint_every``, whose header backbone is not ``cfg.vit``, that
+    lacks one of the four blobs ``theta``, ``xi``, ``adam_m`` and
+    ``adam_v``, whose blob is not 1-D of its layout's size in ``cfg``'s
+    precision, or whose encoder holds a non-finite weight, is a
+    ``ValueError`` naming the file.
     """
-    _vit, blobs, meta = enc.read_checkpoint(path)
+    vit, blobs, meta = enc.read_checkpoint(path)
     missing = [k for k in _STATE_META if k not in meta]
     if missing:
         raise ValueError(
@@ -600,15 +596,17 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     if not isinstance(meta["run"], dict):
         raise ValueError(f"{path}: checkpoint meta run is not a JSON object")
     _check_same_run(path, meta["run"], _record(cfg))
+    if vit != cfg.vit:
+        raise ValueError(f"{path}: the checkpoint's header backbone is not its run's")
     shapes = enc.layout(cfg.vit)
     encoder = _read_encoder(path, blobs, cfg.vit, cfg.dtype)
-    twin = _read_set(path, blobs, "xi.", enc.layout(cfg.vit, twin=True), cfg.dtype)
+    twin = _read_set(path, blobs, "xi", enc.layout(cfg.vit, twin=True), cfg.dtype)
     return TrainState(
         config=cfg,
         encoder=encoder,
         momentum=enc.EncoderParams(cfg.vit, twin),
-        opt_m=_read_set(path, blobs, "adam_m.", shapes, cfg.dtype),
-        opt_v=_read_set(path, blobs, "adam_v.", shapes, cfg.dtype),
+        opt_m=_read_set(path, blobs, "adam_m", shapes, cfg.dtype),
+        opt_v=_read_set(path, blobs, "adam_v", shapes, cfg.dtype),
         decay=decay_mask(encoder.params),
         loss_history=[tuple(row) for row in history],
         data=meta["data"],
@@ -618,7 +616,7 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
 
 def encoder_from_checkpoint(path) -> enc.EncoderParams:
     """The trained encoder of a checkpoint, with the backbone stored in it;
-    a ``theta.`` set that does not fit that backbone, or that holds a
+    a ``theta`` set that is absent, does not fit that backbone, or holds a
     non-finite weight, is a ``ValueError`` naming the file."""
     vit_cfg, blobs, _meta = enc.read_checkpoint(path)
     return _read_encoder(path, blobs, vit_cfg)

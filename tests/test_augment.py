@@ -49,6 +49,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="crop_area"):
             ag.AugConfig(crop_area=(0.0, 1.0))
 
+    @pytest.mark.parametrize("area", [(0.5, 50.0), (0.5, 1.0 + 1e-9), (2.0, 3.0)])
+    def test_crop_area_above_the_whole_image_rejected(self, area):
+        # most such draws fail every retry and fall back to the full image,
+        # which would turn cropping silently off
+        with pytest.raises(ValueError, match=r"^crop_area must be .* in \(0, 1\]"):
+            ag.AugConfig(crop_area=area)
+
+    def test_crop_area_up_to_the_whole_image_accepted(self):
+        assert ag.AugConfig(crop_area=(1.0, 1.0)).crop_area == (1.0, 1.0)
+
     @pytest.mark.parametrize(
         "field, value",
         [

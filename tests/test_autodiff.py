@@ -598,6 +598,19 @@ class TestScalarOperands:
         np.testing.assert_array_equal(out.data, 1.5 * other)
         np.testing.assert_array_equal(tape.grad(x), other)
 
+    @pytest.mark.parametrize(
+        "data",
+        [np.arange(3), np.array([True, False]), 2, [1, 2], np.ones(2, np.complex128)],
+        ids=["int_array", "bool_array", "int", "int_list", "complex_array"],
+    )
+    def test_tensor_of_non_float_data_rejected(self, data):
+        # a leaf is never cast into a precision that its graph did not choose
+        message = "^a tensor holds floats, got an array of "
+        with pytest.raises(TypeError, match=message):
+            ad.Tensor(data)
+        with pytest.raises(TypeError, match=message):
+            ad.Tape().var(data)
+
     # every primitive of more than one operand, with the shapes of its operands
     MULTI = {
         "add": (ad.add, [(2, 3), (2, 3)]),

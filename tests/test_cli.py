@@ -7,7 +7,6 @@ import struct
 import subprocess
 import sys
 import warnings
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,8 @@ from patchmix import kvconfig as kv
 from patchmix import mixing as mx
 from patchmix import patch_ops as po
 from patchmix import trainer as tr
+
+import checkpoint_bytes as cb
 
 # small demo/check batches legitimately trigger the duplicate-window notice
 pytestmark = pytest.mark.filterwarnings("ignore:batch size")
@@ -228,6 +229,7 @@ class TestMainPlumbing:
             ("model.preset=small", "unknown model.preset 'small'"),
             ("model.heads=5", "token dim 32 is not divisible by head count 5"),
             ("data.kind=cifar10", "data.kind=cifar10 requires data.path"),
+            ("aug.crop_area_max=50", "crop_area must be a non-empty range in (0, 1]"),
         ],
     )
     def test_bad_pretrain_setting_is_usage_error(
@@ -461,15 +463,9 @@ def trained(tmp_path_factory):
 def with_config(src, dst, change):
     """Copy the checkpoint ``src`` to ``dst`` with ``change`` merged into
     its header's backbone config, under a valid checksum."""
-    raw = src.read_bytes()
-    start = len(enc.CHECKPOINT_MAGIC) + 8
-    version, hlen = struct.unpack_from("<II", raw, len(enc.CHECKPOINT_MAGIC))
-    header = json.loads(raw[start : start + hlen])
+    header, body = cb.split(src.read_bytes())
     header["config"] |= change
-    head = json.dumps(header).encode()
-    raw = (enc.CHECKPOINT_MAGIC + struct.pack("<II", version, len(head))
-           + head + raw[start + hlen : -4])
-    dst.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+    dst.write_bytes(cb.assemble(header, body))
 
 
 def eval_overrides(ckpt):
@@ -605,9 +601,7 @@ class TestTrainAndEval:
         elif fault == "short_prefix":
             raw = raw[:12]
         else:
-            header = json.dumps({"version": 2, "meta": {}, "blobs": []}).encode()
-            raw = enc.CHECKPOINT_MAGIC + struct.pack("<II", 2, len(header)) + header
-            raw += struct.pack("<I", zlib.crc32(raw))
+            raw = cb.assemble({"version": 2, "meta": {}, "blobs": []})
         bad = tmp_path / "bad.bin"
         bad.write_bytes(raw)
         assert quiet_main(["eval-knn"] + eval_overrides(bad)) == 2
@@ -647,10 +641,12 @@ class TestTrainAndEval:
         bad = tmp_path / "bad.bin"
         if fault == "missing_block":
             vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
-            blobs = {k: v for k, v in blobs.items()
-                     if not k.startswith("theta.blocks.1.")}
+            theta = enc.Packed(enc.layout(vit_cfg), blobs["theta"])
+            blobs["theta"] = np.concatenate(
+                [v.ravel() for k, v in theta.items() if not k.startswith("blocks.1.")]
+            )
             enc.write_checkpoint(bad, vit_cfg, blobs, meta)
-            message = "the checkpoint's 'theta.' set does not match"
+            message = "the checkpoint's 'theta' set has shape"
         elif fault == "untrainable_header":
             with_config(ckpt, bad, {"heads": 5})
             message = (
@@ -685,7 +681,7 @@ class TestTrainAndEval:
         assert not (out / "train_log.csv").exists()
 
     @pytest.mark.parametrize(
-        "fault", ["theta.", "xi.", "adam_m.", "adam_v.", "shape", "non_finite", "f64"]
+        "fault", ["theta", "xi", "adam_m", "adam_v", "shape", "non_finite", "f64"]
     )
     def test_resume_from_checkpoint_with_a_bad_set_is_usage_error(
         self, trained, tmp_path, capsys, fault
@@ -693,13 +689,13 @@ class TestTrainAndEval:
         _out, ckpt, _log = trained
         vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
         if fault == "shape":
-            blobs["adam_v.pos_embed"] = blobs["adam_v.pos_embed"][0]
+            blobs["adam_v"] = blobs["adam_v"][:-1]
         elif fault == "non_finite":
-            blobs["theta.norm.g"] = np.full_like(blobs["theta.norm.g"], np.nan)
+            blobs["theta"] = np.full_like(blobs["theta"], np.nan)
         elif fault == "f64":  # blobs of another precision than the run's f32
             blobs = {k: v.astype(np.float64) for k, v in blobs.items()}
         else:
-            blobs = {k: v for k, v in blobs.items() if not k.startswith(fault)}
+            del blobs[fault]
         bad = tmp_path / "bad.bin"
         enc.write_checkpoint(bad, vit_cfg, blobs, meta)
         out = tmp_path / "run"
@@ -711,7 +707,28 @@ class TestTrainAndEval:
         err = capsys.readouterr().err
         assert f"error: {bad}: " in err
         if fault == "f64":
-            assert "'theta.' set is float64, but the run computes in float32" in err
+            assert "'theta' set is float64, but the run computes in float32" in err
+        assert not (out / "train_log.csv").exists()
+
+    def test_checkpoint_of_per_name_blobs_is_usage_error(
+        self, trained, tmp_path, capsys
+    ):
+        """The format before each set became one blob, ``theta.<name>`` and
+        so on, has no 'theta' blob."""
+        _out, ckpt, _log = trained
+        vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
+        bad = tmp_path / "per_name.bin"
+        enc.write_checkpoint(bad, vit_cfg, cb.per_name(vit_cfg, blobs), meta)
+        message = f"error: {bad}: checkpoint holds no 'theta' parameter set"
+        assert quiet_main(["eval-knn"] + eval_overrides(bad)) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "run"
+        code = quiet_main(
+            ["pretrain", "--out", str(out), "--override", f"train.resume={bad}"]
+            + TRAINED_OVERRIDES
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (out / "train_log.csv").exists()
 
     def test_eval_without_checkpoint_is_usage_error(self, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import re
 import struct
 import zlib
@@ -10,6 +9,8 @@ import pytest
 from patchmix import autodiff as ad
 from patchmix import encoder as enc
 from patchmix import patch_ops as po
+
+from checkpoint_bytes import assemble
 
 
 def micro_params(seed: int = 0) -> enc.EncoderParams:
@@ -39,13 +40,6 @@ def reference_trunc_normal(rng: np.random.Generator, out: np.ndarray, std: float
         rounds += 1
     out[...] = draw
     return rounds
-
-
-def raw_checkpoint(header: dict) -> bytes:
-    """A version-2 checkpoint file's bytes, written by hand, with no blobs."""
-    head = json.dumps(header).encode()
-    raw = enc.CHECKPOINT_MAGIC + struct.pack("<II", 2, len(head)) + head
-    return raw + struct.pack("<I", zlib.crc32(raw))
 
 
 class TestViTConfig:
@@ -321,6 +315,15 @@ class TestMomentum:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_twin_is_a_copy_of_the_encoders_leading_slice(self, dtype):
+        params = enc.init_encoder(enc.vit_micro(8), np.random.default_rng(0), dtype)
+        twin = enc.init_momentum(params).params
+        size = twin.flat.size
+        assert twin.flat.dtype == dtype and twin.flat.base is None
+        assert twin.flat.tobytes() == params.params.flat[:size].tobytes()
+        assert not np.shares_memory(twin.flat, params.params.flat)
+
     def test_twin_mirrors_the_encoders_leading_names(self):
         params = micro_params()
         twin = enc.init_momentum(params)
@@ -345,21 +348,23 @@ class TestMomentum:
 
 class TestPacked:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_pack_copies_into_one_array(self, dtype):
-        arrays = {"a": np.arange(6, dtype=dtype).reshape(2, 3), "b": np.ones(2, dtype)}
-        packed = enc.pack(arrays, {"a": (2, 3), "b": (2,)})
+    def test_names_view_the_one_array(self, dtype):
+        flat = np.arange(8, dtype=dtype)
+        packed = enc.Packed({"a": (2, 3), "b": (2,)}, flat)
+        assert packed.flat is flat
+        assert packed.shapes == {"a": (2, 3), "b": (2,)}
+        np.testing.assert_array_equal(packed["a"], [[0, 1, 2], [3, 4, 5]])
+        assert packed["a"].base is flat and packed["b"].base is flat
+        packed["b"][...] = 9
+        np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5, 9, 9])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fresh_array_of_the_layouts_size(self, dtype):
+        packed = enc.Packed({"a": (2, 3), "b": (2,)}, dtype=dtype)
         assert packed.flat.shape == (8,) and packed.flat.dtype == dtype
-        np.testing.assert_array_equal(packed.flat, [0, 1, 2, 3, 4, 5, 1, 1])
-        assert packed["a"].base is packed.flat
-        assert not np.shares_memory(packed["a"], arrays["a"])
 
-    def test_arrays_of_two_dtypes_rejected(self):
-        arrays = {"a": np.zeros((2, 3)), "b": np.ones(2, np.float32)}
-        with pytest.raises(ValueError, match="^arrays of float32 and float64"):
-            enc.pack(arrays, {"a": (2, 3), "b": (2,)})
-
-    def test_empty_set_packs(self):
-        assert enc.pack({}, {}).flat.size == 0
+    def test_empty_set(self):
+        assert enc.Packed({}).flat.size == 0
 
 
 class TestCheckpoint:
@@ -464,8 +469,11 @@ class TestCheckpoint:
             ({"meta": {}, "blobs": []}, "KeyError"),
             ({"config": {"image_side": 8, "patch_side": 2, "colour": 1},
               "meta": {}, "blobs": []}, "unexpected keyword argument 'colour'"),
+            ({"config": dataclasses.asdict(enc.vit_micro(8)),
+              "meta": {}, "blobs": [["a", [1], "<i8"]]}, r"KeyError\('<i8'\)"),
+            # a field left out is not filled by its default
             ({"config": {"image_side": 8, "patch_side": 2},
-              "meta": {}, "blobs": [["a", [1], "<i8"]]}, "KeyError"),
+              "meta": {}, "blobs": []}, r"KeyError\('channels'\)"),
             ({"config": {"image_side": 8, "patch_side": 2, "heads": 5, "dim": 32},
               "meta": {}, "blobs": []},
              "token dim 32 is not divisible by head count 5"),
@@ -477,12 +485,13 @@ class TestCheckpoint:
               | {"mlp_ratio": 4.0, "ln_eps": 1e-6, "bn_eps": 1e-5},
               "meta": {}, "blobs": []}, "unexpected keyword argument 'mlp_ratio'"),
         ],
-        ids=["no_config", "unknown_config_key", "unknown_dtype", "untrainable",
-             "float_dim", "fixed_constants_as_fields"],
+        ids=["no_config", "unknown_config_key", "unknown_dtype",
+             "defaulted_field_missing", "untrainable", "float_dim",
+             "fixed_constants_as_fields"],
     )
     def test_malformed_header_rejected(self, tmp_path, header, error):
         path = tmp_path / "bad.bin"
-        path.write_bytes(raw_checkpoint(header))
+        path.write_bytes(assemble(header))
         message = re.escape(f"{path}: malformed checkpoint header")
         with pytest.raises(ValueError, match=message):
             enc.read_checkpoint(path)
@@ -491,7 +500,7 @@ class TestCheckpoint:
 
     def test_unreadable_header_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
-        raw = bytearray(raw_checkpoint({"config": {}, "meta": {}, "blobs": []}))
+        raw = bytearray(assemble({"config": {}, "meta": {}, "blobs": []}))
         raw[16] = 0xFF  # not UTF-8, not JSON
         path.write_bytes(raw)
         message = re.escape(f"{path}: malformed checkpoint header")

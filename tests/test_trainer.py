@@ -20,6 +20,8 @@ from patchmix import patch_ops as po
 from patchmix import trainer as tr
 from patchmix.autodiff import Tape
 
+from checkpoint_bytes import per_name
+
 
 def micro_config(**overrides) -> tr.TrainConfig:
     kw = dict(
@@ -147,10 +149,7 @@ def assert_bits_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
 
 class TestOptimizer:
     def setup_method(self):
-        self.params = enc.pack(
-            {"layer.w": np.ones((2, 2)), "layer.b": np.ones(2)},
-            {"layer.w": (2, 2), "layer.b": (2,)},
-        )
+        self.params = enc.Packed({"layer.w": (2, 2), "layer.b": (2,)}, np.ones(6))
         self.moments = (np.zeros(6), np.zeros(6))
 
     def update(self, grad, lr, wd, step=1):
@@ -179,7 +178,7 @@ class TestOptimizer:
 
     def test_first_step_is_unit_scaled(self):
         # grad of theta^2/2 at theta=1 is 1; bias-corrected Adam moves ~lr
-        params = enc.pack({"x.w": np.array([1.0])}, {"x.w": (1,)})
+        params = enc.Packed({"x.w": (1,)}, np.array([1.0]))
         moments = (np.zeros(1), np.zeros(1))
         tr.optimizer_update(
             params.flat, np.array([1.0]), 0.1, 0.0, moments, 1,
@@ -417,7 +416,7 @@ class TestTrainStep:
         cfg = micro_config()
         state = tr.init_state(cfg, 8)
         twin = state.momentum.params
-        xi_old = enc.EncoderParams(cfg.vit, enc.pack(twin, twin.shapes))
+        xi_old = enc.EncoderParams(cfg.vit, enc.Packed(twin.shapes, twin.flat.copy()))
         mu = tr.schedule(
             0, state.total_steps, 0, cfg.momentum_mu[0], cfg.momentum_mu[1], "cosine"
         )
@@ -1039,7 +1038,7 @@ def assert_packed(packed: enc.Packed):
     assert start == flat.__array_interface__["data"][0] + flat.nbytes
 
 
-XI_MISMATCH = "the checkpoint's 'xi.' set does not match"
+SETS = ("theta", "xi", "adam_m", "adam_v")
 
 
 # one loss-history row, as train_step appends it and a checkpoint stores it
@@ -1084,35 +1083,31 @@ class TestLayout:
         np.testing.assert_array_equal(loaded.decay, state.decay)
         assert_packed(tr.encoder_from_checkpoint(tmp_path / "s.bin").params)
 
-    def test_twin_that_is_not_a_prefix_is_rejected(self, tmp_path):
-        bad, named = self.rewritten(tmp_path, lambda blobs: {
-            k: v for k, v in blobs.items() if k != "xi.patch_embed.w"
-        })
-        with pytest.raises(ValueError, match=named + re.escape(XI_MISMATCH)):
-            tr.state_from_checkpoint(bad, micro_config())
-
-    def test_twin_holding_the_prediction_head_is_rejected(self, tmp_path):
-        def add_pred(blobs):
-            pred = {k: v for k, v in blobs.items() if k.startswith("theta.pred.")}
-            return blobs | {"xi." + k[len("theta."):]: v for k, v in pred.items()}
-
-        bad, named = self.rewritten(tmp_path, add_pred)
-        with pytest.raises(ValueError, match=named + re.escape(XI_MISMATCH)):
-            tr.state_from_checkpoint(bad, micro_config())
-
-    def test_twin_stored_in_another_order_loads(self, tmp_path):
-        cfg = micro_config()
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_checkpoint_holds_each_set_as_its_flat(self, tmp_path, precision):
+        cfg = micro_config(precision=precision)
         state, _ = tr.train_step(tr.init_state(cfg, 8), micro_batch())
         tr.save_state(state, tmp_path / "s.bin")
-        vit_cfg, blobs, meta = enc.read_checkpoint(tmp_path / "s.bin")
-        twin = [k for k in blobs if k.startswith("xi.")]
-        reordered = {k: v for k, v in blobs.items() if k not in twin}
-        reordered |= {k: blobs[k] for k in reversed(twin)}
-        enc.write_checkpoint(tmp_path / "r.bin", vit_cfg, reordered, meta)
-        loaded = tr.state_from_checkpoint(tmp_path / "r.bin", cfg).momentum.params
-        assert_packed(loaded)
-        assert list(loaded) == list(state.momentum.params)
-        assert loaded.flat.tobytes() == state.momentum.params.flat.tobytes()
+        _vit, blobs, _meta = enc.read_checkpoint(tmp_path / "s.bin")
+        assert list(blobs) == list(SETS)
+        for name, packed in zip(SETS, state_sets(state).values()):
+            assert blobs[name].dtype == cfg.dtype, name
+            assert blobs[name].tobytes() == packed.flat.tobytes(), name
+
+    def test_twin_of_the_encoders_size_is_rejected(self, tmp_path):
+        sizes = {}
+
+        def full_twin(blobs):
+            sizes.update(theta=blobs["theta"].size, xi=blobs["xi"].size)
+            return blobs | {"xi": blobs["theta"]}
+
+        bad, named = self.rewritten(tmp_path, full_twin)
+        message = named + re.escape(
+            f"the checkpoint's 'xi' set has shape ({sizes['theta']},), but its "
+            f"layout holds ({sizes['xi']},)"
+        )
+        with pytest.raises(ValueError, match=message):
+            tr.state_from_checkpoint(bad, micro_config())
 
     def rewritten(self, tmp_path, edit=dict, edit_meta=dict):
         """A fresh f32 state's checkpoint with its blobs passed through
@@ -1124,29 +1119,33 @@ class TestLayout:
         enc.write_checkpoint(bad, vit_cfg, edit(dict(blobs)), edit_meta(dict(meta)))
         return bad, "^" + re.escape(f"{bad}: ")
 
-    @pytest.mark.parametrize("fault", ["every_blob", "theta.", "xi.", "adam_v."])
+    def test_header_backbone_other_than_the_runs_is_rejected(self, tmp_path):
+        tr.save_state(tr.init_state(micro_config(), 8), tmp_path / "s.bin")
+        _vit, blobs, meta = enc.read_checkpoint(tmp_path / "s.bin")
+        bad = tmp_path / "bad.bin"
+        enc.write_checkpoint(bad, enc.vit_micro(8, head_out=32), blobs, meta)
+        message = f"{bad}: the checkpoint's header backbone is not its run's"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            tr.state_from_checkpoint(bad, micro_config())
+
+    @pytest.mark.parametrize("fault", ["every_blob", *SETS])
     def test_set_off_the_runs_precision_is_rejected(self, tmp_path, fault):
-        """Every blob in f64 under an f32 run, or one blob of a set in f64."""
+        """Every set in f64 under an f32 run, or one set in f64."""
         def widen(blobs):
-            if fault == "every_blob":
-                return {k: v.astype(np.float64) for k, v in blobs.items()}
-            blobs[fault + "norm.g"] = blobs[fault + "norm.g"].astype(np.float64)
-            return blobs
+            return blobs | {k: v.astype(np.float64) for k, v in blobs.items()
+                            if fault in ("every_blob", k)}
 
         bad, named = self.rewritten(tmp_path, widen)
-        prefix = "theta." if fault == "every_blob" else fault
-        message = named + re.escape(f"the checkpoint's {prefix!r} set") + (
-            re.escape(" is float64, but the run computes in float32")
-            if fault == "every_blob"
-            else re.escape(": arrays of float32 and float64; a set holds one dtype")
+        name = "theta" if fault == "every_blob" else fault
+        message = named + re.escape(
+            f"the checkpoint's {name!r} set is float64, but the run computes in "
+            f"float32"
         )
         with pytest.raises(ValueError, match=message):
             tr.state_from_checkpoint(bad, micro_config())
-        if fault == "theta.":
-            with pytest.raises(ValueError, match=message):
-                tr.encoder_from_checkpoint(bad)
-        elif fault == "every_blob":  # the encoder alone runs in its own precision
-            assert tr.encoder_from_checkpoint(bad).params.flat.dtype == np.float64
+        # the encoder alone runs in its own precision
+        dtype = np.float64 if name == "theta" else np.float32
+        assert tr.encoder_from_checkpoint(bad).params.flat.dtype == dtype
 
     @pytest.mark.parametrize(
         "key,value",
@@ -1200,31 +1199,42 @@ class TestLayout:
         with pytest.raises(ValueError, match=named + "checkpoint meta " + message):
             tr.state_from_checkpoint(bad, micro_config())
 
-    @pytest.mark.parametrize("prefix", ["theta.", "xi.", "adam_m.", "adam_v."])
-    def test_missing_set_is_rejected_naming_the_file(self, tmp_path, prefix):
+    @pytest.mark.parametrize("name", SETS)
+    def test_missing_set_is_rejected_naming_the_file(self, tmp_path, name):
         bad, named = self.rewritten(tmp_path, lambda blobs: {
-            k: v for k, v in blobs.items() if not k.startswith(prefix)
+            k: v for k, v in blobs.items() if k != name
         })
-        with pytest.raises(ValueError, match=named + ".*" + re.escape(repr(prefix))):
+        message = named + re.escape(f"checkpoint holds no {name!r} parameter set")
+        with pytest.raises(ValueError, match=message):
             tr.state_from_checkpoint(bad, micro_config())
-        if prefix == "theta.":
-            with pytest.raises(ValueError, match=named):
+        if name == "theta":
+            with pytest.raises(ValueError, match=message):
                 tr.encoder_from_checkpoint(bad)
+
+    def test_checkpoint_of_per_name_blobs_is_rejected(self, tmp_path):
+        """The format before each set became one blob has no 'theta' blob."""
+        bad, named = self.rewritten(
+            tmp_path, lambda blobs: per_name(enc.vit_micro(8), blobs)
+        )
+        message = named + re.escape("checkpoint holds no 'theta' parameter set")
+        with pytest.raises(ValueError, match=message):
+            tr.state_from_checkpoint(bad, micro_config())
+        with pytest.raises(ValueError, match=message):
+            tr.encoder_from_checkpoint(bad)
 
     @pytest.mark.parametrize("fault", ["missing_block", "mis_shaped", "extra"])
     def test_encoder_off_its_backbone_layout_is_rejected(self, tmp_path, fault):
         def edit(blobs):
+            theta = enc.Packed(enc.layout(enc.vit_micro(8)), blobs["theta"])
             if fault == "missing_block":
-                return {k: v for k, v in blobs.items()
-                        if not k.startswith("theta.blocks.1.")}
+                kept = [v for k, v in theta.items() if not k.startswith("blocks.1.")]
+                return blobs | {"theta": np.concatenate([v.ravel() for v in kept])}
             if fault == "mis_shaped":
-                blobs["theta.norm.g"] = blobs["theta.norm.g"][:-1]
-            else:
-                blobs["theta.blocks.2.ln1.g"] = blobs["theta.norm.g"]
-            return blobs
+                return blobs | {"theta": theta.flat.reshape(1, -1)}
+            return blobs | {"theta": np.concatenate([theta.flat, theta["norm.g"]])}
 
         bad, named = self.rewritten(tmp_path, edit)
-        message = named + ".*" + re.escape("'theta.'")
+        message = named + re.escape("the checkpoint's 'theta' set has shape ")
         with pytest.raises(ValueError, match=message):
             tr.encoder_from_checkpoint(bad)
         with pytest.raises(ValueError, match=message):
@@ -1233,9 +1243,9 @@ class TestLayout:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_encoder_is_rejected_naming_the_file(self, tmp_path, value):
         def spoil(blobs):
-            blobs["theta.blocks.0.mlp.fc1.w"] = blobs["theta.blocks.0.mlp.fc1.w"].copy()
-            blobs["theta.blocks.0.mlp.fc1.w"][3, 2] = value
-            return blobs
+            theta = blobs["theta"].copy()
+            theta[1234] = value
+            return blobs | {"theta": theta}
 
         bad, named = self.rewritten(tmp_path, spoil)
         message = named + "the checkpoint's encoder holds non-finite weights"
@@ -1244,15 +1254,26 @@ class TestLayout:
         with pytest.raises(ValueError, match=message):
             tr.state_from_checkpoint(bad, micro_config())
 
-    @pytest.mark.parametrize("prefix", ["xi.", "adam_m.", "adam_v."])
-    def test_mis_shaped_set_is_rejected_naming_the_file(self, tmp_path, prefix):
-        def shorten(blobs):
-            blobs[prefix + "pos_embed"] = blobs[prefix + "pos_embed"][:, :-1]
-            return blobs
+    @pytest.mark.parametrize("name", ["xi", "adam_m", "adam_v"])
+    @pytest.mark.parametrize("fault", ["short", "long", "2-D"])
+    def test_mis_shaped_set_is_rejected_naming_the_file(self, tmp_path, name, fault):
+        def reshape(blobs):
+            flat = blobs[name]
+            return blobs | {name: {
+                "short": flat[:-1],
+                "long": np.concatenate([flat, flat[:1]]),
+                "2-D": flat.reshape(-1, 1),
+            }[fault]}
 
-        bad, named = self.rewritten(tmp_path, shorten)
-        with pytest.raises(ValueError, match=named):
+        bad, named = self.rewritten(tmp_path, reshape)
+        message = named + re.escape(f"the checkpoint's {name!r} set has shape ")
+        with pytest.raises(ValueError, match=message):
             tr.state_from_checkpoint(bad, micro_config())
+        tr.encoder_from_checkpoint(bad)  # the encoder needs its own set only
+
+
+# plan_mix's warning for a batch of at most 2M - 2 images
+DUPLICATE_TARGETS = "mix-to-mix targets contain duplicate indices within a row"
 
 
 class TestPretrain:
@@ -1455,7 +1476,9 @@ class TestPretrain:
     def test_diverging_run_stops_with_an_error(self, tmp_path):
         # step 1 leaves non-finite weights mid-epoch, so the run stops there
         cfg = micro_config(base_lr=1e200, epochs=3, batch_size=2)
-        with pytest.raises(ValueError, match=r"^step 1 .* the run has diverged$"):
+        with pytest.warns(UserWarning, match=DUPLICATE_TARGETS), pytest.raises(
+            ValueError, match=r"^step 1 .* the run has diverged$"
+        ):
             tr.pretrain(cfg, self.small_data(), tmp_path)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))
@@ -1471,7 +1494,9 @@ class TestPretrain:
         # would hold them, so none is written
         cfg = tr.TrainConfig(enc.vit_micro(8), base_lr=1e200, epochs=3,
                              warmup_epochs=1, batch_size=4, checkpoint_every=1)
-        with pytest.raises(ValueError, match=r"^step 1 .* the run has diverged$"):
+        with pytest.warns(UserWarning, match=DUPLICATE_TARGETS), pytest.raises(
+            ValueError, match=r"^step 1 .* the run has diverged$"
+        ):
             tr.pretrain(cfg, ds.synth_blobs(2, 4, 8, True, seed=0), tmp_path)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))
