@@ -19,32 +19,26 @@ Because the recording is a topological order of the data flow,
 ``backward`` is a single reverse sweep that pops each node's output
 gradient and pushes one contribution per kept edge onto its input, in the
 order the edges were declared, accumulating additively at fan-out points.
-The first contribution to a key is kept as given, and may be shared with
-another key; the second makes a fresh sum that the tape owns, and later
-ones are added into that sum in place. A basic-key ``take`` contributes a
-slice, which is scattered into the owned sum instead of being widened to
-a full array of zeros first. The zeros a first slice is scattered into
-are laid out in the sliced array's stride order, so the gradient of a
-slice of a transposed view (the encoder's q/k/v split) transposes back to
-a contiguous array, which ``reshape`` passes on as a view.
+Every leaf adds into an array: ``var_into(data, grad)`` attaches a leaf
+whose contributions the sweep adds in place into the caller's ``grad``,
+in the order they arrive, and ``var(data)`` is ``var_into`` with zeros
+the tape makes. The first contribution to any other key is kept as given,
+and may be shared with another key; the second makes a fresh sum that the
+tape owns, and later ones are added into that sum in place. A basic-key
+``take`` contributes a slice, which is scattered into the array it is
+added to instead of being widened to a full array of zeros first. The
+zeros a first slice is scattered into are laid out in the sliced array's
+stride order, so the gradient of a slice of a transposed view (the
+encoder's q/k/v split) transposes back to a contiguous array, which
+``reshape`` passes on as a view.
+
 The sweep consumes the graph: it pops the nodes off the tape, so every
 gradient map and the arrays it holds are freed as soon as its node has
-run, and the tape keeps only the gradients of its leaves.
-``backward`` may therefore be called once per tape, and a consumed tape
-records nothing more. A graph that will never be differentiated (an
-aborted training step) is dropped with ``discard``, which consumes the
-tape the same way.
-
-The tape writes only into arrays it made, with one exception: a leaf
-attached with ``var_into(data, grad)`` keeps no gradient of its own, and
-the sweep adds each contribution to it in place into the caller's array
-``grad``, in the order the contributions arrive. So ``grad`` ends as its
-prior value plus the gradient: for a leaf with one contribution, the same
-sum, bit for bit, as ``prior + tape.grad(leaf)``, save that a ``-0.0`` of
-the prior outside a sliced contribution keeps its sign, as in a sum the
-tape owns. The trainer attaches the leaves of both of a step's taped
-passes this way, each to its view of one flat gradient that starts at
-zeros, so both passes add into it, with no per-leaf array and no copy.
+run, and the tape keeps only the arrays of its leaves. ``backward`` may
+therefore be called once per tape, and a consumed tape records nothing
+more. A graph that will never be differentiated (an aborted training
+step) goes with its tape: the graph holds keys, so it forms no reference
+cycle, and a tape that nothing references is freed at once.
 
 ``linear`` records a biased projection ``a @ w + b`` as a single node
 that adds the bias in place, so a forward pass keeps one array per
@@ -93,6 +87,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
+from .kvconfig import is_real
+
 __all__ = [
     "Tensor",
     "Tape",
@@ -128,7 +124,7 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_CONSUMED = "this tape is consumed (by backward or discard); record on a new tape"
+_CONSUMED = "this tape is consumed by backward; record on a new tape"
 
 
 class Tensor:
@@ -191,52 +187,49 @@ class _Slice(NamedTuple):
 class Tape:
     """Execution-ordered record of primitives, replayed backwards for grads."""
 
-    __slots__ = ("_nodes", "_grads", "_owned", "_into", "_keys")
+    __slots__ = ("_nodes", "_grads", "_sums", "_keys")
 
     def __init__(self):
         # (output key, [(input key, vjp), ...]) per primitive, in execution
-        # order; None once backward or discard has consumed them
+        # order; None once backward has consumed them
         self._nodes: list[tuple[int, list[tuple[int, Callable]]]] | None = []
-        self._grads: dict[int, np.ndarray] = {}
-        self._owned: set[int] = set()  # keys whose gradient the tape made
-        self._into: dict[int, np.ndarray] = {}  # leaves of var_into
+        self._grads: dict[int, np.ndarray] = {}  # contributions kept as given
+        self._sums: dict[int, np.ndarray] = {}  # arrays the sweep adds into
         self._keys = count()
 
     def var(self, data) -> Tensor:
-        """Attach a leaf variable to this tape."""
-        if self._nodes is None:
-            raise ValueError(_CONSUMED)
-        return Tensor(data, self)
+        """Attach a leaf variable to this tape: ``var_into`` with zeros the
+        tape makes, laid out as ``data``, which ``grad`` returns."""
+        data = np.asarray(data)
+        return self.var_into(data, np.zeros_like(data))
 
     def var_into(self, data, grad: np.ndarray) -> Tensor:
-        """Attach a leaf variable, like ``var``, whose gradient is added
-        into the caller's array ``grad`` instead of being kept.
+        """Attach a leaf variable whose gradient is added into ``grad``.
 
         ``backward`` adds each contribution to the leaf in place into
         ``grad``, in the order they arrive, so ``grad`` ends as its prior
-        value plus the leaf's gradient, and the tape keeps no gradient for
-        the leaf; ``grad(t)`` then raises. ``grad`` must have the leaf's
-        shape and dtype.
+        value plus the leaf's gradient; ``grad(t)`` returns this array.
+        ``grad`` must have the leaf's shape and dtype.
         """
-        t = self.var(data)
+        if self._nodes is None:
+            raise ValueError(_CONSUMED)
+        t = Tensor(data, self)
         if (grad.shape, grad.dtype) != (t.data.shape, t.data.dtype):
             raise ValueError(
                 f"gradient array of shape {grad.shape} and {grad.dtype} does "
                 f"not fit a leaf of shape {t.data.shape} and {t.data.dtype}"
             )
-        self._into[t.key] = grad
+        self._sums[t.key] = grad
         return t
 
     def _accumulate(self, key: int, delta):
         """Add one contribution (an array or a ``_Slice``) to a gradient.
 
-        Only an array the tape made, or one given to ``var_into``, is written
-        in place: a first contribution is stored as given and may be shared
-        with another key.
+        A leaf's array, or a sum the tape made, is written in place; any
+        other first contribution is kept as given, and may be shared with
+        another key.
         """
-        into = self._into.get(key)
-        if into is None and key in self._owned:
-            into = self._grads[key]
+        into = self._sums.get(key)
         if into is not None:
             if isinstance(delta, _Slice):
                 into[delta.index] += delta.values
@@ -246,12 +239,13 @@ class Tape:
         made = isinstance(delta, _Slice)
         if made:
             delta = delta.dense()
-        cur = self._grads.get(key)
+        cur = self._grads.pop(key, None)
         if cur is not None:
             delta, made = cur + delta, True
-        self._grads[key] = delta
         if made and type(delta) is np.ndarray:  # 0-d operands sum to a scalar
-            self._owned.add(key)
+            self._sums[key] = delta
+        else:
+            self._grads[key] = delta
 
     def backward(self, loss: Tensor):
         """Propagate d(loss)/d(tensor) to every tensor recorded on this tape.
@@ -259,10 +253,9 @@ class Tape:
         ``loss`` must be scalar. The sweep consumes the recorded graph,
         freeing each node (its keys and gradient maps) once it has run, so
         it may be called once per tape; gradients of leaves are then
-        available through ``grad``. The tape writes only into gradient
-        arrays it made itself (sums of two or more contributions and the
-        zeros a slice is scattered into) and into the arrays given to
-        ``var_into``.
+        available through ``grad``. The tape writes only into the leaves'
+        arrays and into the sums it made (of two or more contributions, and
+        the zeros a slice is scattered into).
         """
         if self._nodes is None:
             raise ValueError(_CONSUMED)
@@ -273,38 +266,29 @@ class Tape:
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
         nodes, self._nodes = self._nodes, None
-        self._grads = {loss.key: np.ones_like(loss.data)}
+        seed = np.ones_like(loss.data)
+        if loss.key in self._sums:  # a leaf
+            self._sums[loss.key] += seed
+        else:
+            self._grads[loss.key] = seed
         while nodes:
             out, edges = nodes.pop()
             g = self._grads.pop(out, None)
             if g is None:
-                continue  # not an ancestor of the loss
-            self._owned.discard(out)
+                g = self._sums.pop(out, None)
+                if g is None:
+                    continue  # not an ancestor of the loss
             for key, vjp in edges:
                 self._accumulate(key, vjp(g))
 
-    def discard(self):
-        """Drop the recorded graph without a backward sweep.
-
-        The nodes and the arrays their gradient maps hold are freed at
-        once, even while the tape itself is still referenced; the tape is
-        consumed, as after ``backward``, and has no gradients.
-        """
-        self._nodes, self._grads, self._owned, self._into = None, {}, set(), {}
-
     def grad(self, t: Tensor) -> np.ndarray:
-        """Gradient for ``t`` after backward; zeros if the loss ignores it.
+        """Gradient for leaf ``t`` after backward: the array its
+        contributions were added into, which the caller may write to.
 
-        Keys restart on every tape, so a tensor of another tape (or none)
-        gets zeros. The array returned may be shared with the gradient of
-        another tensor of this tape, so a caller that writes to it should
-        copy it first. A leaf of ``var_into`` has no gradient here.
+        Keys restart on every tape, so a tensor of another tape (or none),
+        or one that is not a leaf, gets zeros.
         """
-        if t.tape is self and t.key in self._into:
-            raise ValueError(
-                "this leaf's gradient was added into the array given to var_into"
-            )
-        g = self._grads.get(t.key) if t.tape is self else None
+        g = self._sums.get(t.key) if t.tape is self else None
         return np.zeros_like(t.data) if g is None else g
 
 
@@ -768,8 +752,14 @@ def check_gradients(fn, points, step: float = 1e-4) -> GradCheckResult:
     ``fn`` maps one or more Tensors to a scalar Tensor. ``points`` is one
     array or a sequence of arrays, evaluated at 64-bit precision. Kinks are
     detected by comparing the two one-sided slopes and excluded rather than
-    failed, as are coordinates whose probes go non-finite.
+    failed, as are coordinates whose probes go non-finite. A ``step`` that
+    is not a finite positive real is a ``ValueError``.
     """
+    # written as "not (ok)" so that a NaN fails
+    if not (is_real(step) and 0 < step < math.inf):
+        raise ValueError(
+            f"finite-difference step must be a finite positive real, got {step!r}"
+        )
     single = not isinstance(points, (list, tuple))
     pts = [np.array(p, dtype=np.float64) for p in ([points] if single else points)]
 

@@ -10,6 +10,7 @@ that use them and the package __init__ imports no submodule.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -466,7 +467,9 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
 
     Runs in 64 bits by construction, whatever ``train.precision`` says: its
     points are drawn as 64-bit normals and ``check_gradients`` evaluates
-    at 64-bit precision.
+    at 64-bit precision. A ``check.tolerance`` that is not a finite
+    non-negative real, or a ``check.step`` that ``check_gradients``
+    rejects, is a ``ValueError`` before any check runs.
     """
     import numpy as np
 
@@ -482,6 +485,11 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
     tau = cfg["train.temperature"]
     step = cfg["check.step"]
     tol = cfg["check.tolerance"]
+    # written as "not (ok)" so that a NaN fails
+    if not (0 <= tol < math.inf):
+        raise ValueError(
+            f"check.tolerance must be a finite non-negative real, got {tol!r}"
+        )
 
     rng = np.random.default_rng(seed)
     perm = po.sample_permutation(t, rng)

@@ -17,6 +17,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from . import patch_ops as po
 from .autodiff import Tape, Tensor
+from .kvconfig import is_int, is_real
 
 __all__ = [
     "FeatureBank",
@@ -166,8 +167,15 @@ def linear_probe(
     """Train one linear layer with softmax cross-entropy on frozen features.
 
     Full-batch gradient descent is plenty at desk scale; returns accuracy
-    on the validation bank.
+    on the validation bank. ``epochs`` must be an integer >= 1 and ``lr``
+    a finite positive real, or it is a ``ValueError``: no epoch leaves the
+    random probe, and a NaN, negative or infinite rate no descent.
     """
+    if not (is_int(epochs) and epochs >= 1):
+        raise ValueError(f"probe epochs must be an integer >= 1, got {epochs!r}")
+    # written as "not (ok)" so that a NaN fails
+    if not (is_real(lr) and 0 < lr < math.inf):
+        raise ValueError(f"probe lr must be a finite positive real, got {lr!r}")
     x = train_bank.features
     y = train_bank.labels
     classes = train_bank.num_classes

@@ -19,12 +19,12 @@ with its activations before the next part records anything:
 Then update the encoder with AdamW, and finally advance the momentum twin
 by EMA. Each parameter is used once per pass, so each gradient is the
 same two-term sum, in the same order, that one tape over both passes
-would give, bit for bit (a sum of -0.0 reads +0.0 once added to the
-zeros, but AdamW's moments keep no zero's sign), and peak memory holds
-one pass's activations, not two. The twin runs before the taped passes,
-so its transient arrays are freed before the activations pile up; it is
-read strictly before the optimizer update and written strictly after it.
-No forward pass draws randomness, so their order changes no value.
+would give, bit for bit (that tape's leaves add into zeros too), and peak
+memory holds one pass's activations, not two. The twin runs before the
+taped passes, so its transient arrays are freed before the activations
+pile up; it is read strictly before the optimizer update and written
+strictly after it. No forward pass draws randomness, so their order
+changes no value.
 
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
@@ -32,7 +32,8 @@ the identical stream without serialising generator state (a checkpoint
 records its config and data, and refuses to resume another), and the whole
 trajectory is reproducible bit for bit, in either precision, on one
 machine and BLAS build. Training computes in 32-bit floats by default
-(augmentation stays in 64 bits and each view is cast once); 64-bit
+(augmentation stays in 64 bits and each view is cast once, before it is
+mixed, so its mix is gathered in the run's precision); 64-bit
 precision is the reference path, for bit-level comparison with earlier
 runs. The CSV log is written from the loss history that a checkpoint
 carries, so a resumed run leaves the log of the uninterrupted one. A run
@@ -301,37 +302,46 @@ def _zeros(params: enc.Packed) -> enc.Packed:
     return enc.Packed(params.shapes, np.zeros(params.flat.shape, params.flat.dtype))
 
 
+class _Aborted(Exception):
+    """A part of a step's loss raised a ``ValueError`` or was not finite."""
+
+
+def _view(
+    state: TrainState, batch: po.ImageBatch, view: int, rng_aug: int, rng_mix: int
+) -> tuple[np.ndarray, np.ndarray, mx.MixPlan]:
+    """View ``view`` of ``batch``: its patches, cast once to the run's
+    precision, their mix under a fresh permutation, and the mix's plan."""
+    cfg, step = state.config, state.step
+    x = au.augment_view(batch, cfg.aug, view, _derive_rng(cfg.seed, rng_aug, step))
+    pb = po.patchify(x, cfg.vit.patch_side)
+    pb = pb.with_patches(pb.patches.astype(cfg.dtype, copy=False))
+    perm = po.sample_permutation(pb.tokens, _derive_rng(cfg.seed, rng_mix, step))
+    plan = mx.plan_mix(mx.MixConfig(batch.count, cfg.mix_count, pb.tokens), perm)
+    return pb.patches, mx.apply_mix(pb, plan).patches.patches, plan
+
+
 def _taped_part(state: TrainState, grad: enc.Packed, patches, loss, part: str):
     """Record the trained encoder's prediction ``h`` for ``patches`` on a
     tape of its own, and back-propagate ``loss(h)``, which returns the
     part's scalar loss tensor, its value and what the step keeps of the
     part, adding each parameter's gradient in place into its view of
     ``grad``. Returns what is kept; the tape is freed on return. When
-    ``loss`` raises a ``ValueError`` or its value is not finite, returns the
-    reason, naming ``part``, before any backward sweep."""
+    ``loss`` raises a ``ValueError`` or its value is not finite, raises
+    ``_Aborted`` with a message naming ``part``, before any backward
+    sweep; the tape goes with the exception."""
     tape = Tape()
     tv = {k: tape.var_into(v, grad[k]) for k, v in state.encoder.params.items()}
     h = _predict(state.config.vit, tv, patches)
     try:
         total, value, kept = loss(h)
     except ValueError as err:
-        # the message, not the error: a handler that keeps log records would
-        # keep its traceback, and through it this step's frame and graph
         reason = str(err)
     else:
         if math.isfinite(value):
             tape.backward(total)
             return kept
         reason = f"non-finite loss {value!r}"
-    tape.discard()
-    return f"{part} part: {reason}; state unchanged"
-
-
-def _aborted(state: TrainState, reason: str) -> tuple[TrainState, None]:
-    """Count and log an aborted step; nothing else in ``state`` changes."""
-    state.aborted += 1
-    log.warning("step %d aborted: %s", state.step, reason)
-    return state, None
+    raise _Aborted(f"{part} part: {reason}; state unchanged")
 
 
 def train_step(
@@ -343,7 +353,7 @@ def train_step(
     loss or the loss itself are not finite, or when the loss raises a
     ``ValueError`` (such as a zero-norm embedding row). An aborted step
     logs a diagnostic that names the part of the loss it aborted in,
-    discards its graph, returns a report of None and increases
+    drops its graph, returns a report of None and increases
     ``state.aborted``; the rest of the state is untouched, since nothing
     writes to it before both parts of the loss are known to be finite. An
     abort in the origin part skips the mixed view's pass.
@@ -356,30 +366,12 @@ def train_step(
             f"batch has {n} images but the configuration expects "
             f"{cfg.batch_size}"
         )
-    seed, step = cfg.seed, state.step
+    step = state.step
     lr, wd, mu = _schedules_at(state)
 
-    # two stochastic views
-    x1 = au.augment_view(batch, cfg.aug, 1, _derive_rng(seed, _RNG_AUG1, step))
-    x2 = au.augment_view(batch, cfg.aug, 2, _derive_rng(seed, _RNG_AUG2, step))
-    pb1 = po.patchify(x1, vit.patch_side)
-    pb2 = po.patchify(x2, vit.patch_side)
-
-    # independent mixing permutations per view
-    mix_cfg = mx.MixConfig(images=n, groups=cfg.mix_count, tokens=pb1.tokens)
-    plan1 = mx.plan_mix(
-        mix_cfg, po.sample_permutation(pb1.tokens, _derive_rng(seed, _RNG_MIX1, step))
-    )
-    plan2 = mx.plan_mix(
-        mix_cfg, po.sample_permutation(pb2.tokens, _derive_rng(seed, _RNG_MIX2, step))
-    )
-    mixed1 = mx.apply_mix(pb1, plan1)
-    mixed2 = mx.apply_mix(pb2, plan2)
-
-    dtype = cfg.dtype
-
-    def cast(pb: po.PatchBatch) -> np.ndarray:
-        return pb.patches.astype(dtype, copy=False)
+    # two stochastic views, each mixed under its own fresh permutation
+    view1, mix1, plan1 = _view(state, batch, 1, _RNG_AUG1, _RNG_MIX1)
+    view2, mix2, _plan2 = _view(state, batch, 2, _RNG_AUG2, _RNG_MIX2)
 
     # momentum branch, read before the optimizer touches the encoder and
     # run before either tape is filled
@@ -389,10 +381,7 @@ def train_step(
         rep = enc.forward_backbone(vit, mtv, patches)
         return enc.forward_project(vit, mtv, rep)
 
-    view2 = cast(pb2)  # read by both branches
-    z_view1 = momentum_project(cast(pb1))
-    z_view2 = momentum_project(view2)
-    z_mix2 = momentum_project(cast(mixed2.patches))
+    z_view1, z_view2, z_mix2 = map(momentum_project, (view1, view2, mix2))
 
     tau, weights = cfg.temperature, cfg.loss_weights
 
@@ -409,13 +398,15 @@ def train_step(
     # gradient branch: one tape per part of the loss, both adding into one
     # flat gradient, the first swept and freed before the second records
     grad = _zeros(state.encoder.params)
-    part = _taped_part(state, grad, view2, origin_loss, "origin")
-    if isinstance(part, str):
-        return _aborted(state, part)
-    h_view2, origin = part
-    report = _taped_part(state, grad, cast(mixed1.patches), mix_loss, "mix")
-    if isinstance(report, str):
-        return _aborted(state, report)
+    try:
+        h_view2, origin = _taped_part(state, grad, view2, origin_loss, "origin")
+        report = _taped_part(state, grad, mix1, mix_loss, "mix")
+    except _Aborted as abort:
+        # the message, not the exception: a handler that keeps log records
+        # would keep its traceback, and through it this step's graph
+        state.aborted += 1
+        log.warning("step %d aborted: %s", step, str(abort))
+        return state, None
 
     grad = grad.flat
     if cfg.grad_clip is not None:

@@ -385,6 +385,29 @@ class TestGradCheck:
         assert cli.main(["grad-check"]) == 1
         assert "nonzero gradient leaked FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("check.step=0", "finite-difference step must be a finite positive real"),
+            ("check.step=-1e-3", "finite-difference step must be"),
+            ("check.step=nan", "finite-difference step must be"),
+            ("check.step=inf", "finite-difference step must be"),
+            ("check.tolerance=-1", "check.tolerance must be a finite non-negative"),
+            ("check.tolerance=nan", "check.tolerance must be"),
+            ("check.tolerance=inf", "check.tolerance must be"),
+        ],
+    )
+    def test_degenerate_step_or_tolerance_is_a_usage_error(
+        self, capsys, override, message
+    ):
+        # exit 1 is a failed verification; a value no check can use is 2
+        assert cli.main(["grad-check", "--override", override]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert not any(
+            line.startswith("grad-check ") for line in captured.out.splitlines()
+        )
+
 
 class TestMixDemo:
     def run_demo(self, out_dir, *extra):
@@ -527,6 +550,27 @@ class TestTrainAndEval:
         assert any(
             l.startswith("linear_accuracy=") for l in out_text.splitlines()
         )
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("eval.epochs=0", "probe epochs must be an integer >= 1, got 0"),
+            ("eval.epochs=-3", "probe epochs must be an integer >= 1, got -3"),
+            ("eval.lr=nan", "probe lr must be a finite positive real, got nan"),
+            ("eval.lr=-1", "probe lr must be a finite positive real, got -1.0"),
+            ("eval.lr=0", "probe lr must be a finite positive real, got 0.0"),
+            ("eval.lr=inf", "probe lr must be a finite positive real, got inf"),
+        ],
+    )
+    def test_eval_linear_rejects_epochs_and_lr_out_of_range(
+        self, trained, capsys, override, message
+    ):
+        _out, ckpt, _log = trained
+        code = cli.main(["eval-linear", "--override", override] + eval_overrides(ckpt))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "linear_accuracy=" not in captured.out
 
     def test_attn_dump_writes_maps_and_csv(self, trained, tmp_path):
         _out, ckpt, _log = trained

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -198,6 +199,20 @@ class TestLinearProbe:
         a = ev.linear_probe(bank, bank, epochs=20, seed=5)
         b = ev.linear_probe(bank, bank, epochs=20, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("epochs", [0, -3, 2.0, True, None])
+    def test_epochs_must_be_a_positive_integer(self, epochs):
+        # no epoch would leave the random probe's accuracy
+        bank = axis_bank()
+        with pytest.raises(ValueError, match="probe epochs must be an integer >= 1"):
+            ev.linear_probe(bank, bank, epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf, -math.inf, "0.1"])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        # a NaN rate makes NaN weights, a negative one ascends
+        bank = axis_bank()
+        with pytest.raises(ValueError, match="probe lr must be a finite positive real"):
+            ev.linear_probe(bank, bank, epochs=1, lr=lr)
 
 
 @pytest.fixture(scope="module")

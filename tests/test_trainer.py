@@ -583,8 +583,8 @@ class TestTrainStep:
                 self.keys = set()  # the key of every tensor of this tape
                 tapes.append(self)
 
-            def var(self, data):
-                t = super().var(data)
+            def var_into(self, data, grad):
+                t = super().var_into(data, grad)
                 self.keys.add(t.key)
                 return t
 
@@ -788,11 +788,8 @@ class TestTrainStep:
                 self.leaves, self.into = 0, []
                 tapes.append(self)
 
-            def var(self, data):
+            def var_into(self, data, grad):  # var attaches through it too
                 self.leaves += 1
-                return super().var(data)
-
-            def var_into(self, data, grad):
                 self.into.append(grad)
                 return super().var_into(data, grad)
 
