@@ -1,8 +1,9 @@
 """Supervision targets for mixed views, and the degenerate loss values.
 
 Prints the origin targets, the mixed-output windows with their triangular
-weights, the duplicate-window warning for small batches, and checks the
-closed-form loss at indistinguishable embeddings. Run with no arguments.
+weights, the repeated window of a small batch and its config's warning,
+and checks the closed-form loss at indistinguishable embeddings. Run with
+no arguments.
 """
 
 import math
@@ -10,9 +11,11 @@ import warnings
 
 import numpy as np
 
+import patchmix.encoder as enc
 import patchmix.mixing as mx
 import patchmix.objectives as ob
 import patchmix.patch_ops as po
+import patchmix.trainer as tr
 
 N, M, T = 9, 3, 18
 cfg = mx.MixConfig(images=N, groups=M, tokens=T)
@@ -36,12 +39,16 @@ row_sum = float(plan.mixed_weights[0].sum())
 print(f"  row weight sum = {row_sum:.6f} (always M)")
 print()
 
-# Small batches make windows wrap onto themselves; the plan still builds
-# but flags the duplicate indices.
+# Small batches make windows wrap onto themselves: at N <= 2M - 2 a row
+# names some outputs twice, and the loss counts each repeat with its own
+# weight. The plan builds silently; a run's config warns once.
+small = mx.plan_mix(mx.MixConfig(images=4, groups=3, tokens=6), po.Permutation.identity(6))
+print("N=4, M=3 window for image 0:", [int(v) for v in small.mixed_targets[0]])
+assert [int(v) for v in small.mixed_targets[0]] == [2, 3, 0, 1, 2]
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    mx.plan_mix(mx.MixConfig(images=4, groups=3, tokens=6), po.Permutation.identity(6))
-print("N=4, M=3 warns:", str(caught[0].message))
+    tr.TrainConfig(enc.vit_micro(8), batch_size=4, mix_count=3)
+print("TrainConfig(batch_size=4, mix_count=3) warns:", str(caught[0].message))
 print()
 
 # With every embedding identical all similarities tie, each softmax is

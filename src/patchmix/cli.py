@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 from . import kvconfig as kv
@@ -238,6 +237,13 @@ def _encoder_from_checkpoint(cfg: dict):
     return tr.encoder_from_checkpoint(path)
 
 
+def _image_format(cfg: dict) -> str:
+    fmt = cfg["demo.format"]
+    if fmt not in ("png", "ppm"):
+        raise ValueError(f"demo.format must be png or ppm, got {fmt!r}")
+    return fmt
+
+
 def _require_out(out: str | None) -> Path:
     if not out:
         raise ValueError("this command writes files; pass --out DIR")
@@ -262,27 +268,22 @@ def cmd_pretrain(cfg: dict, seed: int, out: str | None) -> int:
     return 0
 
 
-def _banks(cfg: dict, seed: int):
-    from . import evaluation as ev
-
-    params = _encoder_from_checkpoint(cfg)
-    train = _dataset(cfg, "train", seed)
-    val = _dataset(cfg, "val", seed)
-    return params, ev.build_bank(params, train), ev.build_bank(params, val), val
-
-
 def cmd_eval_knn(cfg: dict, seed: int, out: str | None) -> int:
     import numpy as np
 
     from . import evaluation as ev
 
-    ev.check_tau(cfg["eval.tau"])  # before any feature is extracted
-    _params, train_bank, val_bank, val = _banks(cfg, seed)
+    k, tau = cfg["eval.k"], cfg["eval.tau"]
+    ev.check_tau(tau)  # both before the checkpoint is read
+    ev.check_k(k, math.inf)
+    params = _encoder_from_checkpoint(cfg)
+    train, val = _dataset(cfg, "train", seed), _dataset(cfg, "val", seed)
+    ev.check_k(k, train.count)  # before any feature is extracted
     preds, acc = ev.knn_classify(
-        train_bank,
-        val_bank.features,
-        k=cfg["eval.k"],
-        tau=cfg["eval.tau"],
+        ev.build_bank(params, train),
+        ev.build_bank(params, val).features,
+        k=k,
+        tau=tau,
         query_labels=val.labels,
     )
     print(f"knn_accuracy={acc}")
@@ -302,12 +303,15 @@ def cmd_eval_knn(cfg: dict, seed: int, out: str | None) -> int:
 def cmd_eval_linear(cfg: dict, seed: int, out: str | None) -> int:
     from . import evaluation as ev
 
-    _params, train_bank, val_bank, _val = _banks(cfg, seed)
+    epochs, lr = cfg["eval.epochs"], cfg["eval.lr"]
+    ev.check_probe(epochs, lr)  # before the checkpoint is read
+    params = _encoder_from_checkpoint(cfg)
+    train, val = _dataset(cfg, "train", seed), _dataset(cfg, "val", seed)
     acc = ev.linear_probe(
-        train_bank,
-        val_bank,
-        epochs=cfg["eval.epochs"],
-        lr=cfg["eval.lr"],
+        ev.build_bank(params, train),
+        ev.build_bank(params, val),
+        epochs=epochs,
+        lr=lr,
         seed=seed,
     )
     print(f"linear_accuracy={acc}")
@@ -321,12 +325,10 @@ def cmd_mix_demo(cfg: dict, seed: int, out: str | None) -> int:
     from . import mixing as mx
     from . import patch_ops as po
 
+    fmt = _image_format(cfg)
     out_dir = _require_out(out)
     n = cfg["demo.images"]
     m = cfg["demo.groups"]
-    fmt = cfg["demo.format"]
-    if fmt not in ("png", "ppm"):
-        raise ValueError(f"demo.format must be png or ppm, got {fmt!r}")
 
     data = _dataset(cfg, "train", seed)
     if data.count < n:
@@ -397,22 +399,7 @@ def cmd_oracle_check(cfg: dict, seed: int, out: str | None) -> int:
                         f"N={n} M={m} T={t} rep={rep} "
                         f"perm={perm.forward.tolist()}"
                     )
-                    # plan_mix must warn exactly when N <= 2M - 2, where
-                    # the mix-to-mix window repeats targets within a row
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        plan = mx.plan_mix(config, perm)
-                    notes = [str(w.message) for w in caught]
-                    expected = n <= 2 * m - 2
-                    if len(notes) != int(expected) or not all(
-                        "duplicate indices within a row" in note for note in notes
-                    ):
-                        print(
-                            f"oracle-check: FAIL {instance}: plan_mix warned "
-                            f"{notes}; duplicate-target warning expected: "
-                            f"{expected}"
-                        )
-                        return 1
+                    plan = mx.plan_mix(config, perm)
                     pb = po.PatchBatch(
                         rng.random((n, t, dim)), 1, (1, t), dim
                     )
@@ -468,8 +455,8 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
     Runs in 64 bits by construction, whatever ``train.precision`` says: its
     points are drawn as 64-bit normals and ``check_gradients`` evaluates
     at 64-bit precision. A ``check.tolerance`` that is not a finite
-    non-negative real, or a ``check.step`` that ``check_gradients``
-    rejects, is a ``ValueError`` before any check runs.
+    non-negative real, ``check.images`` below 2, or a ``check.step`` that
+    ``check_gradients`` rejects, is a ``ValueError`` before any check runs.
     """
     import numpy as np
 
@@ -490,6 +477,8 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
         raise ValueError(
             f"check.tolerance must be a finite non-negative real, got {tol!r}"
         )
+    if n < 2:  # one image makes every loss gradient zero: a vacuous pass
+        raise ValueError(f"check.images must be >= 2, got {n}")
 
     rng = np.random.default_rng(seed)
     perm = po.sample_permutation(t, rng)
@@ -550,24 +539,23 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
 
 
 def cmd_attn_dump(cfg: dict, seed: int, out: str | None) -> int:
-    import numpy as np
-
     from . import evaluation as ev
     from . import imgio
 
+    fmt = _image_format(cfg)
     out_dir = _require_out(out)
-    params = _encoder_from_checkpoint(cfg)
     val = _dataset(cfg, "val", seed)
     index = cfg["eval.index"]
     if not 0 <= index < val.count:
         raise ValueError(f"eval.index {index} outside dataset of {val.count}")
+    params = _encoder_from_checkpoint(cfg)
     maps = ev.attention_maps(params, val.images[index])
 
     lines = ["head,row,col,value"]
     for h in range(maps.shape[0]):
         peak = maps[h].max()
         img = maps[h] / peak if peak > 0 else maps[h]
-        imgio.write_image(out_dir / f"attn_head{h}.{cfg['demo.format']}", img)
+        imgio.write_image(out_dir / f"attn_head{h}.{fmt}", img)
         for r in range(maps.shape[1]):
             for c in range(maps.shape[2]):
                 lines.append(f"{h},{r},{c},{maps[h, r, c]:.17g}")

@@ -23,6 +23,8 @@ __all__ = [
     "FeatureBank",
     "extract_features",
     "check_tau",
+    "check_k",
+    "check_probe",
     "knn_classify",
     "linear_probe",
     "attention_maps",
@@ -108,6 +110,24 @@ def check_tau(tau: float) -> None:
         raise ValueError(f"tau must be finite and at least 0.0015, got {tau}")
 
 
+def check_k(k: int, count: float) -> None:
+    """Reject a kNN neighbour count that is not an integer in [1, count],
+    ``count`` being the bank's row count (``math.inf`` before a bank)."""
+    if not (is_int(k) and 1 <= k <= count):
+        raise ValueError(f"k must be an integer in [1, {count}], got {k!r}")
+
+
+def check_probe(epochs: int, lr: float) -> None:
+    """Reject linear-probe settings: ``epochs`` must be an integer >= 1
+    and ``lr`` a finite positive real. No epoch leaves the random probe,
+    and a NaN, negative or infinite rate no descent."""
+    if not (is_int(epochs) and epochs >= 1):
+        raise ValueError(f"probe epochs must be an integer >= 1, got {epochs!r}")
+    # written as "not (ok)" so that a NaN fails
+    if not (is_real(lr) and 0 < lr < math.inf):
+        raise ValueError(f"probe lr must be a finite positive real, got {lr!r}")
+
+
 def knn_classify(
     bank: FeatureBank,
     queries: np.ndarray,
@@ -122,13 +142,12 @@ def knn_classify(
     toward the smaller class index (argmax convention). Queries are
     normalised defensively, so any positive per-row rescaling of raw
     features leaves predictions unchanged; a zero or non-finite row has no
-    direction and is rejected, and so is a ``tau`` that ``check_tau``
-    rejects. Returns (predictions, accuracy) with accuracy None when no
-    labels are given.
+    direction and is rejected, and so are a ``tau`` and a ``k`` that
+    ``check_tau`` and ``check_k`` reject. Returns (predictions, accuracy)
+    with accuracy None when no labels are given.
     """
     check_tau(tau)
-    if not 1 <= k <= bank.count:
-        raise ValueError(f"k must lie in [1, {bank.count}], got {k}")
+    check_k(k, bank.count)
     q = np.asarray(queries, dtype=np.float64)
     norms = np.linalg.norm(q, axis=1)
     bad = ~(np.isfinite(norms) & (norms > 0.0))
@@ -167,15 +186,10 @@ def linear_probe(
     """Train one linear layer with softmax cross-entropy on frozen features.
 
     Full-batch gradient descent is plenty at desk scale; returns accuracy
-    on the validation bank. ``epochs`` must be an integer >= 1 and ``lr``
-    a finite positive real, or it is a ``ValueError``: no epoch leaves the
-    random probe, and a NaN, negative or infinite rate no descent.
+    on the validation bank. ``epochs`` and ``lr`` that ``check_probe``
+    rejects are a ``ValueError``.
     """
-    if not (is_int(epochs) and epochs >= 1):
-        raise ValueError(f"probe epochs must be an integer >= 1, got {epochs!r}")
-    # written as "not (ok)" so that a NaN fails
-    if not (is_real(lr) and 0 < lr < math.inf):
-        raise ValueError(f"probe lr must be a finite positive real, got {lr!r}")
+    check_probe(epochs, lr)
     x = train_bank.features
     y = train_bank.labels
     classes = train_bank.num_classes

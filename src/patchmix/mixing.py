@@ -37,7 +37,6 @@ mix-to-mix targets and weights).
 from __future__ import annotations
 
 import io
-import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -159,19 +158,15 @@ def plan_mix(config: MixConfig, perm: Permutation) -> MixPlan:
     """Build the full mixing plan for one batch under a shared permutation.
 
     Raises if the permutation length does not match ``config.tokens``.
-    Warns when N <= 2M - 2, in which case the cyclic mix-to-mix window wraps
-    far enough that some target indices repeat within a row.
+    When N <= 2M - 2 the cyclic mix-to-mix window wraps far enough that
+    some target indices repeat within a row; ``objectives.loss_mtm``
+    counts each repeat with its own weight. A pure function: the warning
+    about such a batch comes from ``trainer.TrainConfig``, once per config.
     """
     n, m, t = config.images, config.groups, config.tokens
     if len(perm) != t:
         raise ValueError(
             f"permutation length {len(perm)} does not match token count {t}"
-        )
-    if n <= 2 * m - 2:
-        warnings.warn(
-            f"batch size {n} <= 2*{m} - 2: mix-to-mix targets contain "
-            f"duplicate indices within a row",
-            stacklevel=2,
         )
 
     sizes = _group_sizes(t, m)

@@ -47,6 +47,7 @@ import hashlib
 import json
 import logging
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -90,7 +91,14 @@ _RNG_MIX2 = 6
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one pretraining run."""
+    """Hyperparameters of one pretraining run.
+
+    A field out of range is a ``ValueError``. A batch of at most
+    2 * mix_count - 2 images is allowed but warned about (``UserWarning``,
+    reported at the line that builds the config): a mixed view's 2M-1
+    mix-to-mix neighbours then wrap around the batch and repeat targets
+    within a row, each repeat counted with its own weight.
+    """
 
     vit: enc.ViTConfig
     aug: au.AugConfig = field(default_factory=au.AugConfig)
@@ -160,6 +168,13 @@ class TrainConfig:
             )
         if self.precision not in ("f64", "f32"):
             raise ValueError(f"precision must be f64 or f32, got {self.precision!r}")
+        n, m = self.batch_size, self.mix_count
+        if n <= 2 * m - 2:
+            warnings.warn(
+                f"batch size {n} <= 2*{m} - 2: mix-to-mix targets contain "
+                f"duplicate indices within a row",
+                stacklevel=3,
+            )
 
     @property
     def dtype(self):

@@ -25,8 +25,6 @@ from patchmix import objectives as ob
 from patchmix import patch_ops as po
 from patchmix import trainer as tr
 
-pytestmark = pytest.mark.filterwarnings("ignore:batch size")
-
 
 def check(num: str, ok: bool, detail: str) -> None:
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})"

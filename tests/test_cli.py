@@ -6,7 +6,6 @@ import os
 import struct
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +22,26 @@ from patchmix import trainer as tr
 
 import checkpoint_bytes as cb
 
-# small demo/check batches legitimately trigger the duplicate-window notice
-pytestmark = pytest.mark.filterwarnings("ignore:batch size")
-
 
 def quiet_main(args):
     """Run the CLI discarding stdout; for tests that only check effects."""
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(args)
+
+
+def run_cli_process(args):
+    """Run the CLI in a fresh interpreter that shows every warning."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [
+            sys.executable, "-W", "always", "-c",
+            "import sys; from patchmix import cli; sys.exit(cli.main(sys.argv[1:]))",
+            *args,
+        ],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
 
 class TestKvConfig:
@@ -315,45 +326,10 @@ class TestOracleCheck:
         assert "N=" in out and "perm=" in out  # counterexample is printed
 
     def test_clean_run_writes_no_user_warning(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        proc = subprocess.run(
-            [
-                sys.executable, "-W", "always::UserWarning", "-c",
-                "import sys; from patchmix import cli; "
-                "sys.exit(cli.main(['oracle-check']))",
-            ],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_cli_process(["oracle-check"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "oracle-check: pass" in proc.stdout
-        assert "UserWarning" not in proc.stderr
-
-    def test_fails_when_duplicate_target_warning_is_missing(
-        self, monkeypatch, capsys
-    ):
-        real = mx.plan_mix
-
-        def silent(config, perm):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return real(config, perm)
-
-        monkeypatch.setattr(mx, "plan_mix", silent)
-        assert cli.main(["oracle-check"]) == 1
-        assert "warning expected: True" in capsys.readouterr().out
-
-    def test_fails_on_unexpected_warning(self, monkeypatch, capsys):
-        real = mx.plan_mix
-
-        def noisy(config, perm):
-            warnings.warn("duplicate indices within a row")
-            return real(config, perm)
-
-        monkeypatch.setattr(mx, "plan_mix", noisy)
-        assert cli.main(["oracle-check"]) == 1
-        assert "warning expected: False" in capsys.readouterr().out
+        assert proc.stderr == ""
 
 
 class TestGradCheck:
@@ -364,6 +340,13 @@ class TestGradCheck:
             assert f"grad-check {name}" in out
         assert "xi_branch: gradients identically zero ok" in out
         assert "FAIL" not in out
+
+    def test_default_run_writes_nothing_to_stderr(self):
+        # its 4 images at M=3 wrap the mix-to-mix window, which is no fault
+        proc = run_cli_process(["grad-check"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "xi_branch: gradients identically zero ok" in proc.stdout
+        assert proc.stderr == ""
 
     def test_precision_setting_changes_nothing_but_its_echo(self, capsys):
         # grad-check runs in f64 whatever train.precision says
@@ -395,6 +378,9 @@ class TestGradCheck:
             ("check.tolerance=-1", "check.tolerance must be a finite non-negative"),
             ("check.tolerance=nan", "check.tolerance must be"),
             ("check.tolerance=inf", "check.tolerance must be"),
+            # one image makes every loss gradient zero, so every check passes
+            ("check.images=1", "check.images must be >= 2, got 1"),
+            ("check.images=0", "check.images must be >= 2, got 0"),
         ],
     )
     def test_degenerate_step_or_tolerance_is_a_usage_error(
@@ -445,6 +431,13 @@ class TestMixDemo:
         assert self.run_demo(b, "--seed", "11") == 0
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_default_run_writes_nothing_to_stderr(self, tmp_path):
+        # its 3 images at M=3 wrap the mix-to-mix window, which is no fault
+        proc = run_cli_process(["mix-demo", "--out", str(tmp_path)])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"mix-demo: wrote 13 files to {tmp_path}" in proc.stdout
+        assert proc.stderr == ""
 
     def test_bad_format_rejected(self, tmp_path, capsys):
         code = self.run_demo(tmp_path, "--override", "demo.format=gif")
@@ -504,6 +497,27 @@ def eval_overrides(ckpt):
     ]
 
 
+@pytest.fixture
+def no_features(monkeypatch):
+    """Fail any feature extraction."""
+    from patchmix import evaluation as ev
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("features were extracted")
+
+    monkeypatch.setattr(ev, "extract_features", refuse)
+
+
+@pytest.fixture
+def no_checkpoint(monkeypatch):
+    """Fail any read of an encoder checkpoint, and so any feature extraction."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(tr, "encoder_from_checkpoint", refuse)
+
+
 class TestTrainAndEval:
     def test_pretrain_prints_checkpoint_and_logs(self, trained):
         out, ckpt, log = trained
@@ -527,18 +541,34 @@ class TestTrainAndEval:
 
     @pytest.mark.parametrize("tau", ["0", "-0.07", "nan", "inf", "0.001"])
     def test_eval_knn_rejects_tau_before_extracting_features(
-        self, trained, capsys, monkeypatch, tau
+        self, trained, capsys, no_checkpoint, tau
     ):
-        from patchmix import evaluation as ev
-
-        def no_features(*args, **kwargs):
-            raise AssertionError("features were extracted")
-
-        monkeypatch.setattr(ev, "extract_features", no_features)
         _out, ckpt, _log = trained
         args = ["eval-knn", "--override", f"eval.tau={tau}"] + eval_overrides(ckpt)
         assert quiet_main(args) == 2
         assert "error: tau must be finite and at least 0.0015" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-5"])
+    def test_eval_knn_rejects_k_below_one_before_reading_the_checkpoint(
+        self, trained, capsys, no_checkpoint, k
+    ):
+        _out, ckpt, _log = trained
+        args = ["eval-knn"] + eval_overrides(ckpt) + ["--override", f"eval.k={k}"]
+        assert quiet_main(args) == 2
+        assert f"error: k must be an integer in [1, inf], got {k}" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("k", ["17", "1000"])
+    def test_eval_knn_rejects_k_above_the_training_set_before_extracting_features(
+        self, trained, capsys, no_features, k
+    ):
+        _out, ckpt, _log = trained  # eval_overrides' training set holds 16 images
+        args = ["eval-knn"] + eval_overrides(ckpt) + ["--override", f"eval.k={k}"]
+        assert quiet_main(args) == 2
+        assert f"error: k must be an integer in [1, 16], got {k}" in (
+            capsys.readouterr().err
+        )
 
     def test_eval_linear_reports_accuracy(self, trained, capsys):
         _out, ckpt, _log = trained
@@ -563,7 +593,7 @@ class TestTrainAndEval:
         ],
     )
     def test_eval_linear_rejects_epochs_and_lr_out_of_range(
-        self, trained, capsys, override, message
+        self, trained, capsys, no_checkpoint, override, message
     ):
         _out, ckpt, _log = trained
         code = cli.main(["eval-linear", "--override", override] + eval_overrides(ckpt))
@@ -584,6 +614,27 @@ class TestTrainAndEval:
         heads = {int(l.split(",")[0]) for l in csv_lines[1:]}
         for h in heads:
             assert (tmp_path / f"attn_head{h}.ppm").exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("demo.format=jpg", "demo.format must be png or ppm, got 'jpg'"),
+            ("eval.index=8", "eval.index 8 outside dataset of 8"),
+            ("eval.index=-1", "eval.index -1 outside dataset of 8"),
+        ],
+    )
+    def test_attn_dump_rejects_format_and_index_before_reading_the_checkpoint(
+        self, trained, tmp_path, capsys, no_checkpoint, override, message
+    ):
+        _out, ckpt, _log = trained
+        out = tmp_path / "attn"
+        code = quiet_main(
+            ["attn-dump", "--out", str(out)]
+            + eval_overrides(ckpt) + ["--override", override]
+        )
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "change, differs",

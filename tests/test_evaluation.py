@@ -114,6 +114,11 @@ class TestKnn:
         with pytest.raises(ValueError, match="k must"):
             ev.knn_classify(bank, np.eye(3), k=7)
 
+    @pytest.mark.parametrize("k", [2.0, True, "3", None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer in"):
+            ev.knn_classify(axis_bank(), np.eye(3), k=k)
+
     def test_accuracy_none_without_labels(self):
         _, acc = ev.knn_classify(axis_bank(), np.eye(3), k=1)
         assert acc is None

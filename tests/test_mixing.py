@@ -1,11 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from patchmix import mixing as mx
 from patchmix import patch_ops as po
-
-# small batches legitimately trigger the duplicate-window notice
-pytestmark = pytest.mark.filterwarnings("ignore:batch size")
 
 
 def random_patches(n: int, t: int, d: int, seed: int = 0) -> po.PatchBatch:
@@ -118,11 +117,19 @@ class TestPlanMix:
         with pytest.raises(ValueError):
             mx.plan_mix(mx.MixConfig(images=4, groups=2, tokens=16), perm)
 
-    def test_duplicate_window_warns(self):
-        # N <= 2M - 2 makes the mix-to-mix window wrap onto itself
+    def test_wrapped_window_repeats_targets_without_a_warning(self):
+        # N <= 2M - 2 makes the mix-to-mix window wrap onto itself; the plan
+        # keeps every repeat, and warning about it is TrainConfig's job
         perm = po.Permutation.identity(16)
-        with pytest.warns(UserWarning, match="duplicate"):
-            mx.plan_mix(mx.MixConfig(images=4, groups=3, tokens=16), perm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = mx.plan_mix(mx.MixConfig(images=4, groups=3, tokens=16), perm)
+            small = mx.plan_mix(mx.MixConfig(images=2, groups=2, tokens=16), perm)
+        np.testing.assert_array_equal(
+            plan.mixed_targets,
+            [[2, 3, 0, 1, 2], [3, 0, 1, 2, 3], [0, 1, 2, 3, 0], [1, 2, 3, 0, 1]],
+        )
+        np.testing.assert_array_equal(small.mixed_targets, [[1, 0, 1], [0, 1, 0]])
 
     def test_group_bounds_cover_tokens(self):
         plan = make_plan(3, 3, 10)
@@ -208,7 +215,6 @@ class TestPlanText:
 
 
 class TestPropertyGrid:
-    @pytest.mark.filterwarnings("ignore:batch size")
     def test_random_instances_conserve_and_preserve(self):
         rng = np.random.default_rng(42)
         for _ in range(60):

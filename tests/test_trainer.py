@@ -5,6 +5,7 @@ import gc
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -21,6 +22,9 @@ from patchmix import trainer as tr
 from patchmix.autodiff import Tape
 
 from checkpoint_bytes import per_name
+
+# TrainConfig's warning for a batch of at most 2M - 2 images
+DUPLICATE_TARGETS = "mix-to-mix targets contain duplicate indices within a row"
 
 
 def micro_config(**overrides) -> tr.TrainConfig:
@@ -245,6 +249,22 @@ class TestConfigValidation:
     def test_mix_count_bounded_by_batch(self):
         with pytest.raises(ValueError, match="mix count"):
             micro_config(batch_size=2, mix_count=3)
+
+    @pytest.mark.parametrize("mix_count", [1, 2, 3, 4])
+    def test_wrapping_mix_window_warns_once_at_construction(self, mix_count):
+        # a batch of at most 2M - 2 wraps the 2M-1 mix-to-mix window
+        for batch in range(mix_count, 2 * mix_count + 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                micro_config(batch_size=batch, mix_count=mix_count)
+            if batch <= 2 * mix_count - 2:
+                assert [str(w.message) for w in caught] == [
+                    f"batch size {batch} <= 2*{mix_count} - 2: {DUPLICATE_TARGETS}"
+                ]
+                assert caught[0].category is UserWarning
+                assert caught[0].filename == __file__  # micro_config's line
+            else:
+                assert caught == []
 
     def test_loss_weights_validated(self):
         with pytest.raises(ValueError, match="weights"):
@@ -1269,10 +1289,6 @@ class TestLayout:
         tr.encoder_from_checkpoint(bad)  # the encoder needs its own set only
 
 
-# plan_mix's warning for a batch of at most 2M - 2 images
-DUPLICATE_TARGETS = "mix-to-mix targets contain duplicate indices within a row"
-
-
 class TestPretrain:
     def small_data(self, seed=0, per_class=4):
         return ds.synth_blobs(2, per_class, 8, True, seed=seed, noise_sigma=0.1)
@@ -1399,6 +1415,10 @@ class TestPretrain:
                 f"{tr._fingerprint(other.images)} configured"
             ]
             data = other
+        elif change in (dict(batch_size=2), dict(mix_count=3)):
+            # both wrap the mix-to-mix window: 2 <= 2*2 - 2 and 4 <= 2*3 - 2
+            with pytest.warns(UserWarning, match=DUPLICATE_TARGETS):
+                cfg = dataclasses.replace(cfg, **change)
         else:
             cfg = dataclasses.replace(cfg, **change)
         steps = []
@@ -1472,10 +1492,9 @@ class TestPretrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
     def test_diverging_run_stops_with_an_error(self, tmp_path):
         # step 1 leaves non-finite weights mid-epoch, so the run stops there
-        cfg = micro_config(base_lr=1e200, epochs=3, batch_size=2)
-        with pytest.warns(UserWarning, match=DUPLICATE_TARGETS), pytest.raises(
-            ValueError, match=r"^step 1 .* the run has diverged$"
-        ):
+        with pytest.warns(UserWarning, match=DUPLICATE_TARGETS):
+            cfg = micro_config(base_lr=1e200, epochs=3, batch_size=2)
+        with pytest.raises(ValueError, match=r"^step 1 .* the run has diverged$"):
             tr.pretrain(cfg, self.small_data(), tmp_path)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))
@@ -1489,11 +1508,10 @@ class TestPretrain:
     ):
         # step 1 ends epoch 1 with non-finite weights; the epoch's checkpoint
         # would hold them, so none is written
-        cfg = tr.TrainConfig(enc.vit_micro(8), base_lr=1e200, epochs=3,
-                             warmup_epochs=1, batch_size=4, checkpoint_every=1)
-        with pytest.warns(UserWarning, match=DUPLICATE_TARGETS), pytest.raises(
-            ValueError, match=r"^step 1 .* the run has diverged$"
-        ):
+        with pytest.warns(UserWarning, match=DUPLICATE_TARGETS):
+            cfg = tr.TrainConfig(enc.vit_micro(8), base_lr=1e200, epochs=3,
+                                 warmup_epochs=1, batch_size=4, checkpoint_every=1)
+        with pytest.raises(ValueError, match=r"^step 1 .* the run has diverged$"):
             tr.pretrain(cfg, ds.synth_blobs(2, 4, 8, True, seed=0), tmp_path)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))
