@@ -713,7 +713,7 @@ def l2_normalize(a, axis: int = -1) -> Tensor:
     if np.any(norm == 0.0):
         where = np.argwhere(norm == 0.0)[0]
         raise ValueError(
-            f"cannot normalise a zero-norm slice at index {tuple(where)}"
+            f"cannot normalise a zero-norm slice at index {tuple(where.tolist())}"
         )
     y = av / norm
 

@@ -455,8 +455,9 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
     Runs in 64 bits by construction, whatever ``train.precision`` says: its
     points are drawn as 64-bit normals and ``check_gradients`` evaluates
     at 64-bit precision. A ``check.tolerance`` that is not a finite
-    non-negative real, ``check.images`` below 2, or a ``check.step`` that
-    ``check_gradients`` rejects, is a ``ValueError`` before any check runs.
+    non-negative real, ``check.images`` below 2, ``check.dim`` below 1, or a
+    ``check.step`` that ``check_gradients`` rejects, is a ``ValueError``
+    before any check runs.
     """
     import numpy as np
 
@@ -479,6 +480,8 @@ def cmd_grad_check(cfg: dict, seed: int, out: str | None) -> int:
         )
     if n < 2:  # one image makes every loss gradient zero: a vacuous pass
         raise ValueError(f"check.images must be >= 2, got {n}")
+    if dim < 1:  # every embedding row would have zero norm
+        raise ValueError(f"check.dim must be >= 1, got {dim}")
 
     rng = np.random.default_rng(seed)
     perm = po.sample_permutation(t, rng)

@@ -98,8 +98,11 @@ def load_cifar_binary(
     """Load CIFAR records from one binary file or a directory of them.
 
     For a directory, ``split`` selects the conventional file set
-    ("train" or "val"/"test"); for a single file the split defaults from
-    the filename. Wrong-sized files are rejected with byte counts.
+    ("train" or "val"/"test"). A single file's split follows from its name:
+    a name containing "test" is the validation split, any other the
+    training split, and a ``split`` that contradicts it is a ``ValueError``
+    naming the file, so that no run evaluates on its training images.
+    Wrong-sized files are rejected with byte counts.
     """
     if variant not in _LABEL_BYTES:
         raise ValueError(f"unknown variant {variant!r}; use cifar10 or cifar100")
@@ -121,8 +124,13 @@ def load_cifar_binary(
         files = [path / n for n in names]
     else:
         files = [path]
-        if split is None:
-            split = "val" if "test" in path.name.lower() else "train"
+        named = "val" if "test" in path.name.lower() else "train"
+        if split is not None and (split == "train") != (named == "train"):
+            raise ValueError(
+                f"{path}: the file's name makes it the {named} split, but the "
+                f"{split} split was asked for"
+            )
+        split = named
 
     images_parts, labels_parts = [], []
     for f in files:

@@ -29,7 +29,8 @@ changes no value.
 Randomness is counter-based: every consumer derives its generator from
 (seed, purpose, step) or (seed, purpose, epoch), so a resumed run replays
 the identical stream without serialising generator state (a checkpoint
-records its config and data, and refuses to resume another), and the whole
+records its config, data, steps per epoch and position, whence its epoch
+and schedules follow, and refuses to resume another), and the whole
 trajectory is reproducible bit for bit, in either precision, on one
 machine and BLAS build. Training computes in 32-bit floats by default
 (augmentation stays in 64 bits and each view is cast once, before it is
@@ -183,18 +184,16 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Everything that evolves during pretraining."""
+    """Everything that evolves during pretraining, and its steps per epoch."""
 
     config: TrainConfig
-    step: int
-    epoch: int
+    step: int  # completed steps
     encoder: enc.EncoderParams
     momentum: enc.EncoderParams
     opt_m: enc.Packed  # AdamW moments, in the layout of encoder.params
     opt_v: enc.Packed
     decay: np.ndarray  # decay_mask(encoder.params)
-    total_steps: int
-    warmup_steps: int
+    steps_per_epoch: int  # full batches in the training images
     loss_history: list[tuple] = field(default_factory=list)
     aborted: int = 0  # steps aborted by train_step's rule; they leave no log row
     data: str | None = None  # the training images' _fingerprint, set by pretrain
@@ -205,32 +204,19 @@ def _derive_rng(seed: int, purpose: int, index: int) -> np.random.Generator:
 
 
 def schedule(
-    step: int,
-    total_steps: int,
-    warmup_steps: int,
-    start: float,
-    end: float,
-    kind: str,
+    step: int, total_steps: int, warmup_steps: int, start: float, end: float
 ) -> float:
-    """Scalar schedules shared by lr, weight decay, and EMA momentum.
-
-    ``warmup-cosine``: linear 0 -> start over the warmup, then a half
-    cosine start -> end over the remainder (the learning-rate shape).
-    ``cosine``: half cosine start -> end over all steps, no warmup. Both
-    hit their endpoints exactly at step 0, the warmup boundary, and
-    ``total_steps``.
+    """The scalar schedule shared by lr, weight decay, and EMA momentum:
+    linear 0 -> start over the warmup, then a half cosine start -> end over
+    the remainder. The learning rate warms up; weight decay and momentum
+    take no warmup, so their cosine spans every step. It hits its
+    endpoints exactly at step 0, the warmup boundary, and ``total_steps``.
     """
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    if kind == "warmup-cosine":
-        if warmup_steps > 0 and step < warmup_steps:
-            return start * step / warmup_steps
-        span = max(total_steps - warmup_steps, 1)
-        progress = (step - warmup_steps) / span
-    elif kind == "cosine":
-        progress = step / max(total_steps, 1)
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    if warmup_steps > 0 and step < warmup_steps:
+        return start * step / warmup_steps
+    progress = (step - warmup_steps) / max(total_steps - warmup_steps, 1)
     # the cosine blend re-rounds (start - end) at the ends of the range,
     # so the documented endpoints are returned verbatim
     if progress == 0.0:
@@ -298,10 +284,11 @@ def _clip_gradients(grad: np.ndarray, max_norm: float) -> None:
 
 
 def _schedules_at(state: TrainState) -> tuple[float, float, float]:
-    cfg, step, total = state.config, state.step, state.total_steps
-    lr = schedule(step, total, state.warmup_steps, cfg.base_lr, 0.0, "warmup-cosine")
-    wd = schedule(step, total, 0, *cfg.weight_decay, "cosine")
-    mu = schedule(step, total, 0, *cfg.momentum_mu, "cosine")
+    cfg, step, spe = state.config, state.step, state.steps_per_epoch
+    total = cfg.epochs * spe
+    lr = schedule(step, total, cfg.warmup_epochs * spe, cfg.base_lr, 0.0)
+    wd = schedule(step, total, 0, *cfg.weight_decay)
+    mu = schedule(step, total, 0, *cfg.momentum_mu)
     return lr, wd, mu
 
 
@@ -452,14 +439,12 @@ def init_state(cfg: TrainConfig, dataset_size: int) -> TrainState:
     return TrainState(
         config=cfg,
         step=0,
-        epoch=0,
         encoder=encoder,
         momentum=enc.init_momentum(encoder),
         opt_m=_zeros(encoder.params),
         opt_v=_zeros(encoder.params),
         decay=decay_mask(encoder.params),
-        total_steps=cfg.epochs * steps_per_epoch,
-        warmup_steps=cfg.warmup_epochs * steps_per_epoch,
+        steps_per_epoch=steps_per_epoch,
     )
 
 
@@ -493,16 +478,13 @@ def _check_same_run(path, recorded: dict, configured: dict) -> None:
 
 
 # the meta keys that save_state writes and state_from_checkpoint requires:
-# the state's counters, loss history and data fingerprint, and the run
-_STATE_META = (
-    "step", "epoch", "total_steps", "warmup_steps", "loss_history", "aborted",
-    "data", "run",
-)
-_COUNTERS = ("step", "epoch", "total_steps", "warmup_steps", "aborted")
+# the state's counts, loss history and data fingerprint, and the run
+_STATE_META = ("step", "steps_per_epoch", "loss_history", "aborted", "data", "run")
+_COUNTERS = {"step": 0, "steps_per_epoch": 1, "aborted": 0}  # each count's least value
 
 
 def save_state(state: TrainState, path) -> None:
-    """Write a checkpoint: the counters, the run, and each of the four
+    """Write a checkpoint: the counts, the run, and each of the four
     parameter sets as one blob, its ``flat``."""
     meta = {k: getattr(state, k) for k in _STATE_META if k != "run"}
     meta["run"] = _record(state.config)
@@ -557,12 +539,12 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     """Rebuild a TrainState from a checkpoint written by ``save_state`` in
     a run of ``cfg``, each parameter set read from its one blob into its
     ``enc.layout``: the twin's, the others the encoder's. A checkpoint whose
-    meta lacks a key of ``_STATE_META``, whose counters are not
-    non-negative integers, whose step is above its total steps or whose
-    warmup is not below them, whose loss history is not ``step`` rows of
-    ``CSV_COLUMNS`` reals (a completed step appends one row), whose run is
-    not an object or differs from ``cfg`` in a field but
-    ``checkpoint_every``, whose header backbone is not ``cfg.vit``, that
+    meta lacks a key of ``_STATE_META``, whose counts are below their
+    ``_COUNTERS`` value or not integers, whose loss history is not ``step``
+    rows of ``CSV_COLUMNS`` reals (a completed step appends one row), whose
+    run is not an object or differs from ``cfg`` in a field but
+    ``checkpoint_every``, whose steps and aborted steps exceed the run's,
+    whose header backbone is not ``cfg.vit``, that
     lacks one of the four blobs ``theta``, ``xi``, ``adam_m`` and
     ``adam_v``, whose blob is not 1-D of its layout's size in ``cfg``'s
     precision, or whose encoder holds a non-finite weight, is a
@@ -575,22 +557,13 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
             f"{path}: checkpoint meta lacks {', '.join(missing)}; it does not "
             f"hold a training state"
         )
-    for k in _COUNTERS:
+    for k, least in _COUNTERS.items():
         v = meta[k]
-        if isinstance(v, bool) or not (isinstance(v, int) and v >= 0):
+        if isinstance(v, bool) or not (isinstance(v, int) and v >= least):
             raise ValueError(
-                f"{path}: checkpoint meta {k} is {v!r}, not a non-negative integer"
+                f"{path}: checkpoint meta {k} is {v!r}, not an integer >= {least}"
             )
-    step, warmup, total = meta["step"], meta["warmup_steps"], meta["total_steps"]
-    if step > total:
-        raise ValueError(
-            f"{path}: checkpoint meta step is {step}, above total_steps {total}"
-        )
-    if warmup >= total:
-        raise ValueError(
-            f"{path}: checkpoint meta warmup_steps is {warmup}, not below "
-            f"total_steps {total}"
-        )
+    step, spe, aborted = (meta[k] for k in _COUNTERS)
     history = meta["loss_history"]
     if not (isinstance(history, list) and len(history) == step and all(
         are_reals(row, len(CSV_COLUMNS)) for row in history
@@ -602,6 +575,11 @@ def state_from_checkpoint(path, cfg: TrainConfig) -> TrainState:
     if not isinstance(meta["run"], dict):
         raise ValueError(f"{path}: checkpoint meta run is not a JSON object")
     _check_same_run(path, meta["run"], _record(cfg))
+    if step + aborted > cfg.epochs * spe:
+        raise ValueError(
+            f"{path}: checkpoint meta step {step} plus aborted {aborted} is "
+            f"above the run's {cfg.epochs} epochs of {spe} steps"
+        )
     if vit != cfg.vit:
         raise ValueError(f"{path}: the checkpoint's header backbone is not its run's")
     shapes = enc.layout(cfg.vit)
@@ -647,8 +625,9 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
     file holds the header and the rows the state starts with (the
     checkpoint's, on resume), and each epoch appends its own. So a resumed
     run leaves the uninterrupted run's log, whatever ``out_dir`` held. A
-    resume under another ``cfg`` (see ``state_from_checkpoint``) or other
-    images is a ``ValueError`` naming the file, raised before any step.
+    resume under another ``cfg`` (see ``state_from_checkpoint``), images or
+    steps per epoch, or from inside an epoch, is a ``ValueError`` naming
+    the file, raised before any step or log row.
 
     A run stops as soon as the encoder holds a non-finite weight, checked
     after every step, completed or aborted: the epoch's completed steps are
@@ -661,22 +640,29 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     images = data.images
     n_total = images.shape[0]
+    spe = n_total // cfg.batch_size
 
     if resume_from is not None:
         state = state_from_checkpoint(resume_from, cfg)
-        data_now = {"data": _fingerprint(images)}  # hashed once per call
-        _check_same_run(resume_from, {"data": state.data}, data_now)
+        now = {"data": _fingerprint(images), "steps_per_epoch": spe}  # hashed once
+        _check_same_run(resume_from, {k: getattr(state, k) for k in now}, now)
     else:
         state = init_state(cfg, n_total)
 
-    steps_per_epoch = n_total // cfg.batch_size
+    # every attempted step completes or aborts, and checkpoints end epochs
+    first_epoch, inside = divmod(state.step + state.aborted, spe)
+    if inside:
+        raise ValueError(
+            f"{resume_from}: checkpoint meta step {state.step} plus aborted "
+            f"{state.aborted} ends inside epoch {first_epoch + 1}"
+        )
     csv_path = out_dir / "train_log.csv"
     _write_log(csv_path, "w", state.loss_history)
 
-    for epoch in range(state.epoch, cfg.epochs):
+    for epoch in range(first_epoch, cfg.epochs):
         order = _derive_rng(cfg.seed, _RNG_ORDER, epoch).permutation(n_total)
         first = len(state.loss_history)
-        for b in range(steps_per_epoch):
+        for b in range(spe):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             state, _ = train_step(state, po.ImageBatch(images[idx]))
             if not np.isfinite(state.encoder.params.flat).all():
@@ -686,7 +672,6 @@ def pretrain(cfg: TrainConfig, data, out_dir, resume_from=None) -> Path:
                     f"has diverged"
                 )
         _write_log(csv_path, "a", state.loss_history[first:])
-        state.epoch = epoch + 1
         state.data = state.data or _fingerprint(images)  # fresh: after epoch 1
         if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_state(state, out_dir / f"checkpoint_epoch{epoch + 1:04d}.bin")

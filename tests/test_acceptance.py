@@ -227,13 +227,13 @@ def test_criterion_06_ema_closed_form():
 
 
 def test_criterion_07_schedule_endpoints():
-    lr0 = tr.schedule(0, 304, 32, 2e-3, 0.0, "warmup-cosine")
-    lr_w = tr.schedule(32, 304, 32, 2e-3, 0.0, "warmup-cosine")
-    lr_end = tr.schedule(304, 304, 32, 2e-3, 0.0, "warmup-cosine")
-    wd0 = tr.schedule(0, 304, 0, 0.04, 0.4, "cosine")
-    wd_end = tr.schedule(304, 304, 0, 0.04, 0.4, "cosine")
-    mu0 = tr.schedule(0, 304, 0, 0.996, 1.0, "cosine")
-    mu_end = tr.schedule(304, 304, 0, 0.996, 1.0, "cosine")
+    lr0 = tr.schedule(0, 304, 32, 2e-3, 0.0)
+    lr_w = tr.schedule(32, 304, 32, 2e-3, 0.0)
+    lr_end = tr.schedule(304, 304, 32, 2e-3, 0.0)
+    wd0 = tr.schedule(0, 304, 0, 0.04, 0.4)
+    wd_end = tr.schedule(304, 304, 0, 0.04, 0.4)
+    mu0 = tr.schedule(0, 304, 0, 0.996, 1.0)
+    mu_end = tr.schedule(304, 304, 0, 0.996, 1.0)
     ok = (
         lr0 == 0.0
         and lr_w == 2e-3

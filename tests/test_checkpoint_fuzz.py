@@ -35,10 +35,7 @@ OVERRIDES = [
     "train.epochs=2", "train.warmup_epochs=1", "train.base_lr=0.001",
     "train.batch_size=4", "train.mix_count=2", "data.train_per_class=4",
 ]
-META_KEYS = (
-    "step", "epoch", "total_steps", "warmup_steps", "loss_history", "aborted",
-    "data", "run",
-)
+META_KEYS = ("step", "steps_per_epoch", "loss_history", "aborted", "data", "run")
 SETS = ("theta", "xi", "adam_m", "adam_v")
 KINDS = ("list", "object", "string", "float", "bool", "null", "negative")
 DELETED = object()
@@ -155,7 +152,7 @@ def test_every_malformed_checkpoint_loads_or_is_rejected_naming_it(
                 assert (code, f"error: {message}") == (2, err.strip()), case
         assert not (run / "train_log.csv").exists(), case
 
-    assert len(cases) == 148
+    assert len(cases) == 132
     # the state reader checks every key but data, which a resume compares
     # with the images; no config field may be left to its default
     loads_state = {case for case, (state, _) in outcomes.items() if state}

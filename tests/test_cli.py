@@ -251,6 +251,26 @@ class TestMainPlumbing:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "train_log.csv").exists()
 
+    @pytest.mark.parametrize("command", ["eval-knn", "eval-linear"])
+    def test_evaluation_on_one_training_file_is_usage_error(
+        self, trained, tmp_path, capsys, no_features, command
+    ):
+        """One training file holds no validation split: evaluating on it
+        would score the run on its own bank."""
+        _out, ckpt, _log = trained
+        data = tmp_path / "data_batch_1.bin"
+        ds.export_cifar_binary(ds.synth_blobs(2, 4, 32, True, seed=0), data)
+        code = quiet_main([
+            command, "--override", f"eval.checkpoint={ckpt}", "--override",
+            "data.kind=cifar10", "--override", f"data.path={data}",
+        ])
+        assert code == 2
+        message = (
+            f"error: {data}: the file's name makes it the train split, but the "
+            f"val split was asked for"
+        )
+        assert capsys.readouterr().err.strip() == message
+
     def test_pretrain_on_cifar_binaries_with_the_tiny_preset(self, tmp_path):
         data = tmp_path / "data_batch_1.bin"
         ds.export_cifar_binary(ds.synth_blobs(2, 4, 32, True, seed=0), data)
@@ -381,6 +401,9 @@ class TestGradCheck:
             # one image makes every loss gradient zero, so every check passes
             ("check.images=1", "check.images must be >= 2, got 1"),
             ("check.images=0", "check.images must be >= 2, got 0"),
+            # no embedding dimension leaves every row of zero norm
+            ("check.dim=0", "check.dim must be >= 1, got 0"),
+            ("check.dim=-3", "check.dim must be >= 1, got -3"),
         ],
     )
     def test_degenerate_step_or_tolerance_is_a_usage_error(
@@ -672,6 +695,38 @@ class TestTrainAndEval:
         assert listed.startswith(differs) and "; " not in listed
         assert not (out / "train_log.csv").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(steps_per_epoch=4),
+             "checkpoint of another run; steps_per_epoch 4 recorded, 2 configured"),
+            (dict(aborted=1), "checkpoint meta step 4 plus aborted 1 is above the "
+             "run's 2 epochs of 2 steps"),
+            (dict(step=3), "checkpoint meta step 3 plus aborted 0 ends inside "
+             "epoch 2"),
+        ],
+        ids=["steps_per_epoch", "above_the_run", "inside_an_epoch"],
+    )
+    def test_resume_off_the_images_epochs_is_usage_error(
+        self, trained, tmp_path, capsys, edit, message
+    ):
+        """The final checkpoint of 2 epochs of 2 steps, its meta edited
+        under a valid checksum."""
+        _out, ckpt, _log = trained
+        vit_cfg, blobs, meta = enc.read_checkpoint(ckpt)
+        meta |= edit
+        meta["loss_history"] = meta["loss_history"][: meta["step"]]
+        bad = tmp_path / "bad.bin"
+        enc.write_checkpoint(bad, vit_cfg, blobs, meta)
+        out = tmp_path / "run"
+        code = quiet_main(
+            ["pretrain", "--out", str(out), "--override", f"train.resume={bad}"]
+            + TRAINED_OVERRIDES
+        )
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+        assert not (out / "train_log.csv").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, by design
     def test_diverging_run_is_usage_error(self, tmp_path, capsys):
         code = quiet_main(
@@ -772,7 +827,7 @@ class TestTrainAndEval:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {bad}: checkpoint meta lacks step, epoch" in err
+        assert f"error: {bad}: checkpoint meta lacks step, steps_per_epoch" in err
         assert not (out / "train_log.csv").exists()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,40 @@ class TestCifarLoader:
         g = tmp_path / "data_batch_1.bin"
         write_record10(g, 0, bytes(3072))
         assert ds.load_cifar_binary(g).split == "train"
+
+    @pytest.mark.parametrize(
+        "name, split, named",
+        [
+            ("data_batch_1.bin", "val", "train"),
+            ("data_batch_1.bin", "test", "train"),
+            ("test_batch.bin", "train", "val"),
+            ("test.bin", "train", "val"),  # CIFAR-100's
+        ],
+    )
+    def test_file_of_the_other_split_rejected_naming_it(
+        self, tmp_path, name, split, named
+    ):
+        f = tmp_path / name
+        write_record10(f, 0, bytes(3072))
+        message = (
+            f"{f}: the file's name makes it the {named} split, but the {split} "
+            f"split was asked for"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ds.load_cifar_binary(f, split=split)
+
+    @pytest.mark.parametrize(
+        "name, split, named",
+        [
+            ("data_batch_1.bin", "train", "train"),
+            ("test_batch.bin", "val", "val"),
+            ("test_batch.bin", "test", "val"),
+        ],
+    )
+    def test_file_of_the_asked_split_loads(self, tmp_path, name, split, named):
+        f = tmp_path / name
+        write_record10(f, 0, bytes(3072))
+        assert ds.load_cifar_binary(f, split=split).split == named
 
     @pytest.mark.parametrize("split", ["Train", "validation", ""])
     def test_unknown_split_rejected(self, tmp_path, split):

@@ -58,40 +58,36 @@ def assert_params_equal(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
 
 class TestSchedule:
     def test_warmup_endpoints_exact(self):
-        assert tr.schedule(0, 100, 10, 2e-3, 0.0, "warmup-cosine") == 0.0
-        assert tr.schedule(10, 100, 10, 2e-3, 0.0, "warmup-cosine") == 2e-3
-        assert tr.schedule(100, 100, 10, 2e-3, 0.0, "warmup-cosine") == 0.0
+        assert tr.schedule(0, 100, 10, 2e-3, 0.0) == 0.0
+        assert tr.schedule(10, 100, 10, 2e-3, 0.0) == 2e-3
+        assert tr.schedule(100, 100, 10, 2e-3, 0.0) == 0.0
 
     def test_cosine_endpoints_exact(self):
-        assert tr.schedule(0, 100, 0, 0.996, 1.0, "cosine") == 0.996
-        assert tr.schedule(100, 100, 0, 0.996, 1.0, "cosine") == 1.0
+        assert tr.schedule(0, 100, 0, 0.996, 1.0) == 0.996
+        assert tr.schedule(100, 100, 0, 0.996, 1.0) == 1.0
         # (0.04, 0.4) is a pair where 0.4 + (0.04 - 0.4) != 0.04 in floats;
         # the blend must not be allowed to re-round the endpoints
-        assert tr.schedule(0, 100, 0, 0.04, 0.4, "cosine") == 0.04
-        assert tr.schedule(100, 100, 0, 0.04, 0.4, "cosine") == 0.4
+        assert tr.schedule(0, 100, 0, 0.04, 0.4) == 0.04
+        assert tr.schedule(100, 100, 0, 0.04, 0.4) == 0.4
 
     def test_cosine_midpoint_is_mean_of_endpoints(self):
-        mid = tr.schedule(50, 100, 0, 0.04, 0.4, "cosine")
+        mid = tr.schedule(50, 100, 0, 0.04, 0.4)
         assert abs(mid - 0.22) <= 1e-15
 
     def test_warmup_is_linear(self):
-        quarter = tr.schedule(5, 100, 20, 1.0, 0.0, "warmup-cosine")
+        quarter = tr.schedule(5, 100, 20, 1.0, 0.0)
         assert quarter == 0.25
 
     def test_monotone_between_endpoints(self):
-        lr = [tr.schedule(s, 50, 5, 1e-2, 0.0, "warmup-cosine") for s in range(51)]
+        lr = [tr.schedule(s, 50, 5, 1e-2, 0.0) for s in range(51)]
         assert all(b > a for a, b in zip(lr[:5], lr[1:6]))
         assert all(b <= a for a, b in zip(lr[5:50], lr[6:51]))
-        wd = [tr.schedule(s, 50, 0, 0.04, 0.4, "cosine") for s in range(51)]
+        wd = [tr.schedule(s, 50, 0, 0.04, 0.4) for s in range(51)]
         assert all(b >= a for a, b in zip(wd, wd[1:]))
 
     def test_step_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            tr.schedule(11, 10, 0, 1.0, 0.0, "cosine")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            tr.schedule(0, 10, 0, 1.0, 0.0, "linear")
+            tr.schedule(11, 10, 0, 1.0, 0.0)
 
 
 class TestDecayExempt:
@@ -328,9 +324,8 @@ class TestConfigValidation:
 class TestInitState:
     def test_step_counts_use_floor_division(self):
         state = tr.init_state(micro_config(epochs=3, warmup_epochs=1), 10)
-        assert state.total_steps == 3 * 2
-        assert state.warmup_steps == 1 * 2
-        assert state.step == 0 and state.epoch == 0
+        assert state.steps_per_epoch == 10 // 4
+        assert state.step == 0 and state.aborted == 0
 
     def test_dataset_smaller_than_batch_rejected(self):
         with pytest.raises(ValueError, match="no full batch"):
@@ -437,9 +432,7 @@ class TestTrainStep:
         state = tr.init_state(cfg, 8)
         twin = state.momentum.params
         xi_old = enc.EncoderParams(cfg.vit, enc.Packed(twin.shapes, twin.flat.copy()))
-        mu = tr.schedule(
-            0, state.total_steps, 0, cfg.momentum_mu[0], cfg.momentum_mu[1], "cosine"
-        )
+        mu = tr.schedule(0, cfg.epochs * 2, 0, *cfg.momentum_mu)
         state, _ = tr.train_step(state, micro_batch())
         expected = enc.ema_update(state.encoder, xi_old, mu)
         assert_params_equal(state.momentum.params, expected.params)
@@ -946,8 +939,7 @@ class TestCheckpointing:
         tr.save_state(state, path)
         loaded = tr.state_from_checkpoint(path, cfg)
         assert loaded.step == state.step
-        assert loaded.total_steps == state.total_steps
-        assert loaded.warmup_steps == state.warmup_steps
+        assert loaded.steps_per_epoch == state.steps_per_epoch == 2
         assert loaded.loss_history == state.loss_history
         assert_params_equal(loaded.encoder.params, state.encoder.params)
         assert_params_equal(loaded.momentum.params, state.momentum.params)
@@ -988,16 +980,13 @@ class TestCheckpointing:
         assert ra == rb
         assert_params_equal(a.encoder.params, b.encoder.params)
 
-    STATE_META = (
-        "step", "epoch", "total_steps", "warmup_steps", "loss_history",
-        "aborted", "data", "run",
-    )
+    STATE_META = ("step", "steps_per_epoch", "loss_history", "aborted", "data", "run")
 
     @pytest.mark.parametrize(
         "dropped",
         [
-            STATE_META, ("step", "warmup_steps"), ("loss_history",), ("aborted",),
-            ("data",), ("run",), ("data", "run"),
+            STATE_META, ("step", "steps_per_epoch"), ("steps_per_epoch",),
+            ("loss_history",), ("aborted",), ("data",), ("run",), ("data", "run"),
         ],
     )
     def test_incomplete_meta_rejected(self, tmp_path, dropped):
@@ -1171,9 +1160,11 @@ class TestLayout:
             ("run", "f32"),
             ("step", [1]),
             ("step", True),
-            ("epoch", -1),
-            ("total_steps", 4.0),
-            ("warmup_steps", None),
+            ("step", -1),
+            ("steps_per_epoch", 2.0),
+            ("steps_per_epoch", None),
+            ("steps_per_epoch", 0),
+            ("steps_per_epoch", -2),
             ("aborted", "0"),
         ],
     )
@@ -1196,22 +1187,28 @@ class TestLayout:
              "loss_history is not a list of 1 rows"),
             (dict(step=1, loss_history=[ROW[:-1] + ["0.04"]]),
              "loss_history is not a list of 1 rows"),
-            (dict(step=9), "step is 9, above total_steps 4"),
-            (dict(warmup_steps=5), "warmup_steps is 5, not below total_steps 4"),
-            (dict(warmup_steps=4), "warmup_steps is 4, not below total_steps 4"),
+            (dict(step=5, loss_history=[ROW] * 5),
+             "step 5 plus aborted 0 is above the run's 2 epochs of 2 steps"),
+            (dict(aborted=5), "step 0 plus aborted 5 is above the run's 2 "
+             "epochs of 2 steps"),
+            (dict(steps_per_epoch=1, aborted=3),
+             "step 0 plus aborted 3 is above the run's 2 epochs of 1 steps"),
+            (dict(step=1, loss_history=[ROW], aborted=4),
+             "step 1 plus aborted 4 is above the run's 2 epochs of 2 steps"),
         ],
         ids=[
             "history_int", "history_row_of_one", "history_one_short",
             "history_one_long", "history_row_of_seven", "history_bool",
-            "history_str", "step_above_total", "warmup_above_total",
-            "warmup_at_total",
+            "history_str", "step_above_the_run", "aborted_above_the_run",
+            "fewer_steps_per_epoch", "step_and_aborted_above_the_run",
         ],
     )
     def test_meta_that_breaks_the_counters_facts_is_rejected(
         self, tmp_path, edit, message
     ):
         """A completed step appends one history row and advances ``step``,
-        and a run's warmup ends before its last step."""
+        and a run attempts ``epochs`` epochs of its steps per epoch, each
+        step completed or aborted."""
         bad, named = self.rewritten(tmp_path, edit_meta=lambda m: m | edit)
         with pytest.raises(ValueError, match=named + "checkpoint meta " + message):
             tr.state_from_checkpoint(bad, micro_config())
@@ -1432,6 +1429,71 @@ class TestPretrain:
         assert steps == []
         assert list(out.iterdir()) == []  # no log, no row
 
+    def resume_edited(self, first_epoch, tmp_path, monkeypatch, edit):
+        """Resume micro_config() on small_data() from the epoch-1 checkpoint
+        with ``edit`` merged into its meta, under a valid checksum. Returns
+        the file, the ``ValueError`` raised (or None), the steps taken and
+        the output directory."""
+        vit_cfg, blobs, meta = enc.read_checkpoint(first_epoch)
+        bad = tmp_path / "edited.bin"
+        enc.write_checkpoint(bad, vit_cfg, blobs, meta | edit)
+        steps, step = [], tr.train_step
+        monkeypatch.setattr(tr, "train_step", lambda *a: steps.append(1) or step(*a))
+        out = tmp_path / "out"
+        try:
+            tr.pretrain(micro_config(), self.small_data(), out, resume_from=bad)
+        except ValueError as err:
+            return bad, err, steps, out
+        return bad, None, steps, out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [dict(epoch=2), dict(epoch=0), dict(total_steps=40), dict(warmup_steps=3)],
+        ids=["epoch_2", "epoch_0", "total_steps_40", "warmup_steps_3"],
+    )
+    def test_stored_counters_the_config_fixes_cannot_change_a_resumed_log(
+        self, first_epoch, tmp_path, monkeypatch, edit
+    ):
+        """The epoch, total steps and warmup steps that checkpoints once
+        stored, written into the epoch-1 checkpoint of a run of 2 epochs of
+        2 steps, 1 of warmup: each is refused, naming the file, before any
+        step or log row, or the resumed run leaves the uninterrupted log."""
+        bad, err, steps, out = self.resume_edited(
+            first_epoch, tmp_path, monkeypatch, edit
+        )
+        if err is not None:
+            assert str(err).startswith(f"{bad}: ")
+            assert steps == [] and list(out.iterdir()) == []
+        else:
+            full = (first_epoch.parent / "train_log.csv").read_bytes()
+            assert (out / "train_log.csv").read_bytes() == full
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(steps_per_epoch=1),
+             "checkpoint of another run; steps_per_epoch 1 recorded, 2 configured"),
+            (dict(steps_per_epoch=3),
+             "checkpoint of another run; steps_per_epoch 3 recorded, 2 configured"),
+            (dict(aborted=3), "checkpoint meta step 2 plus aborted 3 is above the "
+             "run's 2 epochs of 2 steps"),
+            (dict(aborted=1), "checkpoint meta step 2 plus aborted 1 ends inside "
+             "epoch 2"),
+            (dict(step=1, loss_history=[ROW]), "checkpoint meta step 1 plus "
+             "aborted 0 ends inside epoch 1"),
+        ],
+        ids=["fewer_steps_per_epoch", "more_steps_per_epoch", "above_the_run",
+             "aborted_inside_an_epoch", "step_inside_an_epoch"],
+    )
+    def test_resume_off_the_images_epochs_is_rejected_naming_the_file(
+        self, first_epoch, tmp_path, monkeypatch, edit, message
+    ):
+        bad, err, steps, out = self.resume_edited(
+            first_epoch, tmp_path, monkeypatch, edit
+        )
+        assert err is not None and str(err) == f"{bad}: {message}"
+        assert steps == [] and list(out.iterdir()) == []  # no step, no log
+
     @pytest.mark.parametrize("resume", [False, True])
     def test_data_hashed_once_per_call_and_after_a_fresh_runs_first_step(
         self, tmp_path, monkeypatch, resume
@@ -1551,7 +1613,7 @@ class TestPretrain:
         state = tr.state_from_checkpoint(final, cfg)
         with open(tmp_path / "train_log.csv", newline="") as f:
             rows = list(csv.reader(f))[1:]
-        assert (state.step, state.aborted, state.epoch) == (5, 1, 3)
+        assert (state.step, state.aborted, state.steps_per_epoch) == (5, 1, 2)
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
 
     def test_loss_decreases_on_easy_data(self, tmp_path):
